@@ -4,8 +4,8 @@ metrics, and multi-sensor acquisition simulation."""
 __version__ = "0.1.0"
 
 from .hand_model import HandModel, ModelError, load_hand_model, load_hand_model_file
-from .kinematics import (JointConfig, TouchPointCloud, forward_kinematics, jacobian,
-                         joint_to_motor, motor_to_joint, taxel_point_cloud)
+from .kinematics import (TouchPointCloud, forward_kinematics, jacobian, joint_to_motor,
+                         motor_to_joint, taxel_point_cloud)
 from .metrics import MetricReport, manipulability_volume, opposability_volume
 from .retarget import (CalibrationData, CouplingState, KeypointFrame, RetargetProblem,
                        RetargetResult, StreamStep, adjust_keypoints,
@@ -19,8 +19,8 @@ from .syncsim import (AlignmentReport, EventLog, FrameSet, StreamConfig, StreamS
 __all__ = [
     "__version__",
     "HandModel", "ModelError", "load_hand_model", "load_hand_model_file",
-    "JointConfig", "TouchPointCloud", "forward_kinematics", "jacobian",
-    "joint_to_motor", "motor_to_joint", "taxel_point_cloud",
+    "TouchPointCloud", "forward_kinematics", "jacobian", "joint_to_motor",
+    "motor_to_joint", "taxel_point_cloud",
     "MetricReport", "manipulability_volume", "opposability_volume",
     "CalibrationData", "CouplingState", "KeypointFrame", "RetargetProblem",
     "RetargetResult", "StreamStep", "adjust_keypoints", "baseline_uniform_scaling",

@@ -9,7 +9,7 @@ dataclasses carry no setters.  Units are meters and radians throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import yaml
@@ -62,6 +62,15 @@ class Joint:
     upper: float
     parent: str                     # link name this joint hangs off
     child: str                      # link name this joint drives
+    # Rodrigues terms K and K @ K of the axis, built once per joint
+    skew: np.ndarray = field(init=False, repr=False, compare=False)
+    skew_sq: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        kx, ky, kz = self.axis
+        k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
+        object.__setattr__(self, "skew", _freeze(k))
+        object.__setattr__(self, "skew_sq", _freeze(k @ k))
 
 
 @dataclass(frozen=True)
@@ -90,6 +99,11 @@ class Finger:
     keypoints: tuple[Keypoint, ...]
     taxels: TaxelLayout | None
     dof_offset: int  # index of this finger's first joint in the global q vector
+    # (dof, 3) joint axes, each in its own joint frame
+    axes: np.ndarray = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "axes", _freeze([j.axis for j in self.joints]))
 
     @property
     def dof(self):
@@ -113,20 +127,8 @@ class HandModel:
     fingers: tuple[Finger, ...]
     total_dof: int
     rest_pose: np.ndarray
-
-    @property
-    def lower_limits(self):
-        return self._limits[0]
-
-    @property
-    def upper_limits(self):
-        return self._limits[1]
-
-    @property
-    def _limits(self):
-        lo = _freeze([j.lower for f in self.fingers for j in f.joints])
-        hi = _freeze([j.upper for f in self.fingers for j in f.joints])
-        return lo, hi
+    lower_limits: np.ndarray  # (total_dof,), joint order of q
+    upper_limits: np.ndarray
 
     def finger_slice(self, i):
         """Slice of the global q vector owned by finger ``i``."""
@@ -326,7 +328,7 @@ def load_hand_model(document):
     hi = np.array([j.upper for f in fingers for j in f.joints])
     if np.any(rest_pose < lo) or np.any(rest_pose > hi):
         raise ModelError("rest_pose: values must lie within joint limits")
-    return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose))
+    return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose), _freeze(lo), _freeze(hi))
 
 
 def load_hand_model_file(path):

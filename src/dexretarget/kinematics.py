@@ -11,72 +11,75 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hand_model import HandModel
+_BATCH_ROWS = 1024  # samples per kernel call: a walk's link arrays stay in cache
 
-
-@dataclass
-class JointConfig:
-    """A joint vector with an optional capture timestamp (seconds)."""
-
-    q: np.ndarray
-    timestamp: float | None = None
+_EYE = np.eye(3)
+_ZERO = np.zeros(3)
+_EYE.flags.writeable = _ZERO.flags.writeable = False
+# (a x b)[c] = a[c + 1] b[c + 2] - a[c + 2] b[c + 1], indices mod 3: the
+# terms and order of np.cross, so Jacobians keep their exact values
+_NEXT = [1, 2, 0]
+_AFTER = [2, 0, 1]
 
 
 def _coerce_q(model, q):
-    if isinstance(q, JointConfig):
-        q = q.q
     q = np.asarray(q, dtype=float)
     if q.shape != (model.total_dof,):
         raise ValueError(f"q has shape {q.shape}, model {model.name!r} expects ({model.total_dof},)")
     return q
 
 
-def _axis_rotation(axis, angle):
-    """Rodrigues rotation about a unit axis."""
-    kx, ky, kz = axis
-    k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-    return np.eye(3) + np.sin(angle) * k + (1.0 - np.cos(angle)) * (k @ k)
+def _chain_state(model, finger_index, q_f, depth=None):
+    """Walk one finger's chain at joint angles ``q_f`` of shape (dof,) or (B, dof).
+
+    Returns:
+        (rots, trans, frames): lists of the link rotations and translations
+        for links 0..depth (link 0 is the palm) and of the joint frames,
+        the rotation in which joint k's axis is expressed, for joints
+        0..depth-1.  Joint k's origin is ``trans[k + 1]``.  Entries carry
+        the batch dimension once a joint angle has entered them.
+    """
+    joints = model.fingers[finger_index].joints[:depth]
+    sin = np.sin(q_f)
+    vers = 1.0 - np.cos(q_f)
+    r, t = _EYE, _ZERO
+    rots, trans, frames = [r], [t], []
+    for k, joint in enumerate(joints):
+        t = t + r @ joint.origin_translation
+        r = r @ joint.origin_rotation
+        frames.append(r)
+        # Rodrigues: I + sin K + (1 - cos) K K.  Every step here is the same
+        # elementwise or per-matrix product for (dof,) and (B, dof) angles,
+        # so a batch row and a single walk agree bit for bit.
+        rodrigues = sin[..., k, None, None] * joint.skew
+        rodrigues += _EYE
+        rodrigues += vers[..., k, None, None] * joint.skew_sq
+        r = r @ rodrigues
+        rots.append(r)
+        trans.append(t)
+    return rots, trans, frames
 
 
-class _ChainState:
-    """World pose of every link of one finger plus joint axes/origins."""
-
-    __slots__ = ("rots", "trans", "axes", "origins")
-
-    def __init__(self, finger, q_f):
-        rots = [np.eye(3)]
-        trans = [np.zeros(3)]
-        axes = []
-        origins = []
-        r, t = rots[0], trans[0]
-        for joint, angle in zip(finger.joints, q_f):
-            t = t + r @ joint.origin_translation
-            r = r @ joint.origin_rotation
-            axes.append(r @ joint.axis)
-            origins.append(t)
-            r = r @ _axis_rotation(joint.axis, angle)
-            rots.append(r)
-            trans.append(t)
-        self.rots = rots
-        self.trans = trans
-        self.axes = axes
-        self.origins = origins
-
-    def point(self, link, offset):
-        return self.trans[link] + self.rots[link] @ offset
+def _point(state, kp):
+    rots, trans, _ = state
+    return trans[kp.link] + rots[kp.link] @ kp.offset
 
 
-def _chain_state(model, finger_index, q):
-    f = model.fingers[finger_index]
-    return _ChainState(f, q[model.finger_slice(finger_index)])
+def _joint_axes(model, finger_index, state):
+    """(dof, 3) world joint axes of a single walked chain."""
+    return (np.stack(state[2]) @ model.fingers[finger_index].axes[:, :, None])[:, :, 0]
 
 
-def keypoint_position(model, q, frame):
-    """Position of keypoint frame ``(i, j)`` at configuration q."""
-    q = _coerce_q(model, q)
-    i, j = frame
-    kp = model.keypoint(i, j)
-    return _chain_state(model, i, q).point(kp.link, kp.offset)
+def linear_jacobian_block(axes, state, links, points):
+    """(n, 3, dof) linear-velocity blocks of n points on one walked chain.
+
+    Column k of block m is ``axes[k] x (points[m] - origin_k)`` while joint
+    k precedes the point's link ``links[m]``, and zero past it.
+    """
+    d = points[:, None, :] - np.stack(state[1][1:])
+    cross = axes[:, _NEXT] * d[..., _AFTER] - axes[:, _AFTER] * d[..., _NEXT]
+    cross[np.arange(len(axes)) >= np.asarray(links)[:, None]] = 0.0
+    return np.ascontiguousarray(cross.transpose(0, 2, 1))
 
 
 def forward_kinematics(model, q):
@@ -89,9 +92,9 @@ def forward_kinematics(model, q):
     q = _coerce_q(model, q)
     out = {}
     for i, f in enumerate(model.fingers):
-        state = _ChainState(f, q[model.finger_slice(i)])
+        state = _chain_state(model, i, q[model.finger_slice(i)])
         for kp in f.keypoints:
-            out[(i, kp.index)] = state.point(kp.link, kp.offset)
+            out[(i, kp.index)] = _point(state, kp)
     return out
 
 
@@ -100,7 +103,7 @@ def jacobian(model, q, frame):
 
     Args:
         model: hand model.
-        q: joint vector (or JointConfig) of length model.total_dof.
+        q: joint vector of length model.total_dof.
         frame: (finger, keypoint) index pair.
 
     Returns:
@@ -111,24 +114,13 @@ def jacobian(model, q, frame):
     q = _coerce_q(model, q)
     i, j = frame
     kp = model.keypoint(i, j)
-    state = _chain_state(model, i, q)
-    p = state.point(kp.link, kp.offset)
+    sl = model.finger_slice(i)
+    state = _chain_state(model, i, q[sl])
+    axes = _joint_axes(model, i, state)
     jac = np.zeros((6, model.total_dof))
-    base = model.fingers[i].dof_offset
-    for k in range(kp.link):
-        a = state.axes[k]
-        jac[:3, base + k] = np.cross(a, p - state.origins[k])
-        jac[3:, base + k] = a
+    jac[:3, sl] = linear_jacobian_block(axes, state, [kp.link], _point(state, kp)[None])[0]
+    jac[3:, sl.start:sl.start + kp.link] = axes[:kp.link].T
     return jac
-
-
-def linear_jacobian_block(state, finger, kp):
-    """(3, finger.dof) linear-velocity block for a frame on an evaluated chain."""
-    p = state.point(kp.link, kp.offset)
-    block = np.zeros((3, finger.dof))
-    for k in range(kp.link):
-        block[:, k] = np.cross(state.axes[k], p - state.origins[k])
-    return block, p
 
 
 def motor_to_joint(theta1, theta2, sign=1.0):
@@ -202,9 +194,9 @@ def taxel_point_cloud(model, q, readings, threshold=None):
         if grid.shape != (layout.rows, layout.cols):
             raise ValueError(f"finger {i} readings have shape {grid.shape}, "
                              f"layout is {(layout.rows, layout.cols)}")
-        state = _chain_state(model, i, q)
-        link = len(f.joints)  # taxels ride the distal link
-        world = state.trans[link] + layout.positions @ state.rots[link].T
+        rots, trans, _ = _chain_state(model, i, q[model.finger_slice(i)])
+        # taxels ride the distal link
+        world = trans[-1] + layout.positions @ rots[-1].T
         flat = grid.reshape(-1)
         keep = np.ones(flat.shape, dtype=bool) if threshold is None else flat > threshold
         r_idx, c_idx = np.divmod(np.arange(flat.size), layout.cols)
@@ -234,23 +226,13 @@ def batch_keypoint_positions(model, frame, q_batch):
         (B, 3) positions in the hand base frame.
     """
     i, j = frame
-    f = model.fingers[i]
     kp = model.keypoint(i, j)
     q_batch = np.asarray(q_batch, dtype=float)
-    if q_batch.ndim != 2 or q_batch.shape[1] != f.dof:
-        raise ValueError(f"q_batch must be (B, {f.dof}), got {q_batch.shape}")
-    b = q_batch.shape[0]
-    r = np.broadcast_to(np.eye(3), (b, 3, 3)).copy()
-    t = np.zeros((b, 3))
-    eye = np.eye(3)
-    for k in range(kp.link):
-        joint = f.joints[k]
-        t = t + np.einsum("bij,j->bi", r, joint.origin_translation)
-        r = r @ joint.origin_rotation
-        kx, ky, kz = joint.axis
-        skew = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-        ang = q_batch[:, k]
-        rj = (eye + np.sin(ang)[:, None, None] * skew
-              + (1.0 - np.cos(ang))[:, None, None] * (skew @ skew))
-        r = r @ rj
-    return t + np.einsum("bij,j->bi", r, kp.offset)
+    dof = model.fingers[i].dof
+    if q_batch.ndim != 2 or q_batch.shape[1] != dof:
+        raise ValueError(f"q_batch must be (B, {dof}), got {q_batch.shape}")
+    out = np.empty((q_batch.shape[0], 3))
+    for start in range(0, q_batch.shape[0], _BATCH_ROWS):
+        rows = slice(start, start + _BATCH_ROWS)
+        out[rows] = _point(_chain_state(model, i, q_batch[rows], kp.link), kp)
+    return out

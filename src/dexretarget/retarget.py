@@ -22,7 +22,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .hand_model import HandModel
-from .kinematics import _chain_state, linear_jacobian_block
+from .kinematics import _chain_state, _joint_axes, _point, linear_jacobian_block
 
 DEFAULT_SIGMOID_K = 10.0
 DEFAULT_SIGMOID_C = 0.5
@@ -118,6 +118,8 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
                                f"model layout {model.keypoint_counts()}")
     if not w_star.all_valid():
         raise CalibrationError("calibration frame must have every landmark valid")
+    if not all(np.isfinite(w).all() for w in w_star.w):
+        raise CalibrationError("calibration frame has a non-finite landmark")
 
     fk = forward_kinematics(model, q0)
     ratios = []
@@ -284,48 +286,46 @@ def _evaluate(q, prob, want_grad):
     """Objective terms (align, couple, smooth) and optionally the gradient."""
     model = prob.model
     l1, l2, l3 = prob.lambdas
-    by_finger: dict[int, list[tuple[int, np.ndarray]]] = {}
-    for row, (i, j) in enumerate(prob.pairs):
-        by_finger.setdefault(i, []).append((j, prob.targets[row]))
     coupled = prob.coupling.fingers if prob.coupling is not None else ()
-    need_tip = set(coupled) | ({0} if coupled else set())
+    wanted: dict[int, list[int]] = {}  # finger -> keypoints to place
+    for i, j in prob.pairs:
+        wanted.setdefault(i, []).append(j)
+    for i in (0,) + coupled if coupled else ():
+        wanted.setdefault(i, []).append(model.fingers[i].tip_index)
+
+    points, blocks = {}, {}  # (finger, keypoint) -> position, linear Jacobian block
+    for i, js in wanted.items():
+        state = _chain_state(model, i, q[model.finger_slice(i)])
+        kps = [model.keypoint(i, j) for j in js]
+        keys = [(i, j) for j in js]
+        p = np.stack([_point(state, kp) for kp in kps])
+        points.update(zip(keys, p))
+        if want_grad:
+            axes = _joint_axes(model, i, state)
+            links = [kp.link for kp in kps]
+            blocks.update(zip(keys, linear_jacobian_block(axes, state, links, p)))
 
     grad = np.zeros(model.total_dof) if want_grad else None
     align = 0.0
-    tips = {}
-    tip_blocks = {}
-    for i in sorted(set(by_finger) | need_tip):
-        f = model.fingers[i]
-        state = _chain_state(model, i, q)
-        sl = model.finger_slice(i)
-        for j, target in by_finger.get(i, ()):
-            kp = model.keypoint(i, j)
-            if want_grad:
-                block, p = linear_jacobian_block(state, f, kp)
-            else:
-                p = state.point(kp.link, kp.offset)
-            e = target - p
-            align += float(e @ e)
-            if want_grad:
-                grad[sl] += -2.0 * l1 * (block.T @ e)
-        if i in need_tip:
-            kp = model.keypoint(i, f.tip_index)
-            if want_grad:
-                tip_blocks[i], tips[i] = linear_jacobian_block(state, f, kp)
-            else:
-                tips[i] = state.point(kp.link, kp.offset)
+    for pair, target in zip(prob.pairs, prob.targets):
+        e = target - points[pair]
+        align += float(e @ e)
+        if want_grad:
+            grad[model.finger_slice(pair[0])] += -2.0 * l1 * (blocks[pair].T @ e)
 
     couple = 0.0
     if prob.coupling is not None:
+        thumb = (0, model.fingers[0].tip_index)
         thumb_sl = model.finger_slice(0)
         for m, i in enumerate(coupled):
-            g = tips[i] - tips[0]
+            tip = (i, model.fingers[i].tip_index)
+            g = points[tip] - points[thumb]
             e = prob.coupling.delta[m] - g
             w = prob.coupling.omega[m]
             couple += float(w * (e @ e))
             if want_grad:
-                grad[model.finger_slice(i)] += -2.0 * l2 * w * (tip_blocks[i].T @ e)
-                grad[thumb_sl] += 2.0 * l2 * w * (tip_blocks[0].T @ e)
+                grad[model.finger_slice(i)] += -2.0 * l2 * w * (blocks[tip].T @ e)
+                grad[thumb_sl] += 2.0 * l2 * w * (blocks[thumb].T @ e)
 
     dq = q - prob.q_prev
     smooth = float(dq @ dq)
@@ -412,11 +412,12 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                     max_hold_frames=MAX_HOLD_FRAMES, scaling_alpha=None):
     """Retarget an ordered landmark stream into a joint trajectory.
 
-    Missing landmarks are filled from the last valid value for up to
-    ``max_hold_frames`` consecutive frames; beyond that the frame is
-    rejected and the previous output is held.  The first frame warm-starts
-    from the calibration configuration.  ``scaling_alpha`` switches the
-    target construction from conformal adjustment to uniform scaling.
+    Missing landmarks, and landmarks with a non-finite coordinate, are
+    filled from the last valid value for up to ``max_hold_frames``
+    consecutive frames; beyond that the frame is rejected and the previous
+    output is held.  The first frame warm-starts from the calibration
+    configuration.  ``scaling_alpha`` switches the target construction from
+    conformal adjustment to uniform scaling.
 
     Returns:
         list of StreamStep, one per input frame.
@@ -440,6 +441,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         usable = True
         eff_w = []
         for i, (w, v) in enumerate(zip(frame.w, frame.valid)):
+            v = v & np.isfinite(w).all(axis=1)  # a non-finite landmark counts as missing
             ages[i] += 1
             ages[i][v] = 0
             last_seen[i][v] = w[v]

@@ -7,11 +7,13 @@ from dexretarget.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from dexretarget.fileio import (
     read_calibration,
     read_joint_trajectory,
+    read_keypoint_trajectory,
     read_manifest,
+    write_calibration,
     write_keypoint_trajectory,
 )
 from dexretarget.kinematics import forward_kinematics
-from dexretarget.retarget import KeypointFrame
+from dexretarget.retarget import KeypointFrame, retarget_stream
 
 from conftest import ARC_PAIR, DATA, TOY_3DOF
 
@@ -117,6 +119,24 @@ def test_retarget_recovers_known_motion(tmp_path, planar, planar_cal, capsys):
     assert np.all(converged)
     assert np.max(np.abs(qs - np.array(truth))) < 1e-3
     assert np.array_equal(t, [k / 25.0 for k in range(5)])
+
+
+def test_retarget_fills_non_finite_landmark(tmp_path, robot, calibration):
+    frames = read_keypoint_trajectory(DATA / "gestures" / "pinch.traj")
+    frames[10].w[2][4][0] = np.nan  # middle tip x, still flagged valid
+    assert frames[10].valid[2][4]
+    clip = tmp_path / "pinch_nan.traj"
+    write_keypoint_trajectory(clip, frames)
+    steps = retarget_stream(robot, calibration, read_keypoint_trajectory(clip))
+    assert steps[10].filled == 1 and not steps[10].rejected
+    assert np.all(np.isfinite(steps[10].residuals))
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, calibration)
+    out = tmp_path / "out"
+    code = main(["retarget", "--model", str(DATA / "rapid_hand_20dof.yaml"),
+                 "--calibration", str(cal), "--input", str(clip), "--out", str(out)])
+    assert code == EXIT_OK
+    assert "nan" not in (out / "retargeted.traj").read_text()
 
 
 def test_retarget_baseline_comparison(tmp_path, planar, planar_cal):

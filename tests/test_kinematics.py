@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexretarget.hand_model import load_hand_model
 from dexretarget.kinematics import (batch_keypoint_positions, forward_kinematics,
-                                    jacobian, joint_to_motor, keypoint_position,
-                                    motor_to_joint, taxel_point_cloud)
+                                    jacobian, joint_to_motor, motor_to_joint,
+                                    taxel_point_cloud)
 
 from conftest import RIGID_PAIR, TOY_3DOF
 
@@ -40,23 +43,24 @@ def test_reference_rest_pose_goldens(robot):
     np.testing.assert_allclose(fk[(4, 4)], [0.111, -0.027, 0.0], atol=1e-12)
 
 
-def test_keypoint_position_matches_full_fk(robot):
+def test_single_keypoint_matches_full_fk(robot):
     rng = np.random.default_rng(0)
     q = random_q(robot, rng)
     fk = forward_kinematics(robot, q)
     for frame in [(0, 0), (1, 3), (4, 4), (2, 1)]:
-        np.testing.assert_array_equal(keypoint_position(robot, q, frame), fk[frame])
+        q_f = q[robot.finger_slice(frame[0])][None]
+        np.testing.assert_array_equal(batch_keypoint_positions(robot, frame, q_f)[0], fk[frame])
 
 
 def test_chain_locality_bit_identical(robot):
     rng = np.random.default_rng(1)
     q = random_q(robot, rng)
-    base = keypoint_position(robot, q, (1, 4))  # index tip
+    base = forward_kinematics(robot, q)[(1, 4)]  # index tip
     for off_chain in [0, 1, 2, 3, 8, 9, 15, 19]:  # thumb, middle, ring, pinky joints
         q2 = q.copy()
         q2[off_chain] = np.clip(q2[off_chain] + 0.1, robot.lower_limits[off_chain],
                                 robot.upper_limits[off_chain])
-        moved = keypoint_position(robot, q2, (1, 4))
+        moved = forward_kinematics(robot, q2)[(1, 4)]
         assert moved.tobytes() == base.tobytes()
 
 
@@ -79,7 +83,7 @@ def test_fk_batch_matches_scalar(robot):
     for k in [0, 17, 63]:
         q = robot.rest_pose.copy()
         q[sl] = qb[k]
-        np.testing.assert_allclose(pts[k], keypoint_position(robot, q, (2, 4)),
+        np.testing.assert_allclose(pts[k], forward_kinematics(robot, q)[(2, 4)],
                                    atol=1e-12)
 
 
@@ -116,9 +120,72 @@ def test_jacobian_matches_finite_differences(robot, planar, toy_3dof, seed):
         for k in range(m.total_dof):
             dq = np.zeros(m.total_dof)
             dq[k] = h
-            fd[:, k] = (keypoint_position(m, q + dq, frame)
-                        - keypoint_position(m, q - dq, frame)) / (2 * h)
+            fd[:, k] = (forward_kinematics(m, q + dq)[frame]
+                        - forward_kinematics(m, q - dq)[frame]) / (2 * h)
         assert np.max(np.abs(jac - fd)) < 1e-5
+
+
+# --- properties over random serial chains -----------------------------------
+
+_coord = st.floats(-0.1, 0.1, allow_nan=False)
+_angle = st.floats(-np.pi, np.pi, allow_nan=False)
+_vec = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_unit = _vec.filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: [float(x) for x in np.asarray(v) / np.linalg.norm(v)])
+_joint = st.fixed_dictionaries({
+    "axis": _unit,
+    "origin_translation": st.lists(_coord, min_size=3, max_size=3),
+    "origin_rotation": st.lists(_angle, min_size=3, max_size=3),
+    "offset": st.lists(_coord, min_size=3, max_size=3),
+})
+
+
+@st.composite
+def serial_chain(draw):
+    """A one-finger model of 1-5 random joints, one keypoint per link, and
+    joint angles inside its limits."""
+    joints = draw(st.lists(_joint, min_size=1, max_size=5))
+    doc = {"name": "random_chain", "fingers": [{
+        "name": "chain",
+        "joints": [{"name": f"j{k}", "axis": j["axis"],
+                    "origin_translation": j["origin_translation"],
+                    "origin_rotation": j["origin_rotation"], "limits": [-2.0, 2.0]}
+                   for k, j in enumerate(joints)],
+        "keypoints": [{"index": 0, "attached_to": "base"}]
+        + [{"index": k + 1, "attached_to": f"j{k}", "offset": j["offset"]}
+           for k, j in enumerate(joints)],
+    }]}
+    model = load_hand_model(yaml.safe_dump(doc))
+    angles = st.lists(st.floats(-2.0, 2.0), min_size=len(joints), max_size=len(joints))
+    q_batch = np.array(draw(st.lists(angles, min_size=1, max_size=4)))
+    return model, q_batch
+
+
+@settings(max_examples=60, deadline=None)
+@given(serial_chain())
+def test_random_chain_jacobian_matches_central_differences(chain):
+    model, q_batch = chain
+    q = q_batch[0]
+    h = 1e-6
+    for frame in model.keypoint_ids():
+        jac = jacobian(model, q, frame)[:3]
+        fd = np.zeros_like(jac)
+        for k in range(model.total_dof):
+            dq = np.zeros(model.total_dof)
+            dq[k] = h
+            fd[:, k] = (forward_kinematics(model, q + dq)[frame]
+                        - forward_kinematics(model, q - dq)[frame]) / (2 * h)
+        assert np.max(np.abs(jac - fd)) < 1e-7
+
+
+@settings(max_examples=60, deadline=None)
+@given(serial_chain())
+def test_random_chain_batch_rows_bit_equal_fk(chain):
+    model, q_batch = chain
+    for frame in model.keypoint_ids():
+        pts = batch_keypoint_positions(model, frame, q_batch)
+        for q, p in zip(q_batch, pts):
+            assert p.tobytes() == forward_kinematics(model, q)[frame].tobytes()
 
 
 # --- differential motor mapping ----------------------------------------------

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from dexretarget.kinematics import forward_kinematics, keypoint_position
+from dexretarget.kinematics import forward_kinematics
 from dexretarget.retarget import (CalibrationData, CalibrationError, CouplingState,
                                   KeypointFrame, RetargetConfigError, RetargetProblem,
                                   adjust_keypoints, baseline_uniform_scaling, calibrate,
@@ -73,6 +73,14 @@ def test_calibration_rejects_invalid_landmarks(robot):
     frame.valid[1][3] = False
     with pytest.raises(CalibrationError, match="valid"):
         calibrate(robot, robot.rest_pose, frame)
+
+
+def test_calibration_rejects_non_finite_landmarks(robot):
+    for bad in (np.nan, np.inf):
+        frame = identity_frame(robot)
+        frame.w[2][3][1] = bad  # flagged valid, but not a position
+        with pytest.raises(CalibrationError, match="non-finite"):
+            calibrate(robot, robot.rest_pose, frame)
 
 
 def test_calibration_rejects_layout_mismatch(robot):
