@@ -12,9 +12,12 @@ import numpy as np
 import yaml
 
 from .retarget import CalibrationData, KeypointFrame
-from .syncsim import FrameMember, StreamConfig, StreamSpec
+from .syncsim import STATUS_NAMES, StreamConfig, StreamSpec
 
 F = "%.17g"
+# Rows per formatted block in the sync writers: formatting whole columns at
+# once would hold every line of a long run in memory.
+_BLOCK_ROWS = 1024
 
 
 class FileFormatError(Exception):
@@ -27,6 +30,13 @@ def _fmt(x):
 
 def _fmt_row(values):
     return " ".join(_fmt(v) for v in values)
+
+
+def _floats(fields, path, ln):
+    try:
+        return [float(x) for x in fields]
+    except ValueError as e:
+        raise FileFormatError(f"{path}:{ln}: {e}") from None
 
 
 # --- keypoint trajectories -------------------------------------------------
@@ -60,12 +70,15 @@ def read_keypoint_trajectory(path):
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.readlines()
     counts = None
-    for line in lines:
+    for ln, line in enumerate(lines, start=1):
         if line.startswith("# fingers"):
             parts = line.split()
-            counts = tuple(int(x) for x in parts[4:])
-            if int(parts[2]) != len(counts):
-                raise FileFormatError(f"{path}: malformed layout header")
+            try:
+                n_fingers, counts = int(parts[2]), tuple(int(x) for x in parts[4:])
+            except (IndexError, ValueError):
+                n_fingers, counts = -1, ()
+            if n_fingers != len(counts) or not counts or min(counts) < 1:
+                raise FileFormatError(f"{path}:{ln}: malformed layout header")
             break
     if counts is None:
         raise FileFormatError(f"{path}: missing layout header")
@@ -79,7 +92,7 @@ def read_keypoint_trajectory(path):
         if len(fields) != 1 + 4 * n_landmarks:
             raise FileFormatError(f"{path}:{ln}: expected {1 + 4 * n_landmarks} fields, "
                                   f"got {len(fields)}")
-        vals = [float(x) for x in fields]
+        vals = _floats(fields, path, ln)
         t = vals[0]
         w = [np.zeros((c, 3)) for c in counts]
         valid = [np.zeros(c, dtype=bool) for c in counts]
@@ -167,9 +180,10 @@ def read_joint_trajectory(path, dof):
             vals = line.split()
             if len(vals) != dof + 5:
                 raise FileFormatError(f"{path}:{ln}: expected {dof + 5} fields, got {len(vals)}")
-            t.append(float(vals[0]))
-            qs.append([float(x) for x in vals[1:1 + dof]])
-            residuals.append([float(x) for x in vals[1 + dof:4 + dof]])
+            nums = _floats(vals[:4 + dof], path, ln)
+            t.append(nums[0])
+            qs.append(nums[1:1 + dof])
+            residuals.append(nums[1 + dof:])
             converged.append(vals[4 + dof] != "0")
     if not t:
         raise FileFormatError(f"{path}: no data records")
@@ -187,7 +201,7 @@ def read_poses(path, dof):
             parts = line.split()
             if len(parts) != dof + 1:
                 raise FileFormatError(f"{path}:{ln}: expected name plus {dof} angles")
-            poses.append((parts[0], np.array([float(x) for x in parts[1:]])))
+            poses.append((parts[0], np.array(_floats(parts[1:], path, ln))))
     if not poses:
         raise FileFormatError(f"{path}: no poses found")
     return poses
@@ -223,31 +237,41 @@ def read_stream_config(path):
     return config, duration
 
 
+def _blocks(n):
+    """Row slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
 def write_event_log(path, log):
+    names = log.stream_names
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# sync event log v1\n")
         fh.write("# columns: stream emission delivered payload dropped\n")
-        names = log.stream_names
-        for k in range(len(log)):
-            payload = "-" if log.dropped[k] else str(int(log.payload[k]))
-            fh.write(f"{names[log.stream_idx[k]]} {_fmt(log.emission[k])} "
-                     f"{_fmt(log.delivered[k])} {payload} {int(log.dropped[k])}\n")
+        for b in _blocks(len(log)):
+            fh.writelines(
+                f"{names[s]} {F % e} {F % d} {'-' if x else p} {int(x)}\n"
+                for s, e, d, p, x in zip(log.stream_idx[b].tolist(), log.emission[b].tolist(),
+                                         log.delivered[b].tolist(), log.payload[b].tolist(),
+                                         log.dropped[b].tolist()))
 
 
 def write_frames(path, frames):
     names = frames.stream_names
+    prefixes = [name + ":" for name in STATUS_NAMES]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# synced frames v1\n")
         fh.write("# columns: frame trigger skew complete then per stream status:age\n")
         fh.write(f"# streams: {' '.join(names)}\n")
-        for f in range(len(frames)):
-            cells = []
-            for s in range(len(names)):
-                st = FrameMember._NAMES[frames.status[f, s]]
-                a = frames.age[f, s]
-                cells.append(f"{st}:{_fmt(a if np.isfinite(a) else -1.0)}")
-            fh.write(f"{f} {_fmt(frames.triggers[f])} {_fmt(frames.skew[f])} "
-                     f"{int(frames.complete[f])} {' '.join(cells)}\n")
+        for b in _blocks(len(frames)):
+            age = frames.age[b]
+            age = np.where(np.isfinite(age), age, -1.0).tolist()
+            cells = [" ".join(prefixes[st] + F % a for st, a in zip(sts, ages))
+                     for sts, ages in zip(frames.status[b].tolist(), age)]
+            fh.writelines(
+                f"{f} {F % t} {F % k} {int(c)} {m}\n"
+                for f, t, k, c, m in zip(range(b.start, b.stop), frames.triggers[b].tolist(),
+                                         frames.skew[b].tolist(), frames.complete[b].tolist(),
+                                         cells))
 
 
 def write_report(path, report, extra=None):

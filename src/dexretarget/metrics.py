@@ -11,8 +11,6 @@ internally; reported volumes are mm^3 for the linear/positional case
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from .kinematics import batch_keypoint_positions, jacobian
@@ -23,18 +21,6 @@ DEFAULT_SAMPLES = 100_000
 DEFAULT_VOXEL_MM = 2.0
 SAMPLE_CHUNK = 65_536  # fixed substream size; keeps results worker-independent
 _VOXEL_PACK_BITS = 21  # voxel index packing: 3 signed 21-bit lanes in an int64
-
-
-@dataclass(frozen=True)
-class MetricReport:
-    """One metric value plus the parameters that produced it."""
-
-    metric: str
-    finger: str
-    label: str
-    value: float
-    units: str
-    params: dict = field(default_factory=dict)
 
 
 def manipulability_volume(model, q, frame, kind="linear"):

@@ -153,6 +153,37 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
                            d_min, d_max, tuple(coupling_fingers))
 
 
+def _check_calibration(model, cal):
+    """Raise CalibrationError unless ``cal`` fits ``model``: one vector of
+    finite, positive segment ratios per finger, finite ``q0`` and ``u`` of
+    the model's shapes, and existing coupled fingers with d_max > d_min."""
+    n_fingers = len(model.fingers)
+    if len(cal.r) != n_fingers:
+        raise CalibrationError(f"calibration has {len(cal.r)} ratio vectors, "
+                               f"model {model.name!r} has {n_fingers} fingers")
+    for i, (r_i, count) in enumerate(zip(cal.r, model.keypoint_counts())):
+        r_i = np.asarray(r_i)
+        if r_i.shape != (count - 1,):
+            raise CalibrationError(f"finger {i}: {r_i.size} segment ratios, "
+                                   f"model has {count - 1} segments")
+        if not np.all(np.isfinite(r_i) & (r_i > 0.0)):
+            raise CalibrationError(f"finger {i}: segment ratios must be finite and > 0, "
+                                   f"got {r_i.tolist()}")
+    for name, value, shape in (("q0", cal.q0, (model.total_dof,)),
+                               ("anchor offsets", cal.u, (n_fingers, 3))):
+        if np.shape(value) != shape:
+            raise CalibrationError(f"{name} has shape {np.shape(value)}, expected {shape}")
+        if not np.all(np.isfinite(value)):
+            raise CalibrationError(f"{name} has a non-finite entry")
+    for i in cal.coupling_fingers:
+        if not 0 <= i < n_fingers:
+            raise CalibrationError(f"coupled finger {i} is not in model {model.name!r}")
+        lo, hi = cal.d_min.get(i), cal.d_max.get(i)
+        if lo is None or hi is None or not hi > lo:
+            raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
+                                   f"got [{lo}, {hi}]")
+
+
 def adjust_keypoints(frame, cal):
     """Conformally rescale one landmark frame onto the robot's proportions.
 
@@ -245,8 +276,6 @@ class RetargetProblem:
     coupling: CouplingState | None
     q_prev: np.ndarray
     lambdas: tuple[float, float, float] = DEFAULT_LAMBDAS
-    sigmoid_k: float = DEFAULT_SIGMOID_K
-    sigmoid_c: float = DEFAULT_SIGMOID_C
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
 
@@ -412,6 +441,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                     max_hold_frames=MAX_HOLD_FRAMES, scaling_alpha=None):
     """Retarget an ordered landmark stream into a joint trajectory.
 
+    The calibration is checked against the model before the first frame.
     Missing landmarks, and landmarks with a non-finite coordinate, are
     filled from the last valid value for up to ``max_hold_frames``
     consecutive frames; beyond that the frame is rejected and the previous
@@ -422,6 +452,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     Returns:
         list of StreamStep, one per input frame.
     """
+    _check_calibration(model, cal)
     if pairs is None:
         pairs = default_pairs(model)
     use_coupling = len(cal.coupling_fingers) > 0 and lambdas[1] > 0.0
@@ -463,8 +494,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         targets = np.array([v[i][j] for i, j in pairs])
         coupling = coupling_weights(eff, cal, sigmoid_k, sigmoid_c) if use_coupling else None
         prob = RetargetProblem(model, pairs, targets, coupling, q_prev,
-                               lambdas=tuple(lambdas), sigmoid_k=sigmoid_k,
-                               sigmoid_c=sigmoid_c, tolerance=tolerance,
+                               lambdas=tuple(lambdas), tolerance=tolerance,
                                max_iterations=max_iterations)
         try:
             result = solve_retarget(prob)

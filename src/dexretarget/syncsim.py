@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 FRESH, HELD, MISSING = 0, 1, 2
+STATUS_NAMES = ("fresh", "held", "missing")  # indexed by the codes above
 # per-event roles after assembly, for conservation accounting
 ROLE_DROPPED, ROLE_MEMBER, ROLE_SUPERSEDED, ROLE_UNALIGNED = 0, 1, 2, 3
 
@@ -88,17 +89,6 @@ def reference_soft_config(dropout=0.044, seed=0):
                         soft_latency=(0.015, 0.100), seed=seed)
 
 
-@dataclass(frozen=True)
-class SyncEvent:
-    """One sensor sample: when it was taken, when it arrived."""
-
-    stream: str
-    emission: float
-    delivered: float
-    payload: int | None
-    dropped: bool
-
-
 class EventLog:
     """Columnar, emission-ordered record of every simulated event."""
 
@@ -118,15 +108,6 @@ class EventLog:
 
     def __len__(self):
         return self.emission.size
-
-    def event(self, k):
-        dropped = bool(self.dropped[k])
-        return SyncEvent(self.stream_names[self.stream_idx[k]],
-                         float(self.emission[k]), float(self.delivered[k]),
-                         None if dropped else int(self.payload[k]), dropped)
-
-    def __iter__(self):
-        return (self.event(k) for k in range(len(self)))
 
     def dropout_rate(self):
         """Fraction of emitted events lost in transport."""
@@ -182,29 +163,9 @@ def simulate(config, duration):
                     np.concatenate(cols["dropped"]))
 
 
-@dataclass(frozen=True)
-class FrameMember:
-    """One stream's contribution to an assembled frame."""
-
-    status: str            # "fresh", "held", or "missing"
-    event_index: int | None
-    emission: float | None
-    age: float             # seconds since emission for held members, else 0
-
-    _NAMES = ("fresh", "held", "missing")
-
-
-@dataclass(frozen=True)
-class SyncedFrame:
-    index: int
-    trigger: float
-    members: dict[str, FrameMember]
-    skew: float
-    complete: bool
-
-
 class FrameSet:
-    """Assembled frames in columnar form; ``frame(f)`` materializes one."""
+    """Assembled frames in columnar form: one row per frame, one column per
+    stream, with member status coded FRESH/HELD/MISSING."""
 
     def __init__(self, log, triggers, member_event, member_emission, status, age,
                  skew, complete, event_role, window, max_hold_age):
@@ -226,22 +187,6 @@ class FrameSet:
     @property
     def stream_names(self):
         return self.log.stream_names
-
-    def frame(self, f):
-        members = {}
-        for s, name in enumerate(self.stream_names):
-            st = int(self.status[f, s])
-            ev = int(self.member_event[f, s])
-            members[name] = FrameMember(
-                status=FrameMember._NAMES[st],
-                event_index=None if ev < 0 else ev,
-                emission=None if ev < 0 else float(self.member_emission[f, s]),
-                age=float(self.age[f, s]) if st == HELD else 0.0)
-        return SyncedFrame(f, float(self.triggers[f]), members,
-                           float(self.skew[f]), bool(self.complete[f]))
-
-    def __iter__(self):
-        return (self.frame(f) for f in range(len(self)))
 
 
 def assemble_frames(log, window=None, max_hold_age=None):

@@ -1,5 +1,7 @@
 """End-to-end command-line runs: exit codes, outputs, determinism."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -137,6 +139,28 @@ def test_retarget_fills_non_finite_landmark(tmp_path, robot, calibration):
                  "--calibration", str(cal), "--input", str(clip), "--out", str(out)])
     assert code == EXIT_OK
     assert "nan" not in (out / "retargeted.traj").read_text()
+
+
+@pytest.mark.parametrize("change, needle", [
+    (lambda c: {"r": (-c.r[0],) + c.r[1:]}, "finger 0: segment ratios must be finite and > 0"),
+    (lambda c: {"r": c.r[:-1]}, "4 ratio vectors"),
+    (lambda c: {"r": (c.r[0][:-1],) + c.r[1:]}, "finger 0: 3 segment ratios"),
+    (lambda c: {"q0": c.q0[:-1]}, "q0 has shape (19,), expected (20,)"),
+    (lambda c: {"q0": np.where(np.arange(20) == 3, np.nan, c.q0)}, "q0 has a non-finite"),
+    (lambda c: {"u": c.u[:, :2]}, "anchor offsets has shape (5, 2)"),
+    (lambda c: {"coupling_fingers": c.coupling_fingers + (7,)}, "coupled finger 7 is not"),
+    (lambda c: {"d_max": {**c.d_max, 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
+], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
+        "u_shape", "unknown_coupled_finger", "empty_distance_range"])
+def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
+                                                        change, needle):
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, dataclasses.replace(calibration, **change(calibration)))
+    code = main(["retarget", "--model", str(DATA / "rapid_hand_20dof.yaml"),
+                 "--calibration", str(cal), "--input", str(DATA / "gestures" / "pinch.traj"),
+                 "--out", str(tmp_path / "out")])
+    assert code == EXIT_ERROR
+    assert needle in capsys.readouterr().err
 
 
 def test_retarget_baseline_comparison(tmp_path, planar, planar_cal):

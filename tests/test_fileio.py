@@ -1,10 +1,14 @@
 """Round-trips and failure modes for every on-disk format."""
 
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dexretarget import fileio
 from dexretarget.fileio import (
     FileFormatError,
     read_calibration,
@@ -24,6 +28,10 @@ from dexretarget.fileio import (
 )
 from dexretarget.retarget import KeypointFrame
 from dexretarget.syncsim import (
+    MISSING,
+    STATUS_NAMES,
+    StreamConfig,
+    StreamSpec,
     alignment_report,
     assemble_frames,
     reference_soft_config,
@@ -112,6 +120,9 @@ def test_keypoint_read_errors(tmp_path):
 
     attempt("0 1 2 3 1\n", "missing layout header")
     attempt("# fingers 3 keypoints 4 4\n", "malformed layout header")
+    attempt("# fingers\n0 1 2 3 1\n", r"bad.traj:1: malformed layout header")
+    attempt("# fingers 1 keypoints 0\n0\n", r"bad.traj:1: malformed layout header")
+    attempt("# fingers 1 keypoints 2\n0.0 1 2 3 1 4 abc 6 1\n", r"bad.traj:2: .*'abc'")
     attempt("# fingers 1 keypoints 2\n0.0 1 2 3\n", "expected")
     attempt("# fingers 1 keypoints 2\n# nothing else\n", "no data records")
 
@@ -172,6 +183,10 @@ def test_joint_trajectory_read_errors(tmp_path):
     write_joint_trajectory(path, fake_steps(4, 3), 4)
     with pytest.raises(FileFormatError, match="expected"):
         read_joint_trajectory(path, 5)
+    garbled = tmp_path / "garbled.traj"
+    garbled.write_text("# t q[2] align couple smooth converged\n0 1 2 3 x 5 1\n")
+    with pytest.raises(FileFormatError, match=r"garbled.traj:2: .*'x'"):
+        read_joint_trajectory(garbled, 2)
     empty = tmp_path / "empty.traj"
     empty.write_text("# only comments\n")
     with pytest.raises(FileFormatError, match="no data records"):
@@ -186,6 +201,10 @@ def test_poses_reader(tmp_path):
     assert np.array_equal(poses[1][1], [0.5, -0.25, 1.0])
     with pytest.raises(FileFormatError, match="expected name"):
         read_poses(path, 4)
+    garbled = tmp_path / "garbled.txt"
+    garbled.write_text("rest 0 0 0\nflex 0.5 abc 1\n")
+    with pytest.raises(FileFormatError, match=r"garbled.txt:2: .*'abc'"):
+        read_poses(garbled, 3)
     blank = tmp_path / "blank.txt"
     blank.write_text("# nothing\n")
     with pytest.raises(FileFormatError, match="no poses"):
@@ -270,6 +289,66 @@ def test_event_log_and_frames_writers(tmp_path):
             status, age = cell.split(":")
             if status == "missing":
                 assert float(age) == -1.0
+
+
+@st.composite
+def sync_runs(draw):
+    """A short simulated run: 1-4 streams, soft or hard, dropout in [0, 0.5]."""
+    streams = tuple(
+        StreamSpec(f"s{k}", period=draw(st.floats(0.005, 0.08)),
+                   latency_bound=draw(st.floats(0.0, 0.01)),
+                   jitter=draw(st.sampled_from(["uniform", "gauss"])),
+                   dropout=draw(st.floats(0.0, 0.5)))
+        for k in range(draw(st.integers(1, 4))))
+    config = StreamConfig(streams, rate_hz=draw(st.sampled_from([10.0, 25.0, 30.0])),
+                          mode=draw(st.sampled_from(["hard", "soft"])),
+                          seed=draw(st.integers(0, 2 ** 31 - 1)))
+    log = simulate(config, draw(st.floats(0.2, 2.0)))
+    return log, assemble_frames(log)
+
+
+def _bits(values):
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def _data_rows(path):
+    return [l.split(" ") for l in path.read_text().splitlines() if not l.startswith("#")]
+
+
+@settings(max_examples=60, deadline=None)
+@given(sync_runs(), st.integers(1, 40))
+def test_sync_writers_round_trip(tmp_path_factory, run, block):
+    log, frames = run
+    tmp = tmp_path_factory.mktemp("sync")
+    # small blocks so that every run spans several, including a partial last one
+    with mock.patch.object(fileio, "_BLOCK_ROWS", block):
+        write_event_log(tmp / "events.txt", log)
+        write_frames(tmp / "frames.txt", frames)
+
+    rows = _data_rows(tmp / "events.txt")
+    assert len(rows) == len(log) and all(len(r) == 5 for r in rows)
+    names = log.stream_names
+    assert [r[0] for r in rows] == [names[s] for s in log.stream_idx]
+    assert _bits([float(r[1]) for r in rows]) == _bits(log.emission)
+    assert _bits([float(r[2]) for r in rows]) == _bits(log.delivered)
+    assert [r[3] == "-" for r in rows] == log.dropped.tolist()
+    assert [int(r[3]) for r in rows if r[3] != "-"] == log.payload[~log.dropped].tolist()
+    assert [r[4] for r in rows] == ["1" if d else "0" for d in log.dropped]
+
+    lines = (tmp / "frames.txt").read_text().splitlines()
+    assert lines[2] == "# streams: " + " ".join(names)
+    rows = _data_rows(tmp / "frames.txt")
+    assert len(rows) == len(frames) and all(len(r) == 4 + len(names) for r in rows)
+    assert [int(r[0]) for r in rows] == list(range(len(frames)))
+    assert _bits([float(r[1]) for r in rows]) == _bits(frames.triggers)
+    assert _bits([float(r[2]) for r in rows]) == _bits(frames.skew)
+    assert [r[3] for r in rows] == ["1" if c else "0" for c in frames.complete]
+    cells = np.array([[c.split(":") for c in r[4:]] for r in rows]).reshape(-1, len(names), 2)
+    assert cells[..., 0].tolist() == [[STATUS_NAMES[code] for code in row]
+                                        for row in frames.status]
+    missing = frames.status == MISSING
+    assert np.all(cells[..., 1][missing] == "-1")
+    assert _bits(cells[..., 1][~missing].astype(float)) == _bits(frames.age[~missing])
 
 
 def test_report_writer(tmp_path):

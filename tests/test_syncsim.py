@@ -44,11 +44,8 @@ def test_ideal_clock_is_exact():
     assert report.incomplete_rate == 0.0
     assert report.effective_hz == 25.0
     # every emission sits exactly on its trigger
-    period = 1.0 / 25.0
-    for fr in frames:
-        for m in fr.members.values():
-            assert m.status == "fresh"
-            assert m.emission == pytest.approx(fr.trigger, abs=1e-12)
+    assert np.all(frames.status == FRESH)
+    assert np.all(np.abs(frames.member_emission - frames.triggers[:, None]) <= 1e-12)
     assert np.array_equal(log.delivered, log.emission)
 
 
@@ -117,13 +114,12 @@ def test_dropped_event_is_held_for_one_period():
     relog = EventLog(log.config, log.duration, log.stream_idx, log.emission,
                      log.delivered, log.payload, dropped)
     frames = assemble_frames(relog)
-    member = frames.frame(10).members["s2"]
-    assert member.status == "held"
-    assert member.age == pytest.approx(period, abs=1e-12)
-    assert member.emission == pytest.approx(9 * period, abs=1e-12)
-    assert frames.frame(10).complete          # held is stale, not missing
-    assert frames.frame(10).skew == 0.0       # skew counts fresh members only
-    assert frames.frame(11).members["s2"].status == "fresh"
+    assert frames.status[10, 2] == HELD
+    assert frames.age[10, 2] == pytest.approx(period, abs=1e-12)
+    assert frames.member_emission[10, 2] == pytest.approx(9 * period, abs=1e-12)
+    assert frames.complete[10]                # held is stale, not missing
+    assert frames.skew[10] == 0.0             # skew counts fresh members only
+    assert frames.status[11, 2] == FRESH
     report = alignment_report(frames)
     assert report.held_slots == 1
     assert report.missing_slots == 0

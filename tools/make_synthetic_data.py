@@ -3,7 +3,11 @@
 
 Poses a small human-proportioned hand model and records its keypoints as
 trajectory files: one flat calibration capture plus four gesture clips.
-Deterministic; reruns reproduce the shipped files byte for byte.
+Seeded and deterministic on one set of library versions.  The calibration
+capture and the fist, spread and point clips come out byte for byte as
+shipped.  The pinch clip is tuned with SLSQP and finite-difference
+gradients, so the last digits of ``pinch.traj`` depend on the numpy and
+scipy versions.
 """
 
 import pathlib
