@@ -227,8 +227,12 @@ def build_parser():
     p.add_argument("--c", type=float, default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
     p.add_argument("--baseline", type=float, default=None, metavar="ALPHA",
                    help="also retarget with uniform scaling by ALPHA and compare")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS)
+    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help=(
+        "a frame converges once a step lowers the objective by at most TOLERANCE times "
+        "its value or moves no joint by over 1e-13 rad, the gradient projected onto "
+        "the joint box is zero, or no damped step lowers the objective"))
+    p.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS,
+                   help="per-frame budget; a frame that uses it up is written converged 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retarget)
 

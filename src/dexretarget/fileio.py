@@ -6,6 +6,7 @@ order, so identical inputs always produce byte-identical files.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import numpy as np
@@ -94,6 +95,11 @@ def read_keypoint_trajectory(path):
                                   f"got {len(fields)}")
         vals = _floats(fields, path, ln)
         t = vals[0]
+        if not np.isfinite(t):
+            raise FileFormatError(f"{path}:{ln}: timestamp {t!r} is not finite")
+        bad = [v for v in vals[4::4] if v not in (0.0, 1.0)]
+        if bad:
+            raise FileFormatError(f"{path}:{ln}: validity flag {bad[0]!r} is not 0 or 1")
         w = [np.zeros((c, 3)) for c in counts]
         valid = [np.zeros(c, dtype=bool) for c in counts]
         wrist = np.array(vals[1:4])
@@ -181,6 +187,8 @@ def read_joint_trajectory(path, dof):
             if len(vals) != dof + 5:
                 raise FileFormatError(f"{path}:{ln}: expected {dof + 5} fields, got {len(vals)}")
             nums = _floats(vals[:4 + dof], path, ln)
+            if not np.isfinite(nums[0]):
+                raise FileFormatError(f"{path}:{ln}: timestamp {nums[0]!r} is not finite")
             t.append(nums[0])
             qs.append(nums[1:1 + dof])
             residuals.append(nums[1 + dof:])
@@ -276,26 +284,10 @@ def write_frames(path, frames):
 
 def write_report(path, report, extra=None):
     """Alignment report as sorted key/value text."""
-    doc = {
-        "frames": report.frames,
-        "mean_skew_ms": report.mean_skew_ms,
-        "max_skew_ms": report.max_skew_ms,
-        "dropout_rate": report.dropout_rate,
-        "incomplete_rate": report.incomplete_rate,
-        "effective_hz": report.effective_hz,
-        "fresh_slots": report.fresh_slots,
-        "held_slots": report.held_slots,
-        "missing_slots": report.missing_slots,
-    }
-    if extra:
-        doc.update(extra)
+    doc = {**dataclasses.asdict(report), **(extra or {})}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        for key in sorted(doc):
-            value = doc[key]
-            if isinstance(value, float):
-                fh.write(f"{key}: {_fmt(value)}\n")
-            else:
-                fh.write(f"{key}: {value}\n")
+        for key, value in sorted(doc.items()):
+            fh.write(f"{key}: {_fmt(value) if isinstance(value, float) else value}\n")
 
 
 # --- run manifests ----------------------------------------------------------

@@ -15,11 +15,10 @@ knuckle anchor, ascending to the tip.
 
 from __future__ import annotations
 
-import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .hand_model import HandModel
 from .kinematics import _chain_state, _joint_axes, _point, linear_jacobian_block
@@ -54,24 +53,15 @@ class KeypointFrame:
 
     def __init__(self, w, valid=None, timestamp=None):
         self.w = tuple(np.array(a, dtype=float) for a in w)
-        if valid is None:
-            self.valid = tuple(np.ones(a.shape[0], dtype=bool) for a in self.w)
-        else:
-            self.valid = tuple(np.array(v, dtype=bool) for v in valid)
+        valid = [np.ones(a.shape[0]) for a in self.w] if valid is None else valid
+        self.valid = tuple(np.array(v, dtype=bool) for v in valid)
         for a, v in zip(self.w, self.valid):
             if a.ndim != 2 or a.shape[1] != 3 or v.shape != (a.shape[0],):
                 raise ValueError("landmark arrays must be (n_i + 1, 3) with matching validity")
         self.timestamp = timestamp
 
-    @property
-    def n_fingers(self):
-        return len(self.w)
-
     def counts(self):
         return tuple(a.shape[0] for a in self.w)
-
-    def all_valid(self):
-        return all(bool(v.all()) for v in self.valid)
 
     def copy(self):
         return KeypointFrame([a.copy() for a in self.w],
@@ -116,7 +106,7 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
     if w_star.counts() != model.keypoint_counts():
         raise CalibrationError(f"calibration frame layout {w_star.counts()} does not match "
                                f"model layout {model.keypoint_counts()}")
-    if not w_star.all_valid():
+    if not all(v.all() for v in w_star.valid):
         raise CalibrationError("calibration frame must have every landmark valid")
     if not all(np.isfinite(w).all() for w in w_star.w):
         raise CalibrationError("calibration frame has a non-finite landmark")
@@ -228,10 +218,6 @@ def baseline_uniform_scaling(frame, alpha):
     return tuple(out)
 
 
-def _sigmoid(x):
-    return 1.0 / (1.0 + np.exp(-x))
-
-
 @dataclass(frozen=True)
 class CouplingState:
     """Human fingertip-to-thumb offsets and their gating weights."""
@@ -258,7 +244,7 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
         delta[m] = frame.w[i][-1] - frame.w[0][-1]
         dist = np.linalg.norm(delta[m])
         d[m] = min(max(1.0 - (dist - lo) / (hi - lo), 0.0), 1.0)
-    omega = _sigmoid(k * (d - c))
+    omega = 1.0 / (1.0 + np.exp(-k * (d - c)))  # sigmoid gate
     return CouplingState(tuple(fingers), delta, d, omega)
 
 
@@ -290,6 +276,8 @@ class RetargetProblem:
             raise RetargetConfigError("targets must be (len(pairs), 3)")
         if len(self.lambdas) != 3 or any(l < 0.0 for l in self.lambdas):
             raise RetargetConfigError(f"lambdas must be 3 non-negative weights, got {self.lambdas}")
+        if not (np.all(np.isfinite(self.targets)) and np.all(np.isfinite(self.q_prev))):
+            raise RetargetConfigError("targets and q_prev must be finite")
         if self.tolerance <= 0.0 or self.max_iterations < 1:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
         for i, j in self.pairs:
@@ -311,71 +299,51 @@ def default_pairs(model):
     return tuple(pairs)
 
 
-def _evaluate(q, prob, want_grad):
-    """Objective terms (align, couple, smooth) and optionally the gradient."""
-    model = prob.model
-    l1, l2, l3 = prob.lambdas
+def _residuals(q, prob):
+    """Unweighted stacked residual e and its Jacobian de/dq at q: the rows
+    targets - FK over ``prob.pairs``, sqrt(omega_m) (D_m - g_m) per coupled
+    finger, then q - q_prev.  The objective weighs block b by lambda_b."""
+    model, n = prob.model, prob.model.total_dof
     coupled = prob.coupling.fingers if prob.coupling is not None else ()
-    wanted: dict[int, list[int]] = {}  # finger -> keypoints to place
-    for i, j in prob.pairs:
-        wanted.setdefault(i, []).append(j)
-    for i in (0,) + coupled if coupled else ():
-        wanted.setdefault(i, []).append(model.fingers[i].tip_index)
+    keys = list(prob.pairs)  # keypoints to place: the pairs, then the thumb and coupled tips
+    if coupled:
+        keys += [(i, model.fingers[i].tip_index) for i in (0,) + coupled]
+    p, dp = np.empty((len(keys), 3)), np.zeros((len(keys), 3, n))  # positions, dp/dq
+    for i in dict.fromkeys(f for f, _ in keys):
+        rows = [k for k, key in enumerate(keys) if key[0] == i]
+        kps = [model.keypoint(*keys[k]) for k in rows]
+        sl = model.finger_slice(i)
+        state = _chain_state(model, i, q[sl])
+        p[rows] = [_point(state, kp) for kp in kps]
+        dp[rows, :, sl] = linear_jacobian_block(_joint_axes(model, i, state), state,
+                                                [kp.link for kp in kps], p[rows])
+    m = len(prob.pairs)  # the thumb tip's row
+    e, jac = [prob.targets - p[:m]], [-dp[:m]]
+    if coupled:
+        s = np.sqrt(prob.coupling.omega)[:, None]
+        e.append(s * (prob.coupling.delta - (p[m + 1:] - p[m])))
+        jac.append(-s[..., None] * (dp[m + 1:] - dp[m]))
+    return (np.concatenate([a.reshape(-1) for a in e] + [q - prob.q_prev]),
+            np.concatenate([a.reshape(-1, n) for a in jac] + [np.eye(n)]))
 
-    points, blocks = {}, {}  # (finger, keypoint) -> position, linear Jacobian block
-    for i, js in wanted.items():
-        state = _chain_state(model, i, q[model.finger_slice(i)])
-        kps = [model.keypoint(i, j) for j in js]
-        keys = [(i, j) for j in js]
-        p = np.stack([_point(state, kp) for kp in kps])
-        points.update(zip(keys, p))
-        if want_grad:
-            axes = _joint_axes(model, i, state)
-            links = [kp.link for kp in kps]
-            blocks.update(zip(keys, linear_jacobian_block(axes, state, links, p)))
 
-    grad = np.zeros(model.total_dof) if want_grad else None
-    align = 0.0
-    for pair, target in zip(prob.pairs, prob.targets):
-        e = target - points[pair]
-        align += float(e @ e)
-        if want_grad:
-            grad[model.finger_slice(pair[0])] += -2.0 * l1 * (blocks[pair].T @ e)
-
-    couple = 0.0
-    if prob.coupling is not None:
-        thumb = (0, model.fingers[0].tip_index)
-        thumb_sl = model.finger_slice(0)
-        for m, i in enumerate(coupled):
-            tip = (i, model.fingers[i].tip_index)
-            g = points[tip] - points[thumb]
-            e = prob.coupling.delta[m] - g
-            w = prob.coupling.omega[m]
-            couple += float(w * (e @ e))
-            if want_grad:
-                grad[model.finger_slice(i)] += -2.0 * l2 * w * (blocks[tip].T @ e)
-                grad[thumb_sl] += 2.0 * l2 * w * (blocks[thumb].T @ e)
-
-    dq = q - prob.q_prev
-    smooth = float(dq @ dq)
-    if want_grad:
-        grad += 2.0 * l3 * dq
-    terms = np.array([align, couple, smooth])
-    return terms, grad
+def _row_terms(prob):
+    """Term of each residual row: 0 align, 1 couple, 2 smooth."""
+    m = len(prob.coupling.fingers) if prob.coupling is not None else 0
+    return np.repeat([0, 1, 2], (3 * len(prob.pairs), 3 * m, prob.model.total_dof))
 
 
 def objective(q, prob):
     """Total weighted objective and its (align, couple, smooth) terms."""
-    q = np.asarray(q, dtype=float)
-    terms, _ = _evaluate(q, prob, want_grad=False)
+    e, _ = _residuals(np.asarray(q, dtype=float), prob)
+    terms = np.bincount(_row_terms(prob), e * e, minlength=3)
     return float(np.dot(prob.lambdas, terms)), terms
 
 
 def objective_gradient(q, prob):
-    """Analytic gradient of the total objective at q."""
-    q = np.asarray(q, dtype=float)
-    _, grad = _evaluate(q, prob, want_grad=True)
-    return grad
+    """Analytic gradient of the total objective, 2 J^T (lambda e) by rows."""
+    e, jac = _residuals(np.asarray(q, dtype=float), prob)
+    return 2.0 * jac.T @ (np.take(prob.lambdas, _row_terms(prob)) * e)
 
 
 @dataclass(frozen=True)
@@ -387,37 +355,76 @@ class RetargetResult:
     converged: bool
 
 
+_MU_START = 1e-3     # initial damping, relative to diag(J^T J)
+_MU_MAX = 1e12       # damping at which a solve no step improves stops
+_DIAG_FLOOR = 1e-30  # keeps the damping positive on a joint nothing observes
+_STEP_FLOOR = 1e-13  # rad: an accepted step this small no longer moves q
+
+LMResult = namedtuple("LMResult", "x nit converged")
+
+
+def minimize(fun, x0, lower, upper, tolerance, max_iterations):
+    """Projected Levenberg-Marquardt on min |r(x)|^2 over lower <= x <= upper.
+
+    ``fun(x)`` returns r and its Jacobian J.  Each step solves (J^T J + mu
+    diag(J^T J)) s = -J^T r over the joints not held at a limit by the
+    gradient, is clipped into the box, and is kept only if |r|^2 falls.
+    Converged: a kept step lowered |r|^2 by <= tolerance * |r|^2 or moved
+    no joint over _STEP_FLOOR; the projected gradient is zero; or mu passed
+    _MU_MAX with no step lowering |r|^2."""
+    x = np.clip(x0, lower, upper)
+    r, jac = fun(x)
+    f = r @ r
+    mu, nu = _MU_START, 2.0
+    for nit in range(max_iterations):
+        g = jac.T @ r
+        free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
+        if not np.any(g[free]):
+            return LMResult(x, nit, True)
+        g, a = g[free], (jac.T @ jac)[np.ix_(free, free)]
+        d = np.maximum(np.diag(a), _DIAG_FLOOR)
+        while True:
+            s = np.linalg.solve(a + np.diag(mu * d), -g)
+            x_new = x.copy()
+            x_new[free] = np.clip(x[free] + s, lower[free], upper[free])
+            r_new, jac_new = fun(x_new)
+            f_new = r_new @ r_new
+            if f_new < f:
+                break
+            mu, nu = mu * nu, nu * 2.0
+            if mu > _MU_MAX:
+                return LMResult(x, nit + 1, True)
+        # Nielsen's update from the gain ratio, actual over predicted decrease
+        rho = (f - f_new) / (mu * (s * d) @ s - g @ s)
+        mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
+        done = f - f_new <= tolerance * f or np.max(np.abs(x_new - x)) <= _STEP_FLOOR
+        x, r, jac, f = x_new, r_new, jac_new, f_new
+        if done:
+            return LMResult(x, nit + 1, True)
+    return LMResult(x, max_iterations, False)
+
+
 def solve_retarget(prob):
     """Minimize the retargeting objective inside the joint box.
 
-    Deterministic for identical inputs.  Non-convergence within the
-    iteration budget returns the best feasible iterate with
-    ``converged=False`` rather than raising.
-    """
-    model = prob.model
-    lo, hi = model.lower_limits, model.upper_limits
-    x0 = np.clip(prob.q_prev, lo, hi)
-    best = {"f": math.inf, "x": x0}
+    Deterministic, never ends above the warm start clip(q_prev), and
+    returns the last iterate with ``converged=False`` when the budget runs
+    out."""
+    rows = _row_terms(prob)
+    w = np.sqrt(np.take(prob.lambdas, rows))
+    seen = {}  # unweighted residual of each point tried: the result's terms need no re-evaluation
 
-    def fun(x):
-        terms, grad = _evaluate(x, prob, want_grad=True)
-        f = float(np.dot(prob.lambdas, terms))
-        if f < best["f"]:
-            best["f"], best["x"] = f, x.copy()
-        return f, grad
+    def weighted(x):
+        e, jac = _residuals(x, prob)
+        seen[x.tobytes()] = e
+        return w * e, w[:, None] * jac
 
-    res = minimize(fun, x0, jac=True, method="SLSQP",
-                   bounds=list(zip(lo, hi)),
-                   options={"maxiter": prob.max_iterations, "ftol": prob.tolerance})
-    x = res.x
-    if not res.success:
-        terms, _ = _evaluate(x, prob, want_grad=False)
-        if best["f"] < float(np.dot(prob.lambdas, terms)):
-            x = best["x"]
-    q = np.clip(x, lo, hi)
-    total, terms = objective(q, prob)
-    return RetargetResult(q=q, objective=total, residuals=terms,
-                          iterations=int(res.nit), converged=bool(res.success))
+    res = minimize(weighted, prob.q_prev, prob.model.lower_limits, prob.model.upper_limits,
+                   prob.tolerance, prob.max_iterations)
+    e = seen[res.x.tobytes()]
+    terms = np.bincount(rows, e * e, minlength=3)
+    return RetargetResult(res.x, float(np.dot(prob.lambdas, terms)), terms,
+                          res.nit, res.converged)
 
 
 @dataclass(frozen=True)
@@ -453,8 +460,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         list of StreamStep, one per input frame.
     """
     _check_calibration(model, cal)
-    if pairs is None:
-        pairs = default_pairs(model)
+    pairs = default_pairs(model) if pairs is None else pairs
     use_coupling = len(cal.coupling_fingers) > 0 and lambdas[1] > 0.0
     q_prev = np.clip(cal.q0, model.lower_limits, model.upper_limits)
     last_seen = None   # per finger: landmark values from the newest valid samples
@@ -487,10 +493,8 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                                     filled=filled))
             continue
         eff = KeypointFrame(eff_w, timestamp=frame.timestamp)
-        if scaling_alpha is None:
-            v = adjust_keypoints(eff, cal)
-        else:
-            v = baseline_uniform_scaling(eff, scaling_alpha)
+        v = (adjust_keypoints(eff, cal) if scaling_alpha is None
+             else baseline_uniform_scaling(eff, scaling_alpha))
         targets = np.array([v[i][j] for i, j in pairs])
         coupling = coupling_weights(eff, cal, sigmoid_k, sigmoid_c) if use_coupling else None
         prob = RetargetProblem(model, pairs, targets, coupling, q_prev,
@@ -498,13 +502,12 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                                max_iterations=max_iterations)
         try:
             result = solve_retarget(prob)
-        except Exception:
+        except np.linalg.LinAlgError:
             steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), prev_residuals.copy(),
                                     converged=False, rejected=False, solver_failed=True,
                                     filled=filled))
             continue
-        q_prev = result.q
-        prev_residuals = result.residuals
+        q_prev, prev_residuals = result.q, result.residuals
         steps.append(StreamStep(idx, frame.timestamp, result.q, result.residuals,
                                 converged=result.converged, rejected=False,
                                 solver_failed=False, filled=filled))

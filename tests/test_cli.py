@@ -1,6 +1,9 @@
 """End-to-end command-line runs: exit codes, outputs, determinism."""
 
 import dataclasses
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +50,16 @@ def planar_cal(tmp_path, planar):
     assert main(["calibrate", "--model", PLANAR, "--keypoints", str(capture),
                  "--out", str(out)]) == EXIT_OK
     return out / "calibration.yaml"
+
+
+def test_cli_import_leaves_scipy_out():
+    src = str(DATA.parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    run = subprocess.run(
+        [sys.executable, "-c", "import sys, dexretarget.cli; "
+         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
+        env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
 
 
 # --- calibrate ------------------------------------------------------------
@@ -139,6 +152,31 @@ def test_retarget_fills_non_finite_landmark(tmp_path, robot, calibration):
                  "--calibration", str(cal), "--input", str(clip), "--out", str(out)])
     assert code == EXIT_OK
     assert "nan" not in (out / "retargeted.traj").read_text()
+
+
+@pytest.mark.parametrize("record, column, value, needle", [
+    (5, 0, "nan", "pinch_bad.traj:9: timestamp nan is not finite"),
+    (5, 0, "inf", "pinch_bad.traj:9: timestamp inf is not finite"),
+    (7, 8, "nan", "pinch_bad.traj:11: validity flag nan is not 0 or 1"),
+    (7, 8, "2", "pinch_bad.traj:11: validity flag 2.0 is not 0 or 1"),
+], ids=["nan_timestamp", "inf_timestamp", "nan_flag", "flag_2"])
+def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
+                                                record, column, value, needle):
+    lines = (DATA / "gestures" / "pinch.traj").read_text().splitlines(keepends=True)
+    header = sum(1 for line in lines if line.startswith("#"))
+    fields = lines[header + record].split()  # record 0 is the first data line
+    fields[column] = value
+    lines[header + record] = " ".join(fields) + "\n"
+    clip = tmp_path / "pinch_bad.traj"
+    clip.write_text("".join(lines))
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, calibration)
+    out = tmp_path / "out"
+    code = main(["retarget", "--model", str(DATA / "rapid_hand_20dof.yaml"),
+                 "--calibration", str(cal), "--input", str(clip), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert needle in capsys.readouterr().err
+    assert not (out / "retargeted.traj").exists()
 
 
 @pytest.mark.parametrize("change, needle", [

@@ -125,6 +125,14 @@ def test_keypoint_read_errors(tmp_path):
     attempt("# fingers 1 keypoints 2\n0.0 1 2 3 1 4 abc 6 1\n", r"bad.traj:2: .*'abc'")
     attempt("# fingers 1 keypoints 2\n0.0 1 2 3\n", "expected")
     attempt("# fingers 1 keypoints 2\n# nothing else\n", "no data records")
+    for t in ("nan", "inf", "-inf"):
+        attempt(f"# fingers 1 keypoints 2\n{t} 1 2 3 1 4 5 6 1\n",
+                r"bad.traj:2: timestamp -?(nan|inf) is not finite")
+    for flag in ("nan", "2", "-1", "0.5"):
+        attempt(f"# fingers 1 keypoints 2\n0.0 1 2 3 1 4 5 6 {flag}\n",
+                r"bad.traj:2: validity flag .* is not 0 or 1")
+    attempt("# fingers 1 keypoints 2\n0.0 1 2 3 1 4 5 6 1\n0.04 1 2 3 inf 4 5 6 1\n",
+            r"bad.traj:3: validity flag inf is not 0 or 1")
 
 
 # --- calibration ------------------------------------------------------------
@@ -187,6 +195,12 @@ def test_joint_trajectory_read_errors(tmp_path):
     garbled.write_text("# t q[2] align couple smooth converged\n0 1 2 3 x 5 1\n")
     with pytest.raises(FileFormatError, match=r"garbled.traj:2: .*'x'"):
         read_joint_trajectory(garbled, 2)
+    for t in ("nan", "inf"):
+        stamped = tmp_path / "stamped.traj"
+        stamped.write_text(f"# t q[2] align couple smooth converged\n0 1 2 3 4 5 1\n"
+                           f"{t} 1 2 3 4 5 1\n")
+        with pytest.raises(FileFormatError, match=r"stamped.traj:3: timestamp .* is not finite"):
+            read_joint_trajectory(stamped, 2)
     empty = tmp_path / "empty.traj"
     empty.write_text("# only comments\n")
     with pytest.raises(FileFormatError, match="no data records"):

@@ -2,7 +2,10 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from dexretarget import retarget
 from dexretarget.kinematics import forward_kinematics
 from dexretarget.retarget import (CalibrationData, CalibrationError, CouplingState,
                                   KeypointFrame, RetargetConfigError, RetargetProblem,
@@ -383,6 +386,35 @@ def test_weighted_sum_monotonicity(planar):
         prev_smooth = smooth
 
 
+_lambda = st.one_of(st.just(0.0), st.floats(1e-3, 10.0))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.tuples(_lambda, _lambda, _lambda), st.booleans())
+def test_solver_stays_in_box_and_never_rises(robot, seed, lambdas, coupled):
+    rng = np.random.default_rng(seed)
+    lo, hi = robot.lower_limits, robot.upper_limits
+    fk = forward_kinematics(robot, rng.uniform(lo, hi))
+    pairs = default_pairs(robot)
+    targets = np.array([fk[p] for p in pairs]) + rng.normal(0.0, 0.01, (len(pairs), 3))
+    coupling = None
+    if coupled:
+        coupling = CouplingState(fingers=(1, 2, 3, 4), delta=rng.uniform(-0.1, 0.1, (4, 3)),
+                                 d=np.zeros(4), omega=rng.uniform(0.01, 0.99, 4))
+    span = hi - lo
+    q_prev = rng.uniform(lo - 0.2 * span, hi + 0.2 * span)  # may start outside the box
+    prob = RetargetProblem(robot, pairs, targets, coupling, q_prev, lambdas=lambdas)
+    res = solve_retarget(prob)
+    assert np.all(np.isfinite(res.q))
+    assert np.all((res.q >= lo) & (res.q <= hi))
+    start, _ = objective(np.clip(q_prev, lo, hi), prob)
+    assert res.objective <= start * (1.0 + 1e-12)
+    again = solve_retarget(prob)
+    assert again.q.tobytes() == res.q.tobytes()
+    assert again.residuals.tobytes() == res.residuals.tobytes()
+    assert (again.iterations, again.converged) == (res.iterations, res.converged)
+
+
 # --- streaming ----------------------------------------------------------------
 
 def test_constant_stream_reaches_fixed_point(robot, calibration, gesture_frames):
@@ -477,3 +509,31 @@ def test_stream_layout_mismatch_raises(robot, calibration):
     rng = np.random.default_rng(17)
     with pytest.raises(RetargetConfigError, match="layout|match"):
         retarget_stream(robot, calibration, [random_frame((5, 5, 5, 5, 3), rng)])
+
+
+def test_stream_linalg_error_fails_only_that_frame(robot, calibration, gesture_frames,
+                                                   monkeypatch):
+    solve = retarget.solve_retarget
+    calls = []
+
+    def singular_third(prob):
+        calls.append(prob)
+        if len(calls) == 3:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return solve(prob)
+
+    monkeypatch.setattr(retarget, "solve_retarget", singular_third)
+    steps = retarget_stream(robot, calibration, gesture_frames["pinch"][:5])
+    assert [s.solver_failed for s in steps] == [False, False, True, False, False]
+    assert not steps[2].converged and not steps[2].rejected
+    assert np.array_equal(steps[2].q, steps[1].q)  # holds the previous output
+    assert np.array_equal(steps[2].residuals, steps[1].residuals)
+
+
+def test_stream_solver_bug_propagates(robot, calibration, gesture_frames, monkeypatch):
+    def broken(prob):
+        raise TypeError("a bug in the solve")
+
+    monkeypatch.setattr(retarget, "solve_retarget", broken)
+    with pytest.raises(TypeError, match="a bug in the solve"):
+        retarget_stream(robot, calibration, gesture_frames["pinch"][:3])
