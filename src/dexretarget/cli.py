@@ -26,8 +26,8 @@ from .fileio import (FileFormatError, read_keypoint_trajectory, read_poses,
                      write_calibration, write_event_log, write_frames,
                      write_joint_trajectory, write_manifest, write_report)
 from .hand_model import ModelError, load_hand_model_file
-from .metrics import (DEFAULT_SAMPLES, DEFAULT_VOXEL_MM, manipulability_volume,
-                      opposability_volume)
+from .metrics import (DEFAULT_SAMPLES, DEFAULT_VOXEL_MM, VoxelRangeError,
+                      manipulability_volume, opposability_volume)
 from .retarget import (DEFAULT_LAMBDAS, DEFAULT_MAX_ITERATIONS, DEFAULT_SIGMOID_C,
                        DEFAULT_SIGMOID_K, DEFAULT_TOLERANCE, CalibrationError,
                        RetargetConfigError, calibrate, retarget_stream)
@@ -38,7 +38,7 @@ EXIT_PARTIAL = 1
 EXIT_ERROR = 2
 
 _INPUT_ERRORS = (ModelError, CalibrationError, RetargetConfigError, SyncConfigError,
-                 FileFormatError, OSError, ValueError, KeyError)
+                 FileFormatError, OSError, argparse.ArgumentTypeError)
 
 log = logging.getLogger("dexretarget")
 
@@ -47,6 +47,28 @@ def _configure_logging():
     level_name = os.environ.get("DEXRETARGET_LOG", "WARNING").upper()
     level = getattr(logging, level_name, logging.WARNING)
     logging.basicConfig(level=level, format="%(name)s %(levelname)s: %(message)s")
+
+
+def _checked(parse, check, wants):
+    """argparse type: the value ``parse`` makes of the text, if ``check`` of it holds."""
+    def convert(text):
+        try:
+            value = parse(text)
+            if check(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"expected {wants}, got {text!r}")
+    return convert
+
+
+def _floats(text):
+    return np.array([float(x) for x in text.split(",")])
+
+
+_SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_FINITE = _checked(float, np.isfinite, "a finite number")
+_WEIGHT = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
 
 
 def _out_dir(args):
@@ -69,10 +91,7 @@ def _manifest(subcommand, inputs, options, outputs):
 def cmd_calibrate(args):
     model = load_hand_model_file(args.model)
     w_star = read_static_keypoints(args.keypoints)
-    if args.rest_pose is not None:
-        q0 = np.array([float(x) for x in args.rest_pose.split(",")])
-    else:
-        q0 = model.rest_pose
+    q0 = model.rest_pose if args.rest_pose is None else _floats(args.rest_pose)
     cal = calibrate(model, q0, w_star)
     out = _out_dir(args)
     write_calibration(out / "calibration.yaml", cal)
@@ -153,9 +172,12 @@ def cmd_metrics(args):
         for i, f in enumerate(model.fingers):
             if i == 0:
                 continue
-            vol = opposability_volume(model, (0, thumb.tip_index), (i, f.tip_index),
-                                      samples=args.samples, voxel_mm=args.voxel_mm,
-                                      seed=args.seed)
+            try:
+                vol = opposability_volume(model, (0, thumb.tip_index), (i, f.tip_index),
+                                          samples=args.samples, voxel_mm=args.voxel_mm,
+                                          seed=args.seed)
+            except VoxelRangeError as e:
+                raise argparse.ArgumentTypeError(f"--voxel-mm {args.voxel_mm!r} is too small: {e}")
             lines.append(f"{f.name} {vol!r}")
         if len(model.fingers) < 2:
             lines.append("# model has a single chain; nothing to oppose")
@@ -212,7 +234,9 @@ def build_parser():
     p = sub.add_parser("calibrate", help="fit per-segment scale ratios from a static capture")
     p.add_argument("--model", required=True, help="hand model document")
     p.add_argument("--keypoints", required=True, help="extended-pose keypoint capture")
-    p.add_argument("--rest-pose", default=None, help="comma-separated robot reference pose")
+    p.add_argument("--rest-pose", default=None, help="comma-separated robot reference pose",
+                   type=_checked(str, lambda t: np.isfinite(_floats(t)).all(),
+                                 "comma-separated finite numbers"))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_calibrate)
 
@@ -220,11 +244,11 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="keypoint trajectory file")
-    p.add_argument("--lambda1", type=float, default=DEFAULT_LAMBDAS[0])
-    p.add_argument("--lambda2", type=float, default=DEFAULT_LAMBDAS[1])
-    p.add_argument("--lambda3", type=float, default=DEFAULT_LAMBDAS[2])
-    p.add_argument("--k", type=float, default=DEFAULT_SIGMOID_K, help="coupling gate steepness")
-    p.add_argument("--c", type=float, default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
+    p.add_argument("--lambda1", type=_WEIGHT, default=DEFAULT_LAMBDAS[0])
+    p.add_argument("--lambda2", type=_WEIGHT, default=DEFAULT_LAMBDAS[1])
+    p.add_argument("--lambda3", type=_WEIGHT, default=DEFAULT_LAMBDAS[2])
+    p.add_argument("--k", type=_FINITE, default=DEFAULT_SIGMOID_K, help="coupling gate steepness")
+    p.add_argument("--c", type=_FINITE, default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
     p.add_argument("--baseline", type=float, default=None, metavar="ALPHA",
                    help="also retarget with uniform scaling by ALPHA and compare")
     p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help=(
@@ -241,16 +265,18 @@ def build_parser():
     p.add_argument("--poses", default=None, help="poses file (required for manipulability)")
     p.add_argument("--metric", choices=["manipulability", "opposability", "all"],
                    default="all")
-    p.add_argument("--samples", type=int, default=DEFAULT_SAMPLES)
-    p.add_argument("--voxel-mm", type=float, default=DEFAULT_VOXEL_MM)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--samples", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
+                   default=DEFAULT_SAMPLES)
+    p.add_argument("--voxel-mm", type=_checked(float, lambda v: 0.0 < v < np.inf,
+                                               "a finite number > 0"), default=DEFAULT_VOXEL_MM)
+    p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("syncsim", help="simulate multi-sensor acquisition timing")
     p.add_argument("--config", required=True, help="stream config YAML")
     p.add_argument("--duration", type=float, default=None, help="override config duration (s)")
-    p.add_argument("--seed", type=int, default=None, help="override config seed")
+    p.add_argument("--seed", type=_SEED, default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_syncsim)
     return parser

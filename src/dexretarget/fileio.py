@@ -209,7 +209,11 @@ def read_poses(path, dof):
             parts = line.split()
             if len(parts) != dof + 1:
                 raise FileFormatError(f"{path}:{ln}: expected name plus {dof} angles")
-            poses.append((parts[0], np.array(_floats(parts[1:], path, ln))))
+            q = _floats(parts[1:], path, ln)
+            bad = [x for x in q if not np.isfinite(x)]
+            if bad:
+                raise FileFormatError(f"{path}:{ln}: angle {bad[0]!r} is not finite")
+            poses.append((parts[0], np.array(q)))
     if not poses:
         raise FileFormatError(f"{path}: no poses found")
     return poses

@@ -9,7 +9,8 @@ dataclasses carry no setters.  Units are meters and radians throughout.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from collections import namedtuple
+from dataclasses import dataclass
 
 import numpy as np
 import yaml
@@ -23,8 +24,8 @@ class ModelError(Exception):
     """A hand model document failed to parse or validate."""
 
 
-def _freeze(a):
-    a = np.ascontiguousarray(a, dtype=float)
+def _freeze(a, dtype=float):
+    a = np.ascontiguousarray(a, dtype=dtype)
     a.flags.writeable = False
     return a
 
@@ -62,15 +63,6 @@ class Joint:
     upper: float
     parent: str                     # link name this joint hangs off
     child: str                      # link name this joint drives
-    # Rodrigues terms K and K @ K of the axis, built once per joint
-    skew: np.ndarray = field(init=False, repr=False, compare=False)
-    skew_sq: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        kx, ky, kz = self.axis
-        k = np.array([[0.0, -kz, ky], [kz, 0.0, -kx], [-ky, kx, 0.0]])
-        object.__setattr__(self, "skew", _freeze(k))
-        object.__setattr__(self, "skew_sq", _freeze(k @ k))
 
 
 @dataclass(frozen=True)
@@ -99,11 +91,6 @@ class Finger:
     keypoints: tuple[Keypoint, ...]
     taxels: TaxelLayout | None
     dof_offset: int  # index of this finger's first joint in the global q vector
-    # (dof, 3) joint axes, each in its own joint frame
-    axes: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "axes", _freeze([j.axis for j in self.joints]))
 
     @property
     def dof(self):
@@ -112,6 +99,15 @@ class Finger:
     @property
     def tip_index(self):
         return self.keypoints[-1].index
+
+
+# Every finger's chain stacked into (F, D, ...) arrays, D the longest chain,
+# for one walk over the whole hand: joint origin offsets and rotations, axes
+# with their Rodrigues terms K and K @ K, each joint's place in q, and in
+# (F, M) arrays, M the most keypoints on a finger, keypoint (i, j)'s link and
+# offset.  Shorter chains end in identity joints (zero axis and offset,
+# identity rotation) turning by a zero appended to q, past every keypoint.
+ChainStack = namedtuple("ChainStack", "translation rotation axis skew skew_sq q_index link offset")
 
 
 @dataclass(frozen=True)
@@ -129,6 +125,7 @@ class HandModel:
     rest_pose: np.ndarray
     lower_limits: np.ndarray  # (total_dof,), joint order of q
     upper_limits: np.ndarray
+    chains: ChainStack
 
     def finger_slice(self, i):
         """Slice of the global q vector owned by finger ``i``."""
@@ -148,6 +145,22 @@ class HandModel:
     def keypoint_counts(self):
         """Number of keypoints per finger (n_i + 1, counting the j = 0 root)."""
         return tuple(len(f.keypoints) for f in self.fingers)
+
+
+def _stack_chains(fingers, total_dof):
+    depth, width = max(f.dof for f in fingers), max(len(f.keypoints) for f in fingers)
+    pad = Joint("", np.zeros(3), np.zeros(3), np.eye(3), 0.0, 0.0, "", "")
+    joints = [f.joints + (pad,) * (depth - f.dof) for f in fingers]
+    kps = [f.keypoints + (Keypoint(0, "", 0, np.zeros(3)),) * (width - len(f.keypoints))
+           for f in fingers]
+    trans, rot, axis = (np.array([[getattr(j, a) for j in c] for c in joints])
+                        for a in ("origin_translation", "origin_rotation", "axis"))
+    kx, ky, kz, zero = *np.moveaxis(axis, -1, 0), np.zeros(axis.shape[:2])
+    skew = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], -1).reshape(rot.shape)
+    q_index = [[f.dof_offset + k if k < f.dof else total_dof for k in range(depth)] for f in fingers]
+    link, offset = ([[getattr(kp, a) for kp in c] for c in kps] for a in ("link", "offset"))
+    return ChainStack(*map(_freeze, (trans, rot, axis, skew, skew @ skew)), _freeze(q_index, int),
+                      _freeze(link, int), _freeze(offset))
 
 
 def _build_joint(raw, finger_name, prev_child, where):
@@ -217,6 +230,8 @@ def _build_keypoints(raw_list, chain, finger_name):
             attached = str(raw["attached_to"])
         except KeyError as e:
             raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
+        except (TypeError, ValueError):
+            raise ModelError(f"{where}.index: expected an integer, got {raw['index']!r}") from None
         if attached not in depth_of:
             raise ModelError(f"{where}: attached_to {attached!r} names no joint or 'base'")
         offset = _vec3(raw.get("offset", [0.0, 0.0, 0.0]), f"{where}.offset")
@@ -240,6 +255,9 @@ def _build_taxels(raw, n_joints, where):
         col_step = _vec3(raw["col_step"], f"{where}.col_step")
     except KeyError as e:
         raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
+    except (TypeError, ValueError):
+        raise ModelError(f"{where}: rows and cols must be integers, got "
+                         f"{raw['rows']!r}x{raw['cols']!r}") from None
     if rows <= 0 or cols <= 0:
         raise ModelError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
     r_idx, c_idx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
@@ -294,10 +312,6 @@ def load_hand_model(document):
             prev_child = j.child
         chain = _order_chain(joints, fname)
         kps = _build_keypoints(rf.get("keypoints", []), chain, fname)
-        max_link = len(chain)
-        for kp in kps:
-            if kp.link > max_link:
-                raise ModelError(f"finger {fname!r}: keypoint {kp.name!r} sits past the last link")
         fingers.append(Finger(fname, tuple(chain), kps, None, dof_offset))
         dof_offset += len(chain)
 
@@ -321,14 +335,18 @@ def load_hand_model(document):
     if rest is None:
         rest_pose = np.zeros(total_dof)
     else:
-        rest_pose = np.asarray(rest, dtype=float)
+        try:
+            rest_pose = np.asarray(rest, dtype=float)
+        except (TypeError, ValueError):
+            raise ModelError(f"rest_pose: expected {total_dof} numbers, got {rest!r}") from None
         if rest_pose.shape != (total_dof,):
             raise ModelError(f"rest_pose: expected {total_dof} values, got shape {rest_pose.shape}")
     lo = np.array([j.lower for f in fingers for j in f.joints])
     hi = np.array([j.upper for f in fingers for j in f.joints])
-    if np.any(rest_pose < lo) or np.any(rest_pose > hi):
+    if not np.all((rest_pose >= lo) & (rest_pose <= hi)):
         raise ModelError("rest_pose: values must lie within joint limits")
-    return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose), _freeze(lo), _freeze(hi))
+    return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose), _freeze(lo), _freeze(hi),
+                     _stack_chains(fingers, total_dof))
 
 
 def load_hand_model_file(path):

@@ -7,6 +7,7 @@ then rotation), then the revolute rotation about the joint axis.
 
 from __future__ import annotations
 
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,57 +30,77 @@ def _coerce_q(model, q):
     return q
 
 
-def _chain_state(model, finger_index, q_f, depth=None):
-    """Walk one finger's chain at joint angles ``q_f`` of shape (dof,) or (B, dof).
+def _apply(m, v):
+    """Matrices ``m`` (..., 3, 3) times vectors ``v`` (..., 3)."""
+    return (m @ v[..., None])[..., 0]
+
+
+def _chain_state(model, finger, q, depth=None):
+    """Walk chains at joint angles ``q``: finger ``finger``'s (dof,) or
+    (B, dof) angles, or, with ``finger`` None, every finger at once from the
+    hand's (total_dof,) q, stacked into the (F, D) layout of ``model.chains``.
 
     Returns:
         (rots, trans, frames): lists of the link rotations and translations
-        for links 0..depth (link 0 is the palm) and of the joint frames,
-        the rotation in which joint k's axis is expressed, for joints
-        0..depth-1.  Joint k's origin is ``trans[k + 1]``.  Entries carry
-        the batch dimension once a joint angle has entered them.
+        for links 0..depth (link 0 is the palm; depth defaults to the
+        joints in ``q``) and of the joint frames, the rotation in which
+        joint k's axis is expressed, for joints 0..depth-1.  Joint k's
+        origin is ``trans[k + 1]``.  Entries carry the batch or finger
+        dimension once a joint angle has entered them.
     """
-    joints = model.fingers[finger_index].joints[:depth]
-    sin = np.sin(q_f)
-    vers = 1.0 - np.cos(q_f)
+    c = model.chains
     r, t = _EYE, _ZERO
+    if finger is None:  # padding joints turn by a zero appended to q
+        finger, q = slice(None), np.append(q, 0.0)[c.q_index]
+        r, t = np.broadcast_to(_EYE, (len(q), 3, 3)), np.broadcast_to(_ZERO, (len(q), 3))
+    sin = np.sin(q)
+    vers = 1.0 - np.cos(q)
     rots, trans, frames = [r], [t], []
-    for k, joint in enumerate(joints):
-        t = t + r @ joint.origin_translation
-        r = r @ joint.origin_rotation
+    for k in range(q.shape[-1] if depth is None else depth):
+        t = t + _apply(r, c.translation[finger, k])
+        r = r @ c.rotation[finger, k]
         frames.append(r)
         # Rodrigues: I + sin K + (1 - cos) K K.  Every step here is the same
-        # elementwise or per-matrix product for (dof,) and (B, dof) angles,
-        # so a batch row and a single walk agree bit for bit.
-        rodrigues = sin[..., k, None, None] * joint.skew
+        # elementwise or per-matrix product for one chain, a batch of one
+        # chain and the stacked hand, so all three agree bit for bit.
+        rodrigues = sin[..., k, None, None] * c.skew[finger, k]
         rodrigues += _EYE
-        rodrigues += vers[..., k, None, None] * joint.skew_sq
+        rodrigues += vers[..., k, None, None] * c.skew_sq[finger, k]
         r = r @ rodrigues
         rots.append(r)
         trans.append(t)
     return rots, trans, frames
 
 
-def _point(state, kp):
-    rots, trans, _ = state
-    return trans[kp.link] + rots[kp.link] @ kp.offset
+# keypoints placed on a whole-hand walk: (n, 3) positions, the (D, n, 3)
+# world axes and origins of the joints of each one's finger, (n,) links
+# and (n, D) q columns of those joints (total_dof for padding)
+KeypointGather = namedtuple("KeypointGather", "points axes origins links columns")
 
 
-def _joint_axes(model, finger_index, state):
-    """(dof, 3) world joint axes of a single walked chain."""
-    return (np.stack(state[2]) @ model.fingers[finger_index].axes[:, :, None])[:, :, 0]
+def _gather(model, state, keys):
+    """Place the (finger, keypoint) pairs ``keys`` on the whole-hand walk ``state``."""
+    c = model.chains
+    fingers, index = np.asarray(keys, dtype=int).T
+    rots, trans, frames = map(np.stack, state)
+    links = c.link[fingers, index]
+    points = trans[links, fingers] + _apply(rots[links, fingers], c.offset[fingers, index])
+    axes = _apply(frames, c.axis.swapaxes(0, 1))[:, fingers]
+    return KeypointGather(points, axes, trans[1:, fingers], links, c.q_index[fingers])
 
 
-def linear_jacobian_block(axes, state, links, points):
-    """(n, 3, dof) linear-velocity blocks of n points on one walked chain.
+def linear_jacobian_block(at, n_dof):
+    """(n, 3, n_dof) linear-velocity Jacobians of the n gathered points.
 
-    Column k of block m is ``axes[k] x (points[m] - origin_k)`` while joint
-    k precedes the point's link ``links[m]``, and zero past it.
+    Joint k of a point's finger fills its q column with ``axes[k] x
+    (point - origin_k)`` while it precedes the point's link, else zero.
     """
-    d = points[:, None, :] - np.stack(state[1][1:])
-    cross = axes[:, _NEXT] * d[..., _AFTER] - axes[:, _AFTER] * d[..., _NEXT]
-    cross[np.arange(len(axes)) >= np.asarray(links)[:, None]] = 0.0
-    return np.ascontiguousarray(cross.transpose(0, 2, 1))
+    d = at.points - at.origins
+    cross = at.axes[..., _NEXT] * d[..., _AFTER] - at.axes[..., _AFTER] * d[..., _NEXT]
+    cross[np.arange(len(cross))[:, None] >= at.links] = 0.0
+    block = np.zeros((len(at.links), 3, n_dof + 1))
+    block[np.arange(len(at.links)), :, at.columns.T] = cross
+    return block[..., :n_dof]
 
 
 def forward_kinematics(model, q):
@@ -89,13 +110,9 @@ def forward_kinematics(model, q):
         dict mapping (finger, keypoint) index pairs to 3-vectors in the
         hand base frame.
     """
-    q = _coerce_q(model, q)
-    out = {}
-    for i, f in enumerate(model.fingers):
-        state = _chain_state(model, i, q[model.finger_slice(i)])
-        for kp in f.keypoints:
-            out[(i, kp.index)] = _point(state, kp)
-    return out
+    keys = model.keypoint_ids()
+    state = _chain_state(model, None, _coerce_q(model, q))
+    return dict(zip(keys, _gather(model, state, keys).points))
 
 
 def jacobian(model, q, frame):
@@ -111,15 +128,11 @@ def jacobian(model, q, frame):
         rad/s), rows 3:6 to angular velocity (rad/s per rad/s).  Columns of
         joints not on the frame's chain are zero.
     """
-    q = _coerce_q(model, q)
-    i, j = frame
-    kp = model.keypoint(i, j)
-    sl = model.finger_slice(i)
-    state = _chain_state(model, i, q[sl])
-    axes = _joint_axes(model, i, state)
+    link = model.keypoint(*frame).link
+    at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), [frame])
     jac = np.zeros((6, model.total_dof))
-    jac[:3, sl] = linear_jacobian_block(axes, state, [kp.link], _point(state, kp)[None])[0]
-    jac[3:, sl.start:sl.start + kp.link] = axes[:kp.link].T
+    jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
+    jac[3:, at.columns[0, :link]] = at.axes[:link, 0].T
     return jac
 
 
@@ -186,7 +199,8 @@ def taxel_point_cloud(model, q, readings, threshold=None):
     if missing or extra:
         raise ValueError(f"readings keys must match taxel-bearing fingers {with_taxels}, "
                          f"missing {sorted(missing)}, unexpected {sorted(extra)}")
-    positions, pressures, fidx, rows, cols = [], [], [], [], []
+    rots, trans, _ = _chain_state(model, None, q)
+    parts = []
     for i in with_taxels:
         f = model.fingers[i]
         layout = f.taxels
@@ -194,24 +208,14 @@ def taxel_point_cloud(model, q, readings, threshold=None):
         if grid.shape != (layout.rows, layout.cols):
             raise ValueError(f"finger {i} readings have shape {grid.shape}, "
                              f"layout is {(layout.rows, layout.cols)}")
-        rots, trans, _ = _chain_state(model, i, q[model.finger_slice(i)])
         # taxels ride the distal link
-        world = trans[-1] + layout.positions @ rots[-1].T
+        world = trans[f.dof][i] + layout.positions @ rots[f.dof][i].T
         flat = grid.reshape(-1)
         keep = np.ones(flat.shape, dtype=bool) if threshold is None else flat > threshold
         r_idx, c_idx = np.divmod(np.arange(flat.size), layout.cols)
-        positions.append(world[keep])
-        pressures.append(flat[keep])
-        fidx.append(np.full(int(keep.sum()), i, dtype=int))
-        rows.append(r_idx[keep])
-        cols.append(c_idx[keep])
-    return TouchPointCloud(
-        positions=np.concatenate(positions) if positions else np.zeros((0, 3)),
-        pressures=np.concatenate(pressures) if pressures else np.zeros(0),
-        finger_index=np.concatenate(fidx) if fidx else np.zeros(0, dtype=int),
-        rows=np.concatenate(rows) if rows else np.zeros(0, dtype=int),
-        cols=np.concatenate(cols) if cols else np.zeros(0, dtype=int),
-    )
+        parts.append([a[keep] for a in (world, flat, np.full(flat.size, i), r_idx, c_idx)])
+    empty = (np.zeros((0, 3)), np.zeros(0)) + (np.zeros(0, dtype=int),) * 3
+    return TouchPointCloud(*(np.concatenate(column) for column in zip(empty, *parts)))
 
 
 def batch_keypoint_positions(model, frame, q_batch):
@@ -234,5 +238,7 @@ def batch_keypoint_positions(model, frame, q_batch):
     out = np.empty((q_batch.shape[0], 3))
     for start in range(0, q_batch.shape[0], _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
-        out[rows] = _point(_chain_state(model, i, q_batch[rows], kp.link), kp)
+        rots, trans = _chain_state(model, i, q_batch[rows], kp.link)[:2]
+        out[rows] = trans[-1] + rots[-1] @ kp.offset
+        del rots, trans  # the next walk then reuses this one's memory, still in cache
     return out

@@ -23,6 +23,10 @@ SAMPLE_CHUNK = 65_536  # fixed substream size; keeps results worker-independent
 _VOXEL_PACK_BITS = 21  # voxel index packing: 3 signed 21-bit lanes in an int64
 
 
+class VoxelRangeError(ValueError):
+    """A workspace spans more voxels than the key packing holds."""
+
+
 def manipulability_volume(model, q, frame, kind="linear"):
     """Ellipsoid volume swept by unit joint velocities at one tip frame.
 
@@ -53,7 +57,7 @@ def _pack_voxels(idx):
     offset = 1 << (_VOXEL_PACK_BITS - 1)
     shifted = idx.astype(np.int64) + offset
     if np.any(shifted < 0) or np.any(shifted >= (1 << _VOXEL_PACK_BITS)):
-        raise ValueError("workspace extends past the packable voxel range")
+        raise VoxelRangeError("workspace extends past the packable voxel range")
     return ((shifted[:, 0] << (2 * _VOXEL_PACK_BITS))
             | (shifted[:, 1] << _VOXEL_PACK_BITS)
             | shifted[:, 2])
@@ -71,16 +75,11 @@ def _workspace_voxels(model, frame, samples, voxel, seed, chain_tag):
     lo = model.lower_limits[sl]
     hi = model.upper_limits[sl]
     keys = []
-    chunk = 0
-    remaining = samples
-    while remaining > 0:
-        n = min(SAMPLE_CHUNK, remaining)
+    for chunk, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         rng = np.random.default_rng([seed, chain_tag, chunk])
-        q_batch = rng.uniform(lo, hi, size=(n, lo.size))
+        q_batch = rng.uniform(lo, hi, size=(min(SAMPLE_CHUNK, samples - start), lo.size))
         pts = batch_keypoint_positions(model, frame, q_batch)
         keys.append(_pack_voxels(np.floor(pts / voxel).astype(np.int64)))
-        chunk += 1
-        remaining -= n
     return np.unique(np.concatenate(keys))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .hand_model import HandModel
-from .kinematics import _chain_state, _joint_axes, _point, linear_jacobian_block
+from .kinematics import _chain_state, _gather, linear_jacobian_block
 
 DEFAULT_SIGMOID_K = 10.0
 DEFAULT_SIGMOID_C = 0.5
@@ -186,19 +186,14 @@ def adjust_keypoints(frame, cal):
     if frame.counts() != tuple(r.shape[0] + 1 for r in cal.r):
         raise RetargetConfigError("frame layout does not match calibration layout")
     out = []
-    for i, r_i in enumerate(cal.r):
-        w = frame.w[i]
-        v = np.empty_like(w)
-        v[0] = w[0]
+    for w, r_i, u_i in zip(frame.w, cal.r, cal.u, strict=True):
         # equivalent cumulative form v_j = w_j + c_j, c_j = c_{j-1} +
         # (r_{j-1} - 1)(w_j - w_{j-1}); degenerates to v = w exactly when
         # every r = 1 and u = 0 instead of re-rounding each segment
-        corr = (r_i[0] - 1.0) * (w[1] - w[0]) + cal.u[i]
-        v[1] = np.where(corr == 0.0, w[1], w[1] + corr)
-        for j in range(2, w.shape[0]):
-            corr = corr + (r_i[j - 1] - 1.0) * (w[j] - w[j - 1])
-            v[j] = np.where(corr == 0.0, w[j], w[j] + corr)
-        out.append(v)
+        steps = (r_i - 1.0)[:, None] * np.diff(w, axis=0)
+        steps[0] += u_i
+        corr = np.cumsum(steps, axis=0)
+        out.append(np.concatenate([w[:1], np.where(corr == 0.0, w[1:], w[1:] + corr)]))
     return tuple(out)
 
 
@@ -274,16 +269,16 @@ class RetargetProblem:
             raise RetargetConfigError(f"q_prev has shape {self.q_prev.shape}, expected ({n},)")
         if self.targets.shape != (len(self.pairs), 3):
             raise RetargetConfigError("targets must be (len(pairs), 3)")
-        if len(self.lambdas) != 3 or any(l < 0.0 for l in self.lambdas):
-            raise RetargetConfigError(f"lambdas must be 3 non-negative weights, got {self.lambdas}")
+        if len(self.lambdas) != 3 or not all(0.0 <= l < np.inf for l in self.lambdas):
+            raise RetargetConfigError(f"lambdas must be 3 finite weights >= 0, got {self.lambdas}")
         if not (np.all(np.isfinite(self.targets)) and np.all(np.isfinite(self.q_prev))):
             raise RetargetConfigError("targets and q_prev must be finite")
-        if self.tolerance <= 0.0 or self.max_iterations < 1:
+        if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
         for i, j in self.pairs:
             self.model.keypoint(i, j)  # raises KeyError on a bad pair
-        if self.coupling is not None and np.any(
-                (self.coupling.omega <= 0.0) | (self.coupling.omega >= 1.0)):
+        if self.coupling is not None and not np.all(
+                (self.coupling.omega > 0.0) & (self.coupling.omega < 1.0)):
             raise RetargetConfigError("coupling weights must lie strictly inside (0, 1)")
 
 
@@ -308,15 +303,8 @@ def _residuals(q, prob):
     keys = list(prob.pairs)  # keypoints to place: the pairs, then the thumb and coupled tips
     if coupled:
         keys += [(i, model.fingers[i].tip_index) for i in (0,) + coupled]
-    p, dp = np.empty((len(keys), 3)), np.zeros((len(keys), 3, n))  # positions, dp/dq
-    for i in dict.fromkeys(f for f, _ in keys):
-        rows = [k for k, key in enumerate(keys) if key[0] == i]
-        kps = [model.keypoint(*keys[k]) for k in rows]
-        sl = model.finger_slice(i)
-        state = _chain_state(model, i, q[sl])
-        p[rows] = [_point(state, kp) for kp in kps]
-        dp[rows, :, sl] = linear_jacobian_block(_joint_axes(model, i, state), state,
-                                                [kp.link for kp in kps], p[rows])
+    at = _gather(model, _chain_state(model, None, q), keys)
+    p, dp = at.points, linear_jacobian_block(at, n)  # positions, dp/dq
     m = len(prob.pairs)  # the thumb tip's row
     e, jac = [prob.targets - p[:m]], [-dp[:m]]
     if coupled:
@@ -444,13 +432,12 @@ class StreamStep:
 def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                     sigmoid_k=DEFAULT_SIGMOID_K, sigmoid_c=DEFAULT_SIGMOID_C,
                     pairs=None, tolerance=DEFAULT_TOLERANCE,
-                    max_iterations=DEFAULT_MAX_ITERATIONS,
-                    max_hold_frames=MAX_HOLD_FRAMES, scaling_alpha=None):
+                    max_iterations=DEFAULT_MAX_ITERATIONS, scaling_alpha=None):
     """Retarget an ordered landmark stream into a joint trajectory.
 
     The calibration is checked against the model before the first frame.
     Missing landmarks, and landmarks with a non-finite coordinate, are
-    filled from the last valid value for up to ``max_hold_frames``
+    filled from the last valid value for up to ``MAX_HOLD_FRAMES``
     consecutive frames; beyond that the frame is rejected and the previous
     output is held.  The first frame warm-starts from the calibration
     configuration.  ``scaling_alpha`` switches the target construction from
@@ -473,7 +460,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         if last_seen is None:
             # landmarks invalid since the start have no history to fill from
             last_seen = [w.copy() for w in frame.w]
-            ages = [np.full(w.shape[0], max_hold_frames, dtype=int) for w in frame.w]
+            ages = [np.full(w.shape[0], MAX_HOLD_FRAMES, dtype=int) for w in frame.w]
         filled = 0
         usable = True
         eff_w = []
@@ -483,7 +470,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
             ages[i][v] = 0
             last_seen[i][v] = w[v]
             stale = ~v
-            if np.any(ages[i][stale] > max_hold_frames):
+            if np.any(ages[i][stale] > MAX_HOLD_FRAMES):
                 usable = False
             filled += int(stale.sum())
             eff_w.append(np.where(stale[:, None], last_seen[i], w))

@@ -54,7 +54,7 @@ class StreamConfig:
         if len(set(names)) != len(names):
             raise SyncConfigError(f"stream names must be unique, got {names}")
         for s in self.streams:
-            if s.period <= 0.0:
+            if not s.period > 0.0:
                 raise SyncConfigError(f"stream {s.name!r}: period must be positive")
             if s.latency_bound < 0.0:
                 raise SyncConfigError(f"stream {s.name!r}: latency bound must be >= 0")
@@ -62,13 +62,15 @@ class StreamConfig:
                 raise SyncConfigError(f"stream {s.name!r}: unknown jitter {s.jitter!r}")
             if not 0.0 <= s.dropout <= 1.0:
                 raise SyncConfigError(f"stream {s.name!r}: dropout must be in [0, 1]")
-        if self.rate_hz <= 0.0:
+        if not self.rate_hz > 0.0:
             raise SyncConfigError("rate_hz must be positive")
         if self.mode not in ("hard", "soft"):
             raise SyncConfigError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
         lo, hi = self.soft_latency
         if lo < 0.0 or hi < lo:
             raise SyncConfigError(f"soft_latency must satisfy 0 <= lo <= hi, got {self.soft_latency}")
+        if self.seed < 0:
+            raise SyncConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def reference_hard_config(dropout=0.0, seed=0):
@@ -134,8 +136,8 @@ def simulate(config, duration):
         EventLog covering emissions in [0, duration).  Identical config and
         duration always reproduce the same log.
     """
-    if duration <= 0.0:
-        raise SyncConfigError("duration must be positive")
+    if not 0.0 < duration < np.inf:
+        raise SyncConfigError("duration must be positive and finite")
     rng = np.random.default_rng(config.seed)
     cols = {"stream": [], "emission": [], "delivered": [], "payload": [], "dropped": []}
     for s_idx, spec in enumerate(config.streams):

@@ -8,6 +8,7 @@ import sys
 import numpy as np
 import pytest
 
+from dexretarget import cli
 from dexretarget.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
 from dexretarget.fileio import (
     read_calibration,
@@ -23,6 +24,7 @@ from dexretarget.retarget import KeypointFrame, retarget_stream
 from conftest import ARC_PAIR, DATA, TOY_3DOF
 
 PLANAR = str(DATA / "planar_2dof.yaml")
+ROBOT = str(DATA / "rapid_hand_20dof.yaml")
 
 
 def planar_capture(path, model, qs, scale=1.0, invalid=()):
@@ -320,6 +322,19 @@ def test_metrics_requires_poses(tmp_path, capsys):
         assert "--poses" in capsys.readouterr().err
 
 
+def test_metrics_rejects_non_finite_pose(tmp_path, capsys):
+    model_path = tmp_path / "toy.yaml"
+    model_path.write_text(TOY_3DOF)
+    poses = tmp_path / "poses.txt"
+    poses.write_text("zero 0 0 0\nbad nan 0 0\n")
+    out = tmp_path / "out"
+    code = main(["metrics", "--model", str(model_path), "--poses", str(poses),
+                 "--metric", "manipulability", "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert "poses.txt:2: angle nan is not finite" in capsys.readouterr().err
+    assert not (out / "metrics.txt").exists()
+
+
 # --- syncsim ------------------------------------------------------------------
 
 SYNC_YAML = """\
@@ -401,6 +416,48 @@ def test_reruns_are_byte_identical(tmp_path, planar, planar_cal):
         assert files == sorted(p.name for p in dirs[1].iterdir())
         for f in files:
             assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes(), (name, f)
+
+
+_OPPOSE = ["metrics", "--model", ROBOT, "--metric", "opposability", "--samples", "2000"]
+_RETARGET = ["retarget", "--model", ROBOT, "--calibration", "unread.yaml", "--input", "unread.traj"]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["calibrate", "--model", PLANAR, "--keypoints", "unread.traj", "--rest-pose", "0.3,a"],
+     "--rest-pose"),
+    (["calibrate", "--model", PLANAR, "--keypoints", "unread.traj", "--rest-pose", "0.3,nan"],
+     "--rest-pose"),
+    (_OPPOSE + ["--samples", "0"], "--samples"),
+    (_OPPOSE + ["--voxel-mm", "0"], "--voxel-mm"),
+    (_OPPOSE + ["--voxel-mm", "-2"], "--voxel-mm"),
+    (_OPPOSE + ["--voxel-mm", "inf"], "--voxel-mm"),
+    (_OPPOSE + ["--voxel-mm", "1e-4"], "--voxel-mm"),
+    (_OPPOSE + ["--seed", "-1"], "--seed"),
+    (["syncsim", "--config", "unread.yaml", "--seed", "-1"], "--seed"),
+    (_RETARGET + ["--k", "nan"], "--k"),
+    (_RETARGET + ["--c", "inf"], "--c"),
+    (_RETARGET + ["--lambda1", "nan"], "--lambda1"),
+    (_RETARGET + ["--lambda3", "-1"], "--lambda3"),
+], ids=["rest_pose_text", "rest_pose_nan", "samples_0", "voxel_0", "voxel_negative",
+        "voxel_inf", "voxel_past_packing_range", "metrics_seed", "syncsim_seed", "k_nan",
+        "c_inf", "lambda1_nan", "lambda3_negative"])
+def test_bad_option_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == EXIT_ERROR
+    assert flag in capsys.readouterr().err
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("error", [ValueError, KeyError])
+def test_program_bug_is_not_an_input_error(tmp_path, monkeypatch, error):
+    def broken(*args):
+        raise error("a bug in the program")
+
+    monkeypatch.setattr(cli, "simulate", broken)
+    config = tmp_path / "streams.yaml"
+    config.write_text(SYNC_YAML)
+    with pytest.raises(error, match="a bug in the program"):
+        main(["syncsim", "--config", str(config), "--out", str(tmp_path / "out")])
 
 
 def test_version_and_usage_errors(capsys):

@@ -219,6 +219,10 @@ def test_poses_reader(tmp_path):
     garbled.write_text("rest 0 0 0\nflex 0.5 abc 1\n")
     with pytest.raises(FileFormatError, match=r"garbled.txt:2: .*'abc'"):
         read_poses(garbled, 3)
+    non_finite = tmp_path / "non_finite.txt"
+    non_finite.write_text("rest 0 0 0\nflex 0.5 inf 1\n")
+    with pytest.raises(FileFormatError, match="non_finite.txt:2: angle inf is not finite"):
+        read_poses(non_finite, 3)
     blank = tmp_path / "blank.txt"
     blank.write_text("# nothing\n")
     with pytest.raises(FileFormatError, match="no poses"):

@@ -120,6 +120,8 @@ fingers:
 def test_keypoint_indices_must_be_contiguous():
     _expect_error(MINIMAL.replace("index: 1, name: tip", "index: 2, name: tip"),
                   "contiguous")
+    _expect_error(MINIMAL.replace("index: 1, name: tip", "index: one, name: tip"),
+                  "expected an integer")
 
 
 def test_at_least_two_keypoints():
@@ -139,6 +141,8 @@ def test_duplicate_finger_name():
 def test_rest_pose_validation():
     _expect_error(MINIMAL + "\nrest_pose: [2.0, 0.0]\n", "within joint limits")
     _expect_error(MINIMAL + "\nrest_pose: [0.0]\n", "expected 2 values")
+    _expect_error(MINIMAL + "\nrest_pose: [a, 0.0]\n", "expected 2 numbers")
+    _expect_error(MINIMAL + "\nrest_pose: [.nan, 0.0]\n", "within joint limits")
 
 
 def test_taxel_layout_validation():
@@ -150,6 +154,7 @@ taxel_layouts:
     assert m.fingers[0].taxels.positions.shape == (6, 3)
     _expect_error(good.replace("finger: arm", "finger: leg"), "unknown finger")
     _expect_error(good.replace("rows: 2", "rows: 0"), "positive")
+    _expect_error(good.replace("rows: 2", "rows: two"), "must be integers")
     dup = good + good[good.index("  - {finger: arm"):]
     _expect_error(dup, "already has a taxel layout")
 

@@ -10,6 +10,7 @@ from dexretarget.hand_model import load_hand_model
 from dexretarget.kinematics import (batch_keypoint_positions, forward_kinematics,
                                     jacobian, joint_to_motor, motor_to_joint,
                                     taxel_point_cloud)
+from dexretarget.retarget import CouplingState, RetargetProblem, objective, objective_gradient
 
 from conftest import RIGID_PAIR, TOY_3DOF
 
@@ -186,6 +187,62 @@ def test_random_chain_batch_rows_bit_equal_fk(chain):
         pts = batch_keypoint_positions(model, frame, q_batch)
         for q, p in zip(q_batch, pts):
             assert p.tobytes() == forward_kinematics(model, q)[frame].tobytes()
+
+
+def _finger_doc(name, joints):
+    return {"name": name,
+            "joints": [{"name": f"{name}{k}", "axis": j["axis"],
+                        "origin_translation": j["origin_translation"],
+                        "origin_rotation": j["origin_rotation"], "limits": [-2.0, 2.0]}
+                       for k, j in enumerate(joints)],
+            "keypoints": [{"index": 0, "attached_to": "base"}]
+            + [{"index": k + 1, "attached_to": f"{name}{k}", "offset": j["offset"]}
+               for k, j in enumerate(joints)]}
+
+
+@st.composite
+def ragged_hand(draw):
+    """A model of 2-3 fingers with 1-5 random joints each, so shorter
+    fingers are padded, plus the one-finger model of each finger and a
+    joint vector inside the limits."""
+    fingers = [_finger_doc(f"f{i}", draw(st.lists(_joint, min_size=1, max_size=5)))
+               for i in range(draw(st.integers(2, 3)))]
+    hand = load_hand_model(yaml.safe_dump({"name": "ragged", "fingers": fingers}))
+    alone = [load_hand_model(yaml.safe_dump({"name": "one", "fingers": [f]})) for f in fingers]
+    q = np.array(draw(st.lists(st.floats(-2.0, 2.0), min_size=hand.total_dof,
+                               max_size=hand.total_dof)))
+    return hand, alone, q
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_hand(), st.integers(0, 2 ** 32 - 1))
+def test_ragged_hand_matches_its_fingers_and_differences(case, seed):
+    hand, alone, q = case
+    fk = forward_kinematics(hand, q)
+    for i, one in enumerate(alone):
+        q_f = q[hand.finger_slice(i)]
+        fk_one = forward_kinematics(one, q_f)
+        for j in range(hand.fingers[i].dof + 1):
+            assert fk[(i, j)].tobytes() == fk_one[(0, j)].tobytes()
+            assert batch_keypoint_positions(hand, (i, j), q_f[None])[0].tobytes() \
+                == fk[(i, j)].tobytes()
+    h, n = 1e-6, hand.total_dof
+    steps = h * np.eye(n)
+    for frame in hand.keypoint_ids():
+        fd = np.array([forward_kinematics(hand, q + dq)[frame]
+                       - forward_kinematics(hand, q - dq)[frame] for dq in steps]).T / (2 * h)
+        assert np.max(np.abs(jacobian(hand, q, frame)[:3] - fd)) < 1e-7
+    rng = np.random.default_rng(seed)
+    pairs = hand.keypoint_ids()
+    tips = [f.tip_index for f in hand.fingers]
+    coupling = CouplingState(fingers=tuple(range(1, len(tips))),
+                             delta=rng.uniform(-0.1, 0.1, (len(tips) - 1, 3)),
+                             d=np.zeros(len(tips) - 1), omega=rng.uniform(0.01, 0.99, len(tips) - 1))
+    prob = RetargetProblem(hand, pairs, rng.uniform(-0.2, 0.2, (len(pairs), 3)), coupling,
+                           rng.uniform(-2.0, 2.0, n), lambdas=(1.0, 0.5, 0.1))
+    fd = np.array([objective(q + dq, prob)[0] - objective(q - dq, prob)[0]
+                   for dq in steps]) / (2 * h)
+    assert np.max(np.abs(objective_gradient(q, prob) - fd)) < 1e-7
 
 
 # --- differential motor mapping ----------------------------------------------

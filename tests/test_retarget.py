@@ -129,6 +129,51 @@ def test_segment_law_on_random_frames(robot, calibration):
                 assert np.linalg.norm(seg_v - seg_w) <= 1e-12 * np.linalg.norm(seg_w)
 
 
+_landmark = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
+
+
+@st.composite
+def segment_case(draw):
+    """1-3 fingers of 2-6 random landmarks, each finger with ratios in
+    [0.25, 4] (1 included) and an anchor offset, or else r = 1 and u = 0."""
+    w, r, u = [], [], []
+    for count in draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)):
+        w.append(np.array(draw(st.lists(_landmark, min_size=count, max_size=count))))
+        identity = draw(st.booleans())
+        ratio = st.just(1.0) if identity else st.one_of(st.just(1.0), st.floats(0.25, 4.0))
+        r.append(np.array(draw(st.lists(ratio, min_size=count - 1, max_size=count - 1))))
+        u.append((0.0, 0.0, 0.0) if identity else draw(_landmark))
+    frame = KeypointFrame(w)
+    return frame, CalibrationData(r=tuple(r), u=np.array(u), w_star=frame, q0=np.zeros(1),
+                                  d_min={}, d_max={}, coupling_fingers=())
+
+
+def _segment_loop(w, r, u):
+    """The per-segment loop form of the adjustment, as a bitwise reference."""
+    v = w.copy()
+    corr = (r[0] - 1.0) * (w[1] - w[0]) + u
+    v[1] = np.where(corr == 0.0, w[1], w[1] + corr)
+    for j in range(2, w.shape[0]):
+        corr = corr + (r[j - 1] - 1.0) * (w[j] - w[j - 1])
+        v[j] = np.where(corr == 0.0, w[j], w[j] + corr)
+    return v
+
+
+@settings(max_examples=100, deadline=None)
+@given(segment_case())
+def test_segment_law_property(case):
+    frame, cal = case
+    for w, v, r, u in zip(frame.w, adjust_keypoints(frame, cal), cal.r, cal.u):
+        assert v.tobytes() == _segment_loop(w, r, u).tobytes()
+        if np.all(r == 1.0) and not np.any(u):
+            assert v.tobytes() == w.tobytes()
+        assert v[0].tobytes() == w[0].tobytes()
+        expected = r[:, None] * np.diff(w, axis=0)
+        expected[0] += u
+        err = np.abs(np.diff(v, axis=0) - expected).max()
+        assert err <= 1e-12 * (1.0 + np.abs(v).max())
+
+
 def test_adjust_rejects_layout_mismatch(robot, calibration):
     rng = np.random.default_rng(2)
     frame = random_frame((5, 5, 5, 5, 4), rng)
@@ -240,6 +285,19 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
     q_prev = np.clip(q_true + rng.uniform(-0.2, 0.2, model.total_dof),
                      model.lower_limits, model.upper_limits)
     return RetargetProblem(model, pairs, targets, state, q_prev, lambdas=lambdas)
+
+
+@pytest.mark.parametrize("options, needle", [
+    ({"lambdas": (np.nan, 1.0, 1.0)}, "lambdas"), ({"lambdas": (1.0, np.inf, 1.0)}, "lambdas"),
+    ({"lambdas": (1.0, 1.0, -1.0)}, "lambdas"), ({"tolerance": np.nan}, "tolerance"),
+    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, np.nan))},
+     "coupling weights")])
+def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
+    rng = np.random.default_rng(8)
+    good = make_problem(robot, calibration, rng)
+    with pytest.raises(RetargetConfigError, match=needle):
+        RetargetProblem(robot, good.pairs, good.targets,
+                        **{"coupling": good.coupling, "q_prev": good.q_prev, **options})
 
 
 def test_perfect_match_costs_zero(robot, calibration):

@@ -203,6 +203,9 @@ def test_config_validation_errors():
         (lambda: StreamConfig((good,), rate_hz=0.0), "rate_hz"),
         (lambda: StreamConfig((good,), mode="loose"), "mode"),
         (lambda: StreamConfig((good,), soft_latency=(0.2, 0.1)), "soft_latency"),
+        (lambda: StreamConfig((StreamSpec("cam", float("nan"), 0.002),)), "period"),
+        (lambda: StreamConfig((good,), rate_hz=float("nan")), "rate_hz"),
+        (lambda: StreamConfig((good,), seed=-1), "seed"),
     ]
     for build, needle in cases:
         with pytest.raises(SyncConfigError, match=needle):
@@ -211,8 +214,10 @@ def test_config_validation_errors():
 
 def test_runtime_validation_errors():
     cfg = ideal_config()
-    with pytest.raises(SyncConfigError, match="duration"):
-        simulate(cfg, 0.0)
+    for duration in (0.0, float("nan"), float("inf")):
+        with pytest.raises(SyncConfigError, match="duration"):
+            simulate(cfg, duration)
     log = simulate(cfg, 1.0)
     with pytest.raises(SyncConfigError, match="window"):
         assemble_frames(log, window=0.0)
+
