@@ -67,8 +67,12 @@ def _floats(text):
 
 
 _SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
+_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
 _FINITE = _checked(float, np.isfinite, "a finite number")
 _WEIGHT = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
+_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
+# flags naming input files; manifest.json lists them apart from the options
+_INPUT_FLAGS = ("model", "keypoints", "calibration", "input", "poses", "config")
 
 
 def _out_dir(args):
@@ -77,15 +81,19 @@ def _out_dir(args):
     return out
 
 
-def _manifest(subcommand, inputs, options, outputs):
-    return {
+def _write_manifest(out, args, outputs):
+    """Record every parsed flag of the run: input files under ``inputs``,
+    the rest under ``options``."""
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    inputs = {k: options.pop(k) for k in _INPUT_FLAGS if k in options}
+    write_manifest(out / "manifest.json", {
         "tool": "dexretarget",
         "version": __version__,
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "inputs": inputs,
         "options": options,
         "outputs": sorted(outputs),
-    }
+    })
 
 
 def cmd_calibrate(args):
@@ -95,11 +103,7 @@ def cmd_calibrate(args):
     cal = calibrate(model, q0, w_star)
     out = _out_dir(args)
     write_calibration(out / "calibration.yaml", cal)
-    write_manifest(out / "manifest.json", _manifest(
-        "calibrate",
-        {"model": args.model, "keypoints": args.keypoints},
-        {"rest_pose": args.rest_pose},
-        ["calibration.yaml"]))
+    _write_manifest(out, args, ["calibration.yaml"])
     ratios = np.concatenate(cal.r)
     print(f"calibrated {model.name}: {ratios.size} segment ratios in "
           f"[{ratios.min():.4f}, {ratios.max():.4f}], "
@@ -134,13 +138,7 @@ def cmd_retarget(args):
         print(f"uniform-scaling baseline (alpha={args.baseline}) residual {base_align:.6g} m^2")
 
     failures = sum(1 for s in steps if s.rejected or s.solver_failed)
-    write_manifest(out / "manifest.json", _manifest(
-        "retarget",
-        {"model": args.model, "calibration": args.calibration, "input": args.input},
-        {"lambda1": args.lambda1, "lambda2": args.lambda2, "lambda3": args.lambda3,
-         "k": args.k, "c": args.c, "baseline": args.baseline,
-         "tolerance": args.tolerance, "max_iterations": args.max_iterations},
-        outputs))
+    _write_manifest(out, args, outputs)
     if failures == len(steps):
         log.error("every frame failed (%d/%d)", failures, len(steps))
         return EXIT_ERROR
@@ -183,12 +181,7 @@ def cmd_metrics(args):
             lines.append("# model has a single chain; nothing to oppose")
     with open(out / "metrics.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
-    write_manifest(out / "manifest.json", _manifest(
-        "metrics",
-        {"model": args.model, "poses": args.poses},
-        {"metric": args.metric, "samples": args.samples,
-         "voxel_mm": args.voxel_mm, "seed": args.seed},
-        ["metrics.txt"]))
+    _write_manifest(out, args, ["metrics.txt"])
     print("\n".join(lines))
     return EXIT_OK
 
@@ -213,11 +206,7 @@ def cmd_syncsim(args):
     write_event_log(out / "events.txt", events)
     write_frames(out / "frames.txt", frames)
     write_report(out / "report.txt", report, extra=extra)
-    write_manifest(out / "manifest.json", _manifest(
-        "syncsim",
-        {"config": args.config},
-        {"duration": args.duration, "seed": args.seed},
-        ["events.txt", "frames.txt", "report.txt"]))
+    _write_manifest(out, args, ["events.txt", "frames.txt", "report.txt"])
     print(f"{config.mode}-sync: {report.frames} frames, mean skew {report.mean_skew_ms:.3f} ms, "
           f"max skew {report.max_skew_ms:.3f} ms, dropout {report.dropout_rate:.4f}, "
           f"effective {report.effective_hz:.2f} Hz")
@@ -249,13 +238,13 @@ def build_parser():
     p.add_argument("--lambda3", type=_WEIGHT, default=DEFAULT_LAMBDAS[2])
     p.add_argument("--k", type=_FINITE, default=DEFAULT_SIGMOID_K, help="coupling gate steepness")
     p.add_argument("--c", type=_FINITE, default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
-    p.add_argument("--baseline", type=float, default=None, metavar="ALPHA",
+    p.add_argument("--baseline", type=_POSITIVE, default=None, metavar="ALPHA",
                    help="also retarget with uniform scaling by ALPHA and compare")
-    p.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help=(
+    p.add_argument("--tolerance", type=_POSITIVE, default=DEFAULT_TOLERANCE, help=(
         "a frame converges once a step lowers the objective by at most TOLERANCE times "
         "its value or moves no joint by over 1e-13 rad, the gradient projected onto "
         "the joint box is zero, or no damped step lowers the objective"))
-    p.add_argument("--max-iterations", type=int, default=DEFAULT_MAX_ITERATIONS,
+    p.add_argument("--max-iterations", type=_COUNT, default=DEFAULT_MAX_ITERATIONS,
                    help="per-frame budget; a frame that uses it up is written converged 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retarget)
@@ -265,17 +254,15 @@ def build_parser():
     p.add_argument("--poses", default=None, help="poses file (required for manipulability)")
     p.add_argument("--metric", choices=["manipulability", "opposability", "all"],
                    default="all")
-    p.add_argument("--samples", type=_checked(int, lambda n: n >= 1, "an integer >= 1"),
-                   default=DEFAULT_SAMPLES)
-    p.add_argument("--voxel-mm", type=_checked(float, lambda v: 0.0 < v < np.inf,
-                                               "a finite number > 0"), default=DEFAULT_VOXEL_MM)
+    p.add_argument("--samples", type=_COUNT, default=DEFAULT_SAMPLES)
+    p.add_argument("--voxel-mm", type=_POSITIVE, default=DEFAULT_VOXEL_MM)
     p.add_argument("--seed", type=_SEED, default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("syncsim", help="simulate multi-sensor acquisition timing")
     p.add_argument("--config", required=True, help="stream config YAML")
-    p.add_argument("--duration", type=float, default=None, help="override config duration (s)")
+    p.add_argument("--duration", type=_POSITIVE, default=None, help="override config duration (s)")
     p.add_argument("--seed", type=_SEED, default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_syncsim)

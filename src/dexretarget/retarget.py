@@ -15,6 +15,7 @@ knuckle anchor, ascending to the tip.
 
 from __future__ import annotations
 
+import contextlib
 from collections import namedtuple
 from dataclasses import dataclass
 
@@ -220,7 +221,7 @@ class CouplingState:
     fingers: tuple[int, ...]
     delta: np.ndarray   # (m, 3) human tip minus thumb tip, raw landmarks
     d: np.ndarray       # (m,) normalized closeness in [0, 1]
-    omega: np.ndarray   # (m,) sigmoid gate in (0, 1)
+    omega: np.ndarray   # (m,) sigmoid gate in [0, 1]
 
 
 def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
@@ -278,8 +279,8 @@ class RetargetProblem:
         for i, j in self.pairs:
             self.model.keypoint(i, j)  # raises KeyError on a bad pair
         if self.coupling is not None and not np.all(
-                (self.coupling.omega > 0.0) & (self.coupling.omega < 1.0)):
-            raise RetargetConfigError("coupling weights must lie strictly inside (0, 1)")
+                (self.coupling.omega >= 0.0) & (self.coupling.omega <= 1.0)):
+            raise RetargetConfigError("coupling weights must lie in [0, 1]")
 
 
 def default_pairs(model):
@@ -348,48 +349,51 @@ _MU_MAX = 1e12       # damping at which a solve no step improves stops
 _DIAG_FLOOR = 1e-30  # keeps the damping positive on a joint nothing observes
 _STEP_FLOOR = 1e-13  # rad: an accepted step this small no longer moves q
 
-LMResult = namedtuple("LMResult", "x nit converged")
+LMResult = namedtuple("LMResult", "x e nit converged")
 
 
-def minimize(fun, x0, lower, upper, tolerance, max_iterations):
-    """Projected Levenberg-Marquardt on min |r(x)|^2 over lower <= x <= upper.
+def minimize(fun, weights, x0, lower, upper, tolerance, max_iterations):
+    """Projected Levenberg-Marquardt on min |weights * e(x)|^2 over lower <= x <= upper.
 
-    ``fun(x)`` returns r and its Jacobian J.  Each step solves (J^T J + mu
-    diag(J^T J)) s = -J^T r over the joints not held at a limit by the
-    gradient, is clipped into the box, and is kept only if |r|^2 falls.
-    Converged: a kept step lowered |r|^2 by <= tolerance * |r|^2 or moved
-    no joint over _STEP_FLOOR; the projected gradient is zero; or mu passed
-    _MU_MAX with no step lowering |r|^2."""
+    ``fun(x)`` returns the unweighted residual e and its Jacobian; r = weights
+    * e and J = weights * de/dx.  Each step solves (J^T J + mu diag(J^T J))
+    s = -J^T r over the joints not held at a limit by the gradient, is
+    clipped into the box, and is kept only if |r|^2 falls.  Converged: a
+    kept step lowered |r|^2 by <= tolerance * |r|^2 or moved no joint over
+    _STEP_FLOOR; the projected gradient is zero; or mu passed _MU_MAX with
+    no step lowering |r|^2.  The result carries the unweighted e at x."""
     x = np.clip(x0, lower, upper)
-    r, jac = fun(x)
+    e, jac = fun(x)
+    r, jac = weights * e, weights[:, None] * jac
     f = r @ r
     mu, nu = _MU_START, 2.0
     for nit in range(max_iterations):
         g = jac.T @ r
         free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
         if not np.any(g[free]):
-            return LMResult(x, nit, True)
+            return LMResult(x, e, nit, True)
         g, a = g[free], (jac.T @ jac)[np.ix_(free, free)]
         d = np.maximum(np.diag(a), _DIAG_FLOOR)
         while True:
             s = np.linalg.solve(a + np.diag(mu * d), -g)
             x_new = x.copy()
             x_new[free] = np.clip(x[free] + s, lower[free], upper[free])
-            r_new, jac_new = fun(x_new)
+            e_new, jac_new = fun(x_new)
+            r_new = weights * e_new
             f_new = r_new @ r_new
             if f_new < f:
                 break
             mu, nu = mu * nu, nu * 2.0
             if mu > _MU_MAX:
-                return LMResult(x, nit + 1, True)
+                return LMResult(x, e, nit + 1, True)
         # Nielsen's update from the gain ratio, actual over predicted decrease
         rho = (f - f_new) / (mu * (s * d) @ s - g @ s)
         mu, nu = mu * max(1.0 / 3.0, 1.0 - (2.0 * rho - 1.0) ** 3), 2.0
         done = f - f_new <= tolerance * f or np.max(np.abs(x_new - x)) <= _STEP_FLOOR
-        x, r, jac, f = x_new, r_new, jac_new, f_new
+        x, e, r, jac, f = x_new, e_new, r_new, weights[:, None] * jac_new, f_new
         if done:
-            return LMResult(x, nit + 1, True)
-    return LMResult(x, max_iterations, False)
+            return LMResult(x, e, nit + 1, True)
+    return LMResult(x, e, max_iterations, False)
 
 
 def solve_retarget(prob):
@@ -399,18 +403,10 @@ def solve_retarget(prob):
     returns the last iterate with ``converged=False`` when the budget runs
     out."""
     rows = _row_terms(prob)
-    w = np.sqrt(np.take(prob.lambdas, rows))
-    seen = {}  # unweighted residual of each point tried: the result's terms need no re-evaluation
-
-    def weighted(x):
-        e, jac = _residuals(x, prob)
-        seen[x.tobytes()] = e
-        return w * e, w[:, None] * jac
-
-    res = minimize(weighted, prob.q_prev, prob.model.lower_limits, prob.model.upper_limits,
+    res = minimize(lambda x: _residuals(x, prob), np.sqrt(np.take(prob.lambdas, rows)),
+                   prob.q_prev, prob.model.lower_limits, prob.model.upper_limits,
                    prob.tolerance, prob.max_iterations)
-    e = seen[res.x.tobytes()]
-    terms = np.bincount(rows, e * e, minlength=3)
+    terms = np.bincount(rows, res.e * res.e, minlength=3)
     return RetargetResult(res.x, float(np.dot(prob.lambdas, terms)), terms,
                           res.nit, res.converged)
 
@@ -450,52 +446,37 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     pairs = default_pairs(model) if pairs is None else pairs
     use_coupling = len(cal.coupling_fingers) > 0 and lambdas[1] > 0.0
     q_prev = np.clip(cal.q0, model.lower_limits, model.upper_limits)
-    last_seen = None   # per finger: landmark values from the newest valid samples
-    ages = None        # per finger: frames since each landmark was last valid
+    residuals = np.zeros(3)
+    # per finger: the newest valid value of each landmark, and the frames
+    # since it was valid; one never valid is rejected before its zero is read
+    last_seen = [np.zeros((c, 3)) for c in model.keypoint_counts()]
+    ages = [np.full(c, MAX_HOLD_FRAMES) for c in model.keypoint_counts()]
     steps = []
-    prev_residuals = np.zeros(3)
     for idx, frame in enumerate(frames):
         if frame.counts() != model.keypoint_counts():
             raise RetargetConfigError(f"frame {idx} layout {frame.counts()} does not match the model")
-        if last_seen is None:
-            # landmarks invalid since the start have no history to fill from
-            last_seen = [w.copy() for w in frame.w]
-            ages = [np.full(w.shape[0], MAX_HOLD_FRAMES, dtype=int) for w in frame.w]
-        filled = 0
-        usable = True
-        eff_w = []
-        for i, (w, v) in enumerate(zip(frame.w, frame.valid)):
+        for seen, age, w, v in zip(last_seen, ages, frame.w, frame.valid):
             v = v & np.isfinite(w).all(axis=1)  # a non-finite landmark counts as missing
-            ages[i] += 1
-            ages[i][v] = 0
-            last_seen[i][v] = w[v]
-            stale = ~v
-            if np.any(ages[i][stale] > MAX_HOLD_FRAMES):
-                usable = False
-            filled += int(stale.sum())
-            eff_w.append(np.where(stale[:, None], last_seen[i], w))
-        if not usable:
-            steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), prev_residuals.copy(),
-                                    converged=False, rejected=True, solver_failed=False,
-                                    filled=filled))
-            continue
-        eff = KeypointFrame(eff_w, timestamp=frame.timestamp)
-        v = (adjust_keypoints(eff, cal) if scaling_alpha is None
-             else baseline_uniform_scaling(eff, scaling_alpha))
-        targets = np.array([v[i][j] for i, j in pairs])
-        coupling = coupling_weights(eff, cal, sigmoid_k, sigmoid_c) if use_coupling else None
-        prob = RetargetProblem(model, pairs, targets, coupling, q_prev,
-                               lambdas=tuple(lambdas), tolerance=tolerance,
-                               max_iterations=max_iterations)
-        try:
-            result = solve_retarget(prob)
-        except np.linalg.LinAlgError:
-            steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), prev_residuals.copy(),
-                                    converged=False, rejected=False, solver_failed=True,
-                                    filled=filled))
-            continue
-        q_prev, prev_residuals = result.q, result.residuals
-        steps.append(StreamStep(idx, frame.timestamp, result.q, result.residuals,
-                                converged=result.converged, rejected=False,
-                                solver_failed=False, filled=filled))
+            age[:] = np.where(v, 0, age + 1)
+            seen[v] = w[v]
+        rejected = any(np.any(age > MAX_HOLD_FRAMES) for age in ages)
+        result = None
+        if not rejected:
+            eff = KeypointFrame(last_seen, timestamp=frame.timestamp)
+            v = (adjust_keypoints(eff, cal) if scaling_alpha is None
+                 else baseline_uniform_scaling(eff, scaling_alpha))
+            targets = np.array([v[i][j] for i, j in pairs])
+            coupling = coupling_weights(eff, cal, sigmoid_k, sigmoid_c) if use_coupling else None
+            prob = RetargetProblem(model, pairs, targets, coupling, q_prev,
+                                   lambdas=tuple(lambdas), tolerance=tolerance,
+                                   max_iterations=max_iterations)
+            with contextlib.suppress(np.linalg.LinAlgError):
+                result = solve_retarget(prob)
+        if result is not None:
+            q_prev, residuals = result.q, result.residuals
+        steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), residuals.copy(),
+                                converged=result is not None and result.converged,
+                                rejected=rejected,
+                                solver_failed=result is None and not rejected,
+                                filled=sum(np.count_nonzero(age) for age in ages)))
     return steps

@@ -203,6 +203,40 @@ def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, c
     assert needle in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, value", [
+    ("--baseline", "-1"), ("--baseline", "nan"), ("--baseline", "0"),
+    ("--tolerance", "0"), ("--tolerance", "nan"), ("--tolerance", "-1"),
+    ("--max-iterations", "0"),
+])
+def test_retarget_bad_solver_flag_exits_2_before_any_output(tmp_path, calibration, capsys,
+                                                              flag, value):
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, calibration)
+    out = tmp_path / "out"
+    code = main(["retarget", "--model", ROBOT, "--calibration", str(cal),
+                 "--input", str(DATA / "gestures" / "pinch.traj"), flag, value,
+                 "--out", str(out)])
+    assert code == EXIT_ERROR
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "retargeted" not in captured.out
+    assert not any(out.glob("*"))
+
+
+@pytest.mark.parametrize("k", ["80", "1000"])
+def test_retarget_steep_coupling_gate_runs(tmp_path, calibration, k):
+    # a gate this steep rounds omega to exactly 1.0 for a finger on the thumb
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, calibration)
+    out = tmp_path / "out"
+    assert main(["retarget", "--model", ROBOT, "--calibration", str(cal),
+                 "--input", str(DATA / "gestures" / "pinch.traj"), "--k", k,
+                 "--out", str(out)]) == EXIT_OK
+    t, qs, residuals, converged = read_joint_trajectory(out / "retargeted.traj", 20)
+    assert len(t) == 40 and np.all(converged)
+    assert np.all(np.isfinite(qs)) and np.all(np.isfinite(residuals))
+
+
 def test_retarget_baseline_comparison(tmp_path, planar, planar_cal):
     truth = [[0.2, 0.3], [0.3, 0.1], [0.4, -0.1]]
     clip = tmp_path / "clip.traj"
@@ -418,6 +452,31 @@ def test_reruns_are_byte_identical(tmp_path, planar, planar_cal):
             assert (dirs[0] / f).read_bytes() == (dirs[1] / f).read_bytes(), (name, f)
 
 
+def test_manifest_records_every_flag(tmp_path, planar, planar_cal):
+    clip = tmp_path / "clip.traj"
+    planar_capture(clip, planar, [[0.2, 0.3]])
+    arcs = tmp_path / "arcs.yaml"
+    arcs.write_text(ARC_PAIR)
+    config = tmp_path / "streams.yaml"
+    config.write_text(SYNC_YAML)
+    runs = {
+        "calibrate": ["--model", PLANAR, "--keypoints", str(clip)],
+        "retarget": ["--model", PLANAR, "--calibration", str(planar_cal), "--input", str(clip)],
+        "metrics": ["--model", str(arcs), "--metric", "opposability", "--samples", "2000"],
+        "syncsim": ["--config", str(config), "--duration", "1.0"],
+    }
+    parser = cli.build_parser()
+    commands = next(a for a in parser._actions if a.dest == "command").choices
+    assert set(commands) == set(runs)
+    for name, argv in runs.items():
+        out = tmp_path / name
+        assert main([name] + argv + ["--out", str(out)]) == EXIT_OK
+        manifest = read_manifest(out / "manifest.json")
+        flags = {a.dest for a in commands[name]._actions} - {"help", "out"}
+        assert not set(manifest["inputs"]) & set(manifest["options"])
+        assert set(manifest["inputs"]) | set(manifest["options"]) == flags, name
+
+
 _OPPOSE = ["metrics", "--model", ROBOT, "--metric", "opposability", "--samples", "2000"]
 _RETARGET = ["retarget", "--model", ROBOT, "--calibration", "unread.yaml", "--input", "unread.traj"]
 
@@ -434,13 +493,16 @@ _RETARGET = ["retarget", "--model", ROBOT, "--calibration", "unread.yaml", "--in
     (_OPPOSE + ["--voxel-mm", "1e-4"], "--voxel-mm"),
     (_OPPOSE + ["--seed", "-1"], "--seed"),
     (["syncsim", "--config", "unread.yaml", "--seed", "-1"], "--seed"),
+    (["syncsim", "--config", "unread.yaml", "--duration", "0"], "--duration"),
+    (["syncsim", "--config", "unread.yaml", "--duration", "nan"], "--duration"),
     (_RETARGET + ["--k", "nan"], "--k"),
     (_RETARGET + ["--c", "inf"], "--c"),
     (_RETARGET + ["--lambda1", "nan"], "--lambda1"),
     (_RETARGET + ["--lambda3", "-1"], "--lambda3"),
 ], ids=["rest_pose_text", "rest_pose_nan", "samples_0", "voxel_0", "voxel_negative",
-        "voxel_inf", "voxel_past_packing_range", "metrics_seed", "syncsim_seed", "k_nan",
-        "c_inf", "lambda1_nan", "lambda3_negative"])
+        "voxel_inf", "voxel_past_packing_range", "metrics_seed", "syncsim_seed",
+        "syncsim_duration_0", "syncsim_duration_nan", "k_nan", "c_inf", "lambda1_nan",
+        "lambda3_negative"])
 def test_bad_option_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_ERROR

@@ -26,7 +26,7 @@ from dexretarget.fileio import (
     write_manifest,
     write_report,
 )
-from dexretarget.retarget import KeypointFrame
+from dexretarget.retarget import CalibrationData, KeypointFrame
 from dexretarget.syncsim import (
     MISSING,
     STATUS_NAMES,
@@ -72,6 +72,52 @@ def test_keypoint_trajectory_roundtrip(tmp_path):
         for i in range(len(counts)):
             assert np.array_equal(a.w[i], b.w[i])
             assert np.array_equal(a.valid[i], b.valid[i])
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+
+
+def _arrays(draw, shape, elements=_FINITE):
+    return np.array(draw(st.lists(elements, min_size=int(np.prod(shape)),
+                                  max_size=int(np.prod(shape)))), dtype=float).reshape(shape)
+
+
+def _same_bits(a, b):
+    """Equal arrays, bit for bit apart from the payload of a NaN."""
+    nan = np.isnan(a)
+    return np.array_equal(nan, np.isnan(b)) and a[~nan].tobytes() == b[~nan].tobytes()
+
+
+@st.composite
+def keypoint_clips(draw):
+    """1-5 frames of 1-4 fingers with 1-5 landmarks each, one shared wrist
+    landmark and flag per frame, any coordinate including NaN and inf."""
+    counts = tuple(draw(st.lists(st.integers(1, 5), min_size=1, max_size=4)))
+    frames = []
+    for _ in range(draw(st.integers(1, 5))):
+        wrist, wrist_ok = _arrays(draw, (3,), st.floats()), draw(st.booleans())
+        w, valid = [], []
+        for c in counts:
+            pts = _arrays(draw, (c, 3), st.floats())
+            pts[0] = wrist
+            w.append(pts)
+            valid.append([wrist_ok] + draw(st.lists(st.booleans(), min_size=c - 1,
+                                                    max_size=c - 1)))
+        frames.append(KeypointFrame(w, valid, timestamp=draw(_FINITE)))
+    return frames
+
+
+@settings(max_examples=40, deadline=None)
+@given(keypoint_clips())
+def test_keypoint_trajectory_round_trip_property(tmp_path_factory, frames):
+    path = tmp_path_factory.mktemp("clip") / "clip.traj"
+    write_keypoint_trajectory(path, frames)
+    back = read_keypoint_trajectory(path)
+    assert len(back) == len(frames)
+    for a, b in zip(frames, back):
+        assert b.timestamp == a.timestamp and b.counts() == a.counts()
+        assert all(_same_bits(wa, wb) for wa, wb in zip(a.w, b.w))
+        assert all(np.array_equal(va, vb) for va, vb in zip(a.valid, b.valid))
 
 
 def test_keypoint_rewrite_is_byte_identical(tmp_path):
@@ -150,6 +196,36 @@ def test_calibration_roundtrip(tmp_path, calibration):
     assert back.coupling_fingers == calibration.coupling_fingers
     for wa, wb in zip(calibration.w_star.w, back.w_star.w):
         assert np.array_equal(wa, wb)
+
+
+@st.composite
+def calibrations(draw):
+    """Any calibration the writer can be handed: 1-5 fingers of 1-4 segments."""
+    segments = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
+    fingers = len(segments)
+    coupled = tuple(sorted(draw(st.sets(st.integers(0, fingers - 1)))))
+    return CalibrationData(
+        r=tuple(_arrays(draw, (n,), st.floats(1e-300, 1e300)) for n in segments),
+        u=_arrays(draw, (fingers, 3)),
+        w_star=KeypointFrame([_arrays(draw, (n + 1, 3)) for n in segments]),
+        q0=_arrays(draw, (draw(st.integers(1, 20)),)),
+        d_min={i: draw(_FINITE) for i in coupled},
+        d_max={i: draw(_FINITE) for i in coupled},
+        coupling_fingers=coupled)
+
+
+@settings(max_examples=40, deadline=None)
+@given(calibrations())
+def test_calibration_round_trip_property(tmp_path_factory, cal):
+    path = tmp_path_factory.mktemp("cal") / "cal.yaml"
+    write_calibration(path, cal)
+    back = read_calibration(path)
+    assert [r.tobytes() for r in back.r] == [r.tobytes() for r in cal.r]
+    assert back.u.tobytes() == cal.u.tobytes()
+    assert back.q0.tobytes() == cal.q0.tobytes()
+    assert [w.tobytes() for w in back.w_star.w] == [w.tobytes() for w in cal.w_star.w]
+    assert (back.d_min, back.d_max) == (cal.d_min, cal.d_max)
+    assert back.coupling_fingers == cal.coupling_fingers
 
 
 def test_calibration_read_errors(tmp_path):

@@ -291,6 +291,10 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
     ({"lambdas": (np.nan, 1.0, 1.0)}, "lambdas"), ({"lambdas": (1.0, np.inf, 1.0)}, "lambdas"),
     ({"lambdas": (1.0, 1.0, -1.0)}, "lambdas"), ({"tolerance": np.nan}, "tolerance"),
     ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, np.nan))},
+     "coupling weights"),
+    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, -0.1))},
+     "coupling weights"),
+    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, 1.5))},
      "coupling weights")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
     rng = np.random.default_rng(8)
@@ -561,6 +565,41 @@ def test_stream_rejects_never_valid_landmark(robot, calibration, gesture_frames)
     steps = retarget_stream(robot, calibration, frames)
     assert steps[0].rejected
     assert not steps[1].rejected
+
+
+_LANDMARK = st.sampled_from(["ok", "flagged", "nan"])
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.lists(_LANDMARK, min_size=3, max_size=3), min_size=1, max_size=9))
+def test_stream_hold_fill_law(planar, pattern):
+    # A frame is rejected iff some landmark is missing (flagged invalid or
+    # non-finite) and has been so for over MAX_HOLD_FRAMES consecutive frames
+    # or since the first frame; ``filled`` counts the landmarks missing in it.
+    cal = calibrate(planar, planar.rest_pose, identity_frame(planar))
+    frames = []
+    for k, states in enumerate(pattern):
+        frame = identity_frame(planar, np.array([0.1, 0.2]) + 0.05 * k)
+        for j, state in enumerate(states):
+            frame.valid[0][j] = state != "flagged"
+            frame.w[0][j, k % 3] = {"ok": frame.w[0][j, k % 3], "flagged": 99.0,
+                                    "nan": np.nan}[state]
+        frames.append(frame)
+    steps = retarget_stream(planar, cal, frames)
+    runs = np.zeros(3, dtype=int)  # consecutive frames each landmark has been missing
+    held = np.array([0.0, 0.0])
+    for k, (states, step) in enumerate(zip(pattern, steps)):
+        missing = np.array([s != "ok" for s in states])
+        runs = np.where(missing, runs + 1, 0)
+        rejected = bool(np.any(missing & ((runs > retarget.MAX_HOLD_FRAMES) | (runs == k + 1))))
+        assert step.rejected == rejected
+        assert step.filled == missing.sum()
+        assert np.all(np.isfinite(step.q)) and np.all(np.isfinite(step.residuals))
+        if rejected:
+            assert not step.converged and not step.solver_failed
+            assert np.array_equal(step.q, np.clip(cal.q0, planar.lower_limits,
+                                                  planar.upper_limits) if k == 0 else held)
+        held = step.q
 
 
 def test_stream_layout_mismatch_raises(robot, calibration):

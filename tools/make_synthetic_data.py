@@ -5,20 +5,24 @@ Poses a small human-proportioned hand model and records its keypoints as
 trajectory files: one flat calibration capture plus four gesture clips.
 Seeded and deterministic on one set of library versions.  The calibration
 capture and the fist, spread and point clips come out byte for byte as
-shipped.  The pinch clip is tuned with SLSQP and finite-difference
-gradients, so the last digits of ``pinch.traj`` depend on the numpy and
-scipy versions.
+shipped.  The pinch clip is tuned with the package's own least-squares
+solver, ``retarget.minimize``.  The shipped ``pinch.traj`` was tuned with
+scipy's SLSQP instead; the two poses agree to within 1e-6 rad, so
+regenerating it changes only the last digits.
+
+Writes into the ``src/dexretarget/data`` of the checkout it sits in:
+
+    PYTHONPATH=src python tools/make_synthetic_data.py
 """
 
 import pathlib
 
 import numpy as np
-from scipy.optimize import minimize
 
 from dexretarget.fileio import write_keypoint_trajectory
 from dexretarget.hand_model import load_hand_model_file
-from dexretarget.kinematics import forward_kinematics
-from dexretarget.retarget import KeypointFrame
+from dexretarget.kinematics import forward_kinematics, jacobian
+from dexretarget.retarget import KeypointFrame, minimize
 
 DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "dexretarget" / "data"
 RATE = 25.0
@@ -60,23 +64,23 @@ def gesture_clip(model, q_target):
 def tune_pinch(model, q_guess):
     """Close the thumb-index tip gap while staying near the guess pose."""
     free = np.arange(8)  # thumb + index joints
+    thumb, index = (0, 4), (1, 4)
 
-    def gap(q):
-        fk = forward_kinematics(model, q)
-        return fk[(0, 4)] - fk[(1, 4)]
-
-    def fun(x):
+    def residuals(x):
         q = q_guess.copy()
         q[free] = x
-        # gap is metres, pose deviation radians: weight the gap hard
-        return float(1e4 * np.dot(gap(q), gap(q)) + 0.05 * np.dot(x - q_guess[free], x - q_guess[free]))
+        fk = forward_kinematics(model, q)
+        gap_jac = jacobian(model, q, thumb)[:3, free] - jacobian(model, q, index)[:3, free]
+        return (np.concatenate([fk[thumb] - fk[index], x - q_guess[free]]),
+                np.vstack([gap_jac, np.eye(free.size)]))
 
-    bounds = list(zip(model.lower_limits[free], model.upper_limits[free]))
-    res = minimize(fun, q_guess[free], method="SLSQP", bounds=bounds,
-                   options={"maxiter": 200, "ftol": 1e-14})
+    # gap is metres, pose deviation radians: weight the gap hard
+    weights = np.concatenate([np.full(3, 100.0), np.full(free.size, np.sqrt(0.05))])
+    res = minimize(residuals, weights, q_guess[free], model.lower_limits[free],
+                   model.upper_limits[free], tolerance=1e-14, max_iterations=200)
     q = q_guess.copy()
     q[free] = res.x
-    print(f"pinch gap: {np.linalg.norm(gap(q)) * 1000:.3f} mm")
+    print(f"pinch gap: {np.linalg.norm(res.e[:3]) * 1000:.3f} mm after {res.nit} iterations")
     return q
 
 
