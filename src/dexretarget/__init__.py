@@ -6,7 +6,7 @@ __version__ = "0.1.0"
 from .hand_model import HandModel, ModelError, load_hand_model, load_hand_model_file
 from .kinematics import (TouchPointCloud, forward_kinematics, jacobian, joint_to_motor,
                          motor_to_joint, taxel_point_cloud)
-from .metrics import manipulability_volume, opposability_volume
+from .metrics import manipulability_volume, opposability_volume, opposability_volumes
 from .retarget import (CalibrationData, CouplingState, KeypointFrame, RetargetProblem,
                        RetargetResult, StreamStep, adjust_keypoints,
                        baseline_uniform_scaling, calibrate, coupling_weights,
@@ -21,7 +21,7 @@ __all__ = [
     "HandModel", "ModelError", "load_hand_model", "load_hand_model_file",
     "TouchPointCloud", "forward_kinematics", "jacobian", "joint_to_motor",
     "motor_to_joint", "taxel_point_cloud",
-    "manipulability_volume", "opposability_volume",
+    "manipulability_volume", "opposability_volume", "opposability_volumes",
     "CalibrationData", "CouplingState", "KeypointFrame", "RetargetProblem",
     "RetargetResult", "StreamStep", "adjust_keypoints", "baseline_uniform_scaling",
     "calibrate", "coupling_weights", "default_pairs", "objective",

@@ -27,7 +27,7 @@ from .fileio import (FileFormatError, read_keypoint_trajectory, read_poses,
                      write_joint_trajectory, write_manifest, write_report)
 from .hand_model import ModelError, load_hand_model_file
 from .metrics import (DEFAULT_SAMPLES, DEFAULT_VOXEL_MM, VoxelRangeError,
-                      manipulability_volume, opposability_volume)
+                      manipulability_volume, opposability_volumes)
 from .retarget import (DEFAULT_LAMBDAS, DEFAULT_MAX_ITERATIONS, DEFAULT_SIGMOID_C,
                        DEFAULT_SIGMOID_K, DEFAULT_TOLERANCE, CalibrationError,
                        RetargetConfigError, calibrate, retarget_stream)
@@ -166,19 +166,16 @@ def cmd_metrics(args):
         lines.append(f"# finger-to-thumb opposability volume (mm^3), "
                      f"samples={args.samples} voxel_mm={args.voxel_mm!r} seed={args.seed}")
         lines.append("finger volume")
-        thumb = model.fingers[0]
-        for i, f in enumerate(model.fingers):
-            if i == 0:
-                continue
+        thumb, *tips = [(i, f.tip_index) for i, f in enumerate(model.fingers)]
+        if not tips:
+            lines.append("# model has a single chain; nothing to oppose")
+        else:
             try:
-                vol = opposability_volume(model, (0, thumb.tip_index), (i, f.tip_index),
-                                          samples=args.samples, voxel_mm=args.voxel_mm,
-                                          seed=args.seed)
+                volumes = opposability_volumes(model, thumb, tips, samples=args.samples,
+                                               voxel_mm=args.voxel_mm, seed=args.seed)
             except VoxelRangeError as e:
                 raise argparse.ArgumentTypeError(f"--voxel-mm {args.voxel_mm!r} is too small: {e}")
-            lines.append(f"{f.name} {vol!r}")
-        if len(model.fingers) < 2:
-            lines.append("# model has a single chain; nothing to oppose")
+            lines += [f"{model.fingers[i].name} {vol!r}" for (i, _), vol in zip(tips, volumes)]
     with open(out / "metrics.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_manifest(out, args, ["metrics.txt"])

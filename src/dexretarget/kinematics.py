@@ -31,8 +31,19 @@ def _coerce_q(model, q):
 
 
 def _apply(m, v):
-    """Matrices ``m`` (..., 3, 3) times vectors ``v`` (..., 3)."""
+    """Matrices ``m`` (..., 3, 3) times vectors ``v``: one (..., 3) vector
+    each, or one (3,) vector shared by all, applied as one flat product."""
+    if v.ndim == 1:  # a stacked product would make one BLAS call per matrix
+        return (m.reshape(-1, 3) @ v).reshape(m.shape[:-1])
     return (m @ v[..., None])[..., 0]
+
+
+def _compose(r, m):
+    """Rotations ``r`` (..., 3, 3) times ``m``: one (..., 3, 3) matrix each,
+    or one (3, 3) matrix shared by all, applied as one flat product."""
+    if m.ndim == 2:
+        return (r.reshape(-1, 3) @ m).reshape(r.shape)
+    return r @ m
 
 
 def _chain_state(model, finger, q, depth=None):
@@ -58,7 +69,7 @@ def _chain_state(model, finger, q, depth=None):
     rots, trans, frames = [r], [t], []
     for k in range(q.shape[-1] if depth is None else depth):
         t = t + _apply(r, c.translation[finger, k])
-        r = r @ c.rotation[finger, k]
+        r = _compose(r, c.rotation[finger, k])
         frames.append(r)
         # Rodrigues: I + sin K + (1 - cos) K K.  Every step here is the same
         # elementwise or per-matrix product for one chain, a batch of one
@@ -72,21 +83,27 @@ def _chain_state(model, finger, q, depth=None):
     return rots, trans, frames
 
 
-# keypoints placed on a whole-hand walk: (n, 3) positions, the (D, n, 3)
-# world axes and origins of the joints of each one's finger, (n,) links
-# and (n, D) q columns of those joints (total_dof for padding)
+# keypoints placed on a walk: (n, 3) positions, the (D, n, 3) world axes
+# and origins of the D walked joints of each one's finger, (n,) links and
+# (n, D) q columns of those joints (total_dof for padding)
 KeypointGather = namedtuple("KeypointGather", "points axes origins links columns")
 
 
-def _gather(model, state, keys):
-    """Place the (finger, keypoint) pairs ``keys`` on the whole-hand walk ``state``."""
+def _gather(model, state, keys, finger=None):
+    """Place the (finger, keypoint) pairs ``keys`` on the walk ``state``: of
+    the whole hand, or, given ``finger``, of that finger alone, which every
+    key is then on."""
     c = model.chains
     fingers, index = np.asarray(keys, dtype=int).T
     rots, trans, frames = map(np.stack, state)
+    axis, on = c.axis.swapaxes(0, 1), fingers  # on: each key's finger in the walk
+    if finger is not None:  # give the walk the hand's finger dimension
+        rots, trans, frames = rots[:, None], trans[:, None], frames[:, None]
+        axis, on = c.axis[finger, :len(frames), None], np.zeros_like(fingers)
     links = c.link[fingers, index]
-    points = trans[links, fingers] + _apply(rots[links, fingers], c.offset[fingers, index])
-    axes = _apply(frames, c.axis.swapaxes(0, 1))[:, fingers]
-    return KeypointGather(points, axes, trans[1:, fingers], links, c.q_index[fingers])
+    points = trans[links, on] + _apply(rots[links, on], c.offset[fingers, index])
+    axes = _apply(frames, axis)[:, on]
+    return KeypointGather(points, axes, trans[1:, on], links, c.q_index[fingers, :len(frames)])
 
 
 def linear_jacobian_block(at, n_dof):
@@ -128,8 +145,10 @@ def jacobian(model, q, frame):
         rad/s), rows 3:6 to angular velocity (rad/s per rad/s).  Columns of
         joints not on the frame's chain are zero.
     """
+    i = frame[0]
     link = model.keypoint(*frame).link
-    at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), [frame])
+    q = _coerce_q(model, q)[model.finger_slice(i)]
+    at = _gather(model, _chain_state(model, i, q), [frame], finger=i)
     jac = np.zeros((6, model.total_dof))
     jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
     jac[3:, at.columns[0, :link]] = at.axes[:link, 0].T
@@ -239,6 +258,6 @@ def batch_keypoint_positions(model, frame, q_batch):
     for start in range(0, q_batch.shape[0], _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
         rots, trans = _chain_state(model, i, q_batch[rows], kp.link)[:2]
-        out[rows] = trans[-1] + rots[-1] @ kp.offset
+        out[rows] = trans[-1] + _apply(rots[-1], kp.offset)
         del rots, trans  # the next walk then reuses this one's memory, still in cache
     return out

@@ -98,6 +98,13 @@ def opposability_volume(model, thumb_frame, finger_frame, samples=DEFAULT_SAMPLE
     Returns:
         (shared voxel count) * voxel_mm^3.
     """
+    return opposability_volumes(model, thumb_frame, [finger_frame], samples, voxel_mm, seed)[0]
+
+
+def opposability_volumes(model, thumb_frame, finger_frames, samples=DEFAULT_SAMPLES,
+                         voxel_mm=DEFAULT_VOXEL_MM, seed=0):
+    """:func:`opposability_volume` of the thumb frame against each of
+    ``finger_frames``, sampling the thumb's workspace once."""
     if samples < 1:
         raise ValueError("samples must be >= 1")
     if voxel_mm <= 0.0:
@@ -105,9 +112,11 @@ def opposability_volume(model, thumb_frame, finger_frame, samples=DEFAULT_SAMPLE
     voxel = voxel_mm * 1e-3
     # substreams keyed by finger index: sampling a chain against itself
     # reuses the same draws, so self-intersection is exactly its workspace
-    vox_a = _workspace_voxels(model, thumb_frame, samples, voxel, seed,
-                              chain_tag=thumb_frame[0])
-    vox_b = _workspace_voxels(model, finger_frame, samples, voxel, seed,
-                              chain_tag=finger_frame[0])
-    shared = np.intersect1d(vox_a, vox_b, assume_unique=True)
-    return float(shared.size) * voxel_mm ** 3
+    thumb = _workspace_voxels(model, thumb_frame, samples, voxel, seed, chain_tag=thumb_frame[0])
+    volumes = []
+    for frame in finger_frames:
+        other = thumb if tuple(frame) == tuple(thumb_frame) else \
+            _workspace_voxels(model, frame, samples, voxel, seed, chain_tag=frame[0])
+        shared = np.intersect1d(thumb, other, assume_unique=True)
+        volumes.append(float(shared.size) * voxel_mm ** 3)
+    return volumes

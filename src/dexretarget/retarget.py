@@ -240,7 +240,8 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
         delta[m] = frame.w[i][-1] - frame.w[0][-1]
         dist = np.linalg.norm(delta[m])
         d[m] = min(max(1.0 - (dist - lo) / (hi - lo), 0.0), 1.0)
-    omega = 1.0 / (1.0 + np.exp(-k * (d - c)))  # sigmoid gate
+    with np.errstate(over="ignore"):  # a steep gate sends exp to inf, and omega to 0
+        omega = 1.0 / (1.0 + np.exp(-k * (d - c)))  # sigmoid gate
     return CouplingState(tuple(fingers), delta, d, omega)
 
 

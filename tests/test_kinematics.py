@@ -7,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexretarget.hand_model import load_hand_model
-from dexretarget.kinematics import (batch_keypoint_positions, forward_kinematics,
-                                    jacobian, joint_to_motor, motor_to_joint,
-                                    taxel_point_cloud)
+from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather,
+                                    batch_keypoint_positions, forward_kinematics,
+                                    jacobian, joint_to_motor, linear_jacobian_block,
+                                    motor_to_joint, taxel_point_cloud)
 from dexretarget.retarget import CouplingState, RetargetProblem, objective, objective_gradient
 
 from conftest import RIGID_PAIR, TOY_3DOF
@@ -88,6 +89,26 @@ def test_fk_batch_matches_scalar(robot):
                                    atol=1e-12)
 
 
+def test_batch_rows_bit_equal_fk_across_slices(robot):
+    # three row slices: the first and last rows of each, and the flat
+    # fixed-offset products at full slice width, against the hand's FK
+    rng = np.random.default_rng(6)
+    n = 2 * _BATCH_ROWS + 3
+    rows = [0, _BATCH_ROWS - 1, _BATCH_ROWS, 2 * _BATCH_ROWS - 1, 2 * _BATCH_ROWS, n - 1]
+    for i in (0, 2):
+        sl = robot.finger_slice(i)
+        qb = rng.uniform(robot.lower_limits[sl], robot.upper_limits[sl], size=(n, sl.stop - sl.start))
+        fk = []
+        for row in rows:
+            q = robot.rest_pose.copy()
+            q[sl] = qb[row]
+            fk.append(forward_kinematics(robot, q))
+        for kp in robot.fingers[i].keypoints:
+            pts = batch_keypoint_positions(robot, (i, kp.index), qb)
+            for row, at in zip(rows, fk):
+                assert pts[row].tobytes() == at[(i, kp.index)].tobytes()
+
+
 # --- Jacobians ---------------------------------------------------------------
 
 def test_planar_jacobian_column_norms(planar):
@@ -103,6 +124,17 @@ def test_jacobian_off_chain_columns_zero(robot):
     mask = np.ones(robot.total_dof, dtype=bool)
     mask[sl] = False
     assert np.all(jac[:, mask] == 0.0)
+
+
+def test_jacobian_bit_equal_whole_hand_block(robot):
+    # jacobian walks one finger; the retargeting residual walks the hand
+    rng = np.random.default_rng(7)
+    for _ in range(5):
+        q = random_q(robot, rng)
+        state = _chain_state(robot, None, q)
+        for frame in robot.keypoint_ids():
+            block = linear_jacobian_block(_gather(robot, state, [frame]), robot.total_dof)
+            assert jacobian(robot, q, frame)[:3].tobytes() == block[0].tobytes()
 
 
 @pytest.mark.parametrize("seed", range(5))

@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from dexretarget import metrics
 from dexretarget.hand_model import load_hand_model
 from dexretarget.metrics import (
     DEFAULT_VOXEL_MM,
     manipulability_volume,
     opposability_volume,
+    opposability_volumes,
 )
 
 from conftest import ANNULI_PAIR, ARC_PAIR, DISJOINT_PAIR, TOY_3DOF_X2
@@ -164,6 +166,20 @@ def test_opposability_thumb_profile(robot):
     v_index = opposability_volume(robot, (0, 4), (1, 4), samples=60_000, seed=0)
     v_pinky = opposability_volume(robot, (0, 4), (4, 4), samples=60_000, seed=0)
     assert v_index > v_pinky > 0.0
+
+
+def test_opposability_volumes_sample_each_chain_once(robot, monkeypatch):
+    tips = [(i, f.tip_index) for i, f in enumerate(robot.fingers)]
+    one_by_one = [opposability_volume(robot, tips[0], tip, samples=20_000, seed=4) for tip in tips]
+    sampled, walk = [], metrics._workspace_voxels
+
+    def counted(model, frame, *rest, **kw):
+        sampled.append(frame)
+        return walk(model, frame, *rest, **kw)
+
+    monkeypatch.setattr(metrics, "_workspace_voxels", counted)
+    assert opposability_volumes(robot, tips[0], tips, samples=20_000, seed=4) == one_by_one
+    assert sampled == tips  # the thumb once, against itself as well
 
 
 def test_opposability_validation(robot):

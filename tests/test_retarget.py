@@ -1,5 +1,7 @@
 """Calibration, conformal adjustment, coupling, objective, solver, stream."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -260,6 +262,17 @@ def test_omega_strictly_decreasing_in_gap(calibration):
     inside = gaps < calibration.d_max[1]  # strictly monotone until the clamp
     assert np.all(np.diff(omegas[inside]) < 0.0)
     assert np.all(np.diff(omegas) <= 0.0)
+
+
+def test_steep_gate_is_a_step_without_warnings(calibration, gesture_frames):
+    # exp(-k (d - c)) overflows to inf below the midpoint, which gives omega = 0
+    frames = gesture_frames["pinch"]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        states = [coupling_weights(f, calibration, k=1e6) for f in frames]
+    assert np.all(states[20].omega == 0.0)
+    for state in states:
+        assert np.all(state.omega == np.where(state.d > 0.5, 1.0, 0.0))
 
 
 def test_bad_distance_bounds_rejected(calibration):
