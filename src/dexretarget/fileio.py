@@ -25,12 +25,9 @@ class FileFormatError(Exception):
     """A data file does not match its expected format."""
 
 
-def _fmt(x):
-    return F % float(x)
-
-
-def _fmt_row(values):
-    return " ".join(_fmt(v) for v in values)
+def _row(values):
+    """``values`` as space-separated %.17g fields; a flag writes as 0 or 1."""
+    return " ".join([F % v for v in values])
 
 
 def _floats(fields, path, ln):
@@ -38,6 +35,29 @@ def _floats(fields, path, ln):
         return [float(x) for x in fields]
     except ValueError as e:
         raise FileFormatError(f"{path}:{ln}: {e}") from None
+
+
+def _records(path, n_fields, expected):
+    """``(line number, fields)`` for each data line of ``path``.  Blank lines
+    and lines whose first non-blank character is ``#`` are skipped; any other
+    line must split into exactly ``n_fields`` fields, or the error names
+    ``path:line`` and the ``expected`` layout."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            fields = line.split()
+            if not fields or fields[0].startswith("#"):
+                continue
+            if len(fields) != n_fields:
+                raise FileFormatError(f"{path}:{ln}: expected {expected}, got {len(fields)}")
+            yield ln, fields
+
+
+def _yaml(path):
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return yaml.safe_load(fh)
+        except yaml.YAMLError as e:
+            raise FileFormatError(f"{path}: invalid YAML: {e}") from None
 
 
 # --- keypoint trajectories -------------------------------------------------
@@ -51,6 +71,9 @@ def write_keypoint_trajectory(path, frames):
     if not frames:
         raise FileFormatError("refusing to write an empty keypoint trajectory")
     counts = frames[0].counts()
+    # row of each landmark in the frame's fingers stacked end to end
+    starts = np.cumsum((0,) + counts[:-1])
+    rows = [0] + [s + j for s, c in zip(starts, counts) for j in range(1, c)]
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# keypoint trajectory v1\n")
         fh.write(f"# fingers {len(counts)} keypoints {' '.join(str(c) for c in counts)}\n")
@@ -59,63 +82,54 @@ def write_keypoint_trajectory(path, frames):
             if frame.counts() != counts:
                 raise FileFormatError("all frames in one trajectory must share a layout")
             t = 0.0 if frame.timestamp is None else frame.timestamp
-            fields = [_fmt(t)]
-            fields += [_fmt_row(frame.w[0][0]), "1" if frame.valid[0][0] else "0"]
-            for i in range(len(counts)):
-                for j in range(1, counts[i]):
-                    fields += [_fmt_row(frame.w[i][j]), "1" if frame.valid[i][j] else "0"]
-            fh.write(" ".join(fields) + "\n")
+            landmarks = np.column_stack((np.concatenate(frame.w)[rows],
+                                         np.concatenate(frame.valid)[rows]))
+            fh.write(_row([t] + landmarks.ravel().tolist()) + "\n")
+
+
+def _layout(path):
+    """Keypoint counts per finger from the ``# fingers`` header line."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for ln, line in enumerate(fh, start=1):
+            if line.startswith("# fingers"):
+                parts = line.split()
+                try:
+                    n_fingers, counts = int(parts[2]), tuple(int(x) for x in parts[4:])
+                except (IndexError, ValueError):
+                    n_fingers, counts = -1, ()
+                if n_fingers != len(counts) or not counts or min(counts) < 1:
+                    raise FileFormatError(f"{path}:{ln}: malformed layout header")
+                return counts
+    raise FileFormatError(f"{path}: missing layout header")
 
 
 def read_keypoint_trajectory(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.readlines()
-    counts = None
-    for ln, line in enumerate(lines, start=1):
-        if line.startswith("# fingers"):
-            parts = line.split()
-            try:
-                n_fingers, counts = int(parts[2]), tuple(int(x) for x in parts[4:])
-            except (IndexError, ValueError):
-                n_fingers, counts = -1, ()
-            if n_fingers != len(counts) or not counts or min(counts) < 1:
-                raise FileFormatError(f"{path}:{ln}: malformed layout header")
-            break
-    if counts is None:
-        raise FileFormatError(f"{path}: missing layout header")
+    counts = _layout(path)
     n_landmarks = 1 + sum(c - 1 for c in counts)
-    frames = []
-    for ln, line in enumerate(lines, start=1):
-        line = line.strip()
-        if not line or line.startswith("#"):
-            continue
-        fields = line.split()
-        if len(fields) != 1 + 4 * n_landmarks:
-            raise FileFormatError(f"{path}:{ln}: expected {1 + 4 * n_landmarks} fields, "
-                                  f"got {len(fields)}")
+    n_fields = 1 + 4 * n_landmarks
+    records = []
+    for ln, fields in _records(path, n_fields, f"{n_fields} fields"):
         vals = _floats(fields, path, ln)
-        t = vals[0]
-        if not np.isfinite(t):
-            raise FileFormatError(f"{path}:{ln}: timestamp {t!r} is not finite")
+        if not np.isfinite(vals[0]):
+            raise FileFormatError(f"{path}:{ln}: timestamp {vals[0]!r} is not finite")
         bad = [v for v in vals[4::4] if v not in (0.0, 1.0)]
         if bad:
             raise FileFormatError(f"{path}:{ln}: validity flag {bad[0]!r} is not 0 or 1")
-        w = [np.zeros((c, 3)) for c in counts]
-        valid = [np.zeros(c, dtype=bool) for c in counts]
-        wrist = np.array(vals[1:4])
-        wrist_ok = vals[4] != 0.0
-        cursor = 5
-        for i, c in enumerate(counts):
-            w[i][0] = wrist
-            valid[i][0] = wrist_ok
-            for j in range(1, c):
-                w[i][j] = vals[cursor:cursor + 3]
-                valid[i][j] = vals[cursor + 3] != 0.0
-                cursor += 4
-        frames.append(KeypointFrame(w, valid, timestamp=t))
-    if not frames:
+        records.append(vals)
+    if not records:
         raise FileFormatError(f"{path}: no data records")
-    return frames
+    # each finger's landmarks for the whole file at once: the wrist, then its
+    # own j = 1..c-1, which follow the previous fingers' in the record
+    records = np.array(records)
+    landmarks = records[:, 1:].reshape(len(records), n_landmarks, 4)
+    per_finger, first = [], 1
+    for c in counts:
+        per_finger.append(landmarks[:, [0, *range(first, first + c - 1)]])
+        first += c - 1
+    w = [p[..., :3] for p in per_finger]
+    valid = [p[..., 3] != 0.0 for p in per_finger]
+    return [KeypointFrame([p[k] for p in w], [v[k] for v in valid], timestamp=t)
+            for k, t in enumerate(records[:, 0].tolist())]
 
 
 def read_static_keypoints(path):
@@ -140,11 +154,7 @@ def write_calibration(path, cal):
 
 
 def read_calibration(path):
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise FileFormatError(f"{path}: invalid YAML: {e}") from None
+    doc = _yaml(path)
     try:
         w_star = KeypointFrame([np.array(w, dtype=float) for w in doc["w_star"]])
         return CalibrationData(
@@ -171,49 +181,33 @@ def write_joint_trajectory(path, steps, dof):
         fh.write(f"# columns: t q[{dof}] align couple smooth converged\n")
         for step in steps:
             t = 0.0 if step.timestamp is None else step.timestamp
-            row = [_fmt(t), _fmt_row(step.q), _fmt_row(step.residuals),
-                   "1" if step.converged else "0"]
-            fh.write(" ".join(row) + "\n")
+            fh.write(_row([t, *step.q, *step.residuals, step.converged]) + "\n")
 
 
 def read_joint_trajectory(path, dof):
-    t, qs, residuals, converged = [], [], [], []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            vals = line.split()
-            if len(vals) != dof + 5:
-                raise FileFormatError(f"{path}:{ln}: expected {dof + 5} fields, got {len(vals)}")
-            nums = _floats(vals[:4 + dof], path, ln)
-            if not np.isfinite(nums[0]):
-                raise FileFormatError(f"{path}:{ln}: timestamp {nums[0]!r} is not finite")
-            t.append(nums[0])
-            qs.append(nums[1:1 + dof])
-            residuals.append(nums[1 + dof:])
-            converged.append(vals[4 + dof] != "0")
-    if not t:
+    records = []
+    for ln, fields in _records(path, dof + 5, f"{dof + 5} fields"):
+        vals = _floats(fields, path, ln)
+        if not np.isfinite(vals[0]):
+            raise FileFormatError(f"{path}:{ln}: timestamp {vals[0]!r} is not finite")
+        if vals[-1] not in (0.0, 1.0):
+            raise FileFormatError(f"{path}:{ln}: converged flag {vals[-1]!r} is not 0 or 1")
+        records.append(vals)
+    if not records:
         raise FileFormatError(f"{path}: no data records")
-    return (np.array(t), np.array(qs), np.array(residuals), np.array(converged, dtype=bool))
+    a = np.array(records)
+    return a[:, 0], a[:, 1:1 + dof], a[:, 1 + dof:4 + dof], a[:, -1] == 1.0
 
 
 def read_poses(path, dof):
     """Named joint poses, one ``name q0 .. q{n-1}`` line each."""
     poses = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for ln, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            if len(parts) != dof + 1:
-                raise FileFormatError(f"{path}:{ln}: expected name plus {dof} angles")
-            q = _floats(parts[1:], path, ln)
-            bad = [x for x in q if not np.isfinite(x)]
-            if bad:
-                raise FileFormatError(f"{path}:{ln}: angle {bad[0]!r} is not finite")
-            poses.append((parts[0], np.array(q)))
+    for ln, fields in _records(path, dof + 1, f"name plus {dof} angles in {dof + 1} fields"):
+        q = _floats(fields[1:], path, ln)
+        bad = [x for x in q if not np.isfinite(x)]
+        if bad:
+            raise FileFormatError(f"{path}:{ln}: angle {bad[0]!r} is not finite")
+        poses.append((fields[0], np.array(q)))
     if not poses:
         raise FileFormatError(f"{path}: no poses found")
     return poses
@@ -223,13 +217,12 @@ def read_poses(path, dof):
 
 def read_stream_config(path):
     """Load a StreamConfig plus simulation duration from YAML."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = yaml.safe_load(fh)
-        except yaml.YAMLError as e:
-            raise FileFormatError(f"{path}: invalid YAML: {e}") from None
+    doc = _yaml(path)
     if not isinstance(doc, dict) or "streams" not in doc:
         raise FileFormatError(f"{path}: expected a mapping with a 'streams' list")
+    seed = doc.get("seed", 0)
+    if type(seed) is not int:
+        raise FileFormatError(f"{path}: seed must be an integer, got {seed!r}")
     try:
         streams = tuple(
             StreamSpec(name=str(s["name"]), period=float(s["period"]),
@@ -242,7 +235,7 @@ def read_stream_config(path):
             rate_hz=float(doc.get("rate_hz", 25.0)),
             mode=str(doc.get("mode", "hard")),
             soft_latency=tuple(float(x) for x in doc.get("soft_latency", (0.015, 0.100))),
-            seed=int(doc.get("seed", 0)))
+            seed=seed)
         duration = float(doc.get("duration", 10.0))
     except (KeyError, TypeError, ValueError) as e:
         raise FileFormatError(f"{path}: malformed stream config: {e}") from None
@@ -291,7 +284,7 @@ def write_report(path, report, extra=None):
     doc = {**dataclasses.asdict(report), **(extra or {})}
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         for key, value in sorted(doc.items()):
-            fh.write(f"{key}: {_fmt(value) if isinstance(value, float) else value}\n")
+            fh.write(f"{key}: {F % value if isinstance(value, float) else value}\n")
 
 
 # --- run manifests ----------------------------------------------------------

@@ -133,10 +133,11 @@ class HandModel:
         return slice(f.dof_offset, f.dof_offset + f.dof)
 
     def keypoint(self, i, j):
-        for kp in self.fingers[i].keypoints:
-            if kp.index == j:
-                return kp
-        raise KeyError(f"no keypoint ({i}, {j}) in model {self.name!r}")
+        """Keypoint ``j`` of finger ``i``; the loader stores each finger's
+        keypoints by index, contiguous from 0, so ``j`` is a position."""
+        if not (0 <= i < len(self.fingers) and 0 <= j < len(self.fingers[i].keypoints)):
+            raise KeyError(f"no keypoint ({i}, {j}) in model {self.name!r}")
+        return self.fingers[i].keypoints[j]
 
     def keypoint_ids(self):
         """All (finger, keypoint) index pairs, finger-major."""
@@ -163,7 +164,7 @@ def _stack_chains(fingers, total_dof):
                       _freeze(link, int), _freeze(offset))
 
 
-def _build_joint(raw, finger_name, prev_child, where):
+def _build_joint(raw, prev_child, where):
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: joint entry must be a mapping")
     try:
@@ -247,7 +248,7 @@ def _build_keypoints(raw_list, chain, finger_name):
     return tuple(kps)
 
 
-def _build_taxels(raw, n_joints, where):
+def _build_taxels(raw, where):
     try:
         rows, cols = int(raw["rows"]), int(raw["cols"])
         origin = _vec3(raw["origin"], f"{where}.origin")
@@ -307,7 +308,7 @@ def load_hand_model(document):
         joints = []
         prev_child = BASE_LINK
         for ji, rj in enumerate(raw_joints):
-            j = _build_joint(rj, fname, prev_child, f"fingers[{fname}].joints[{ji}]")
+            j = _build_joint(rj, prev_child, f"fingers[{fname}].joints[{ji}]")
             joints.append(j)
             prev_child = j.child
         chain = _order_chain(joints, fname)
@@ -326,7 +327,7 @@ def load_hand_model(document):
         i = by_name[fname]
         if fingers[i].taxels is not None:
             raise ModelError(f"{where}: finger {fname!r} already has a taxel layout")
-        layout = _build_taxels(rt, fingers[i].dof, where)
+        layout = _build_taxels(rt, where)
         f = fingers[i]
         fingers[i] = Finger(f.name, f.joints, f.keypoints, layout, f.dof_offset)
 

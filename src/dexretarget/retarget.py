@@ -83,7 +83,7 @@ class CalibrationData:
     coupling_fingers: tuple[int, ...]
 
 
-def calibrate(model, q0, w_star, coupling_fingers=None):
+def calibrate(model, q0, w_star):
     """Fit calibration data from one extended-pose landmark frame.
 
     Args:
@@ -92,12 +92,11 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
             pose (typically the extended rest pose).
         w_star: KeypointFrame captured at the calibration pose; every
             landmark must be valid and every segment non-degenerate.
-        coupling_fingers: finger indices coupled to the thumb; defaults to
-            all non-thumb fingers when the model has a thumb plus others.
 
     Returns:
         CalibrationData with r > 0 per segment, d_max > d_min = 0 per
-        coupled finger.
+        coupled finger.  Every finger after the thumb (finger 0) is coupled
+        to it.
     """
     from .kinematics import forward_kinematics
 
@@ -129,8 +128,7 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
         ratios.append(r_i)
         offsets[i] = fk[(i, ANCHOR_INDEX)] - w_star.w[i][ANCHOR_INDEX]
 
-    if coupling_fingers is None:
-        coupling_fingers = tuple(range(1, len(model.fingers))) if len(model.fingers) > 1 else ()
+    coupling_fingers = tuple(range(1, len(model.fingers)))
     d_min, d_max = {}, {}
     for i in coupling_fingers:
         tip_i = model.fingers[i].tip_index
@@ -141,7 +139,7 @@ def calibrate(model, q0, w_star, coupling_fingers=None):
         d_min[i] = 0.0
         d_max[i] = span
     return CalibrationData(tuple(ratios), offsets, w_star.copy(), q0.copy(),
-                           d_min, d_max, tuple(coupling_fingers))
+                           d_min, d_max, coupling_fingers)
 
 
 def _check_calibration(model, cal):
@@ -278,7 +276,11 @@ class RetargetProblem:
         if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
         for i, j in self.pairs:
-            self.model.keypoint(i, j)  # raises KeyError on a bad pair
+            try:
+                self.model.keypoint(i, j)
+            except KeyError:
+                raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
+                                          f"of model {self.model.name!r}") from None
         if self.coupling is not None and not np.all(
                 (self.coupling.omega >= 0.0) & (self.coupling.omega <= 1.0)):
             raise RetargetConfigError("coupling weights must lie in [0, 1]")

@@ -54,21 +54,22 @@ class StreamConfig:
         if len(set(names)) != len(names):
             raise SyncConfigError(f"stream names must be unique, got {names}")
         for s in self.streams:
-            if not s.period > 0.0:
-                raise SyncConfigError(f"stream {s.name!r}: period must be positive")
-            if s.latency_bound < 0.0:
-                raise SyncConfigError(f"stream {s.name!r}: latency bound must be >= 0")
+            if not 0.0 < s.period < np.inf:
+                raise SyncConfigError(f"stream {s.name!r}: period must be positive and finite")
+            if not 0.0 <= s.latency_bound < np.inf:
+                raise SyncConfigError(f"stream {s.name!r}: latency_bound must be finite and >= 0")
             if s.jitter not in ("uniform", "gauss"):
                 raise SyncConfigError(f"stream {s.name!r}: unknown jitter {s.jitter!r}")
             if not 0.0 <= s.dropout <= 1.0:
                 raise SyncConfigError(f"stream {s.name!r}: dropout must be in [0, 1]")
-        if not self.rate_hz > 0.0:
-            raise SyncConfigError("rate_hz must be positive")
+        if not 0.0 < self.rate_hz < np.inf:
+            raise SyncConfigError("rate_hz must be positive and finite")
         if self.mode not in ("hard", "soft"):
             raise SyncConfigError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
         lo, hi = self.soft_latency
-        if lo < 0.0 or hi < lo:
-            raise SyncConfigError(f"soft_latency must satisfy 0 <= lo <= hi, got {self.soft_latency}")
+        if not 0.0 <= lo <= hi < np.inf:
+            raise SyncConfigError(
+                f"soft_latency must satisfy 0 <= lo <= hi < inf, got {self.soft_latency}")
         if self.seed < 0:
             raise SyncConfigError(f"seed must be >= 0, got {self.seed}")
 

@@ -416,10 +416,17 @@ def test_syncsim_overrides(tmp_path):
 
 def test_syncsim_bad_config_exits_2(tmp_path, capsys):
     config = tmp_path / "streams.yaml"
-    config.write_text("streams:\n  - {name: cam, period: -1.0}\n")
-    code = main(["syncsim", "--config", str(config), "--out", str(tmp_path / "out")])
-    assert code == EXIT_ERROR
-    assert "period" in capsys.readouterr().err
+    out = tmp_path / "out"
+    for text, needle in [
+            ("streams:\n  - {name: cam, period: -1.0}\n", "period"),
+            ("streams:\n  - {name: cam, period: 0.04, latency_bound: .nan, jitter: gauss}\n"
+             "mode: soft\nduration: 2.0\n", "latency_bound"),
+            ("streams:\n  - {name: cam, period: 0.04}\nseed: 1.5\n", "seed")]:
+        config.write_text(text)
+        code = main(["syncsim", "--config", str(config), "--out", str(out)])
+        assert code == EXIT_ERROR
+        assert needle in capsys.readouterr().err
+        assert not (out / "events.txt").exists()
 
 
 # --- cross-cutting --------------------------------------------------------------

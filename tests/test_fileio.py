@@ -277,6 +277,14 @@ def test_joint_trajectory_read_errors(tmp_path):
                            f"{t} 1 2 3 4 5 1\n")
         with pytest.raises(FileFormatError, match=r"stamped.traj:3: timestamp .* is not finite"):
             read_joint_trajectory(stamped, 2)
+    flagged = tmp_path / "flagged.traj"
+    flagged.write_text("# t q[2] align couple smooth converged\n0 1 2 3 4 5 0.0\n")
+    assert read_joint_trajectory(flagged, 2)[3].tolist() == [False]  # the number 0
+    for flag in ("nan", "2"):
+        flagged.write_text(f"# t q[2] align couple smooth converged\n0 1 2 3 4 5 {flag}\n")
+        with pytest.raises(FileFormatError,
+                           match=r"flagged.traj:2: converged flag .* is not 0 or 1"):
+            read_joint_trajectory(flagged, 2)
     empty = tmp_path / "empty.traj"
     empty.write_text("# only comments\n")
     with pytest.raises(FileFormatError, match="no data records"):
@@ -303,6 +311,30 @@ def test_poses_reader(tmp_path):
     blank.write_text("# nothing\n")
     with pytest.raises(FileFormatError, match="no poses"):
         read_poses(blank, 3)
+
+
+# Per line-based format: a reader returning one item per record, the field
+# count it expects, a header, and two records.
+_LINE_FORMATS = {
+    "keypoints": (read_keypoint_trajectory, 9,
+                  "# fingers 1 keypoints 2\n", "0.0 1 2 3 1 4 5 6 1", "0.04 1 2 3 1 4 5 6 0"),
+    "joints": (lambda path: read_joint_trajectory(path, 2)[0], 7,
+               "# joint trajectory v1\n", "0 1 2 3 4 5 1", "0.04 1 2 3 4 5 0"),
+    "poses": (lambda path: read_poses(path, 3), 4, "", "rest 0 0 0", "flex 0.5 -0.25 1"),
+}
+
+
+@pytest.mark.parametrize("fmt", sorted(_LINE_FORMATS))
+def test_line_readers_share_record_rules(tmp_path, fmt):
+    read, n_fields, header, first, second = _LINE_FORMATS[fmt]
+    path = tmp_path / "records.txt"
+    path.write_text(f"{header}{first}\n\n   \n  # an indented comment\n{second}\n")
+    assert len(read(path)) == 2
+    path.write_text(f"{header}{first}\n\n{second} 7\n")
+    line = header.count("\n") + 3
+    with pytest.raises(FileFormatError,
+                       match=rf"records.txt:{line}: expected .*, got {n_fields + 1}$"):
+        read(path)
 
 
 # --- sync formats -------------------------------------------------------------
@@ -353,6 +385,11 @@ def test_stream_config_errors(tmp_path):
     invalid.write_text("{unbalanced: [\n")
     with pytest.raises(FileFormatError, match="invalid YAML"):
         read_stream_config(invalid)
+    for seed in ("1.5", "'3'", "true", ".nan"):
+        seeded = tmp_path / "seeded.yaml"
+        seeded.write_text(f"streams:\n  - {{name: cam, period: 0.04}}\nseed: {seed}\n")
+        with pytest.raises(FileFormatError, match="seed must be an integer"):
+            read_stream_config(seeded)
 
 
 def test_event_log_and_frames_writers(tmp_path):

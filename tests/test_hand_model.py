@@ -65,8 +65,9 @@ def test_limits_and_rest_pose(robot):
 def test_keypoint_lookup(robot):
     kp = robot.keypoint(0, 4)
     assert kp.index == 4
-    with pytest.raises(KeyError):
-        robot.keypoint(0, 9)
+    for i, j in ((0, 9), (-1, 4), (5, 4), (0, -1)):
+        with pytest.raises(KeyError):
+            robot.keypoint(i, j)
 
 
 def test_model_is_immutable(robot):

@@ -308,13 +308,16 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
     ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, -0.1))},
      "coupling weights"),
     ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, 1.5))},
-     "coupling weights")])
+     "coupling weights"),
+    ({"pairs": ((0, 4), (-1, 4)), "targets": np.zeros((2, 3))}, r"alignment pair \(-1, 4\)"),
+    ({"pairs": ((5, 4),), "targets": np.zeros((1, 3))}, r"alignment pair \(5, 4\)"),
+    ({"pairs": ((0, 9),), "targets": np.zeros((1, 3))}, r"alignment pair \(0, 9\)")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
     rng = np.random.default_rng(8)
     good = make_problem(robot, calibration, rng)
     with pytest.raises(RetargetConfigError, match=needle):
-        RetargetProblem(robot, good.pairs, good.targets,
-                        **{"coupling": good.coupling, "q_prev": good.q_prev, **options})
+        RetargetProblem(robot, **{"pairs": good.pairs, "targets": good.targets,
+                                  "coupling": good.coupling, "q_prev": good.q_prev, **options})
 
 
 def test_perfect_match_costs_zero(robot, calibration):

@@ -206,6 +206,15 @@ def test_config_validation_errors():
         (lambda: StreamConfig((StreamSpec("cam", float("nan"), 0.002),)), "period"),
         (lambda: StreamConfig((good,), rate_hz=float("nan")), "rate_hz"),
         (lambda: StreamConfig((good,), seed=-1), "seed"),
+        (lambda: StreamConfig((StreamSpec("cam", float("inf"), 0.002),)), "period"),
+        (lambda: StreamConfig((StreamSpec("cam", period, float("nan")),)), "latency_bound"),
+        (lambda: StreamConfig((StreamSpec("cam", period, float("inf")),)), "latency_bound"),
+        (lambda: StreamConfig((StreamSpec("cam", period, float("nan"), jitter="gauss"),)),
+         "latency_bound"),
+        (lambda: StreamConfig((good,), rate_hz=float("inf")), "rate_hz"),
+        (lambda: StreamConfig((good,), soft_latency=(0.015, float("inf"))), "soft_latency"),
+        (lambda: StreamConfig((good,), soft_latency=(float("nan"), 0.1)), "soft_latency"),
+        (lambda: StreamConfig((good,), soft_latency=(0.015, float("nan"))), "soft_latency"),
     ]
     for build, needle in cases:
         with pytest.raises(SyncConfigError, match=needle):
