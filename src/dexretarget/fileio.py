@@ -190,6 +190,8 @@ def read_joint_trajectory(path, dof):
         vals = _floats(fields, path, ln)
         if not np.isfinite(vals[0]):
             raise FileFormatError(f"{path}:{ln}: timestamp {vals[0]!r} is not finite")
+        if not np.isfinite(vals[1:-1]).all():
+            raise FileFormatError(f"{path}:{ln}: joint angles and residuals must be finite")
         if vals[-1] not in (0.0, 1.0):
             raise FileFormatError(f"{path}:{ln}: converged flag {vals[-1]!r} is not 0 or 1")
         records.append(vals)

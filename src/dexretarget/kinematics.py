@@ -64,20 +64,16 @@ def _chain_state(model, finger, q, depth=None):
     if finger is None:  # padding joints turn by a zero appended to q
         finger, q = slice(None), np.append(q, 0.0)[c.q_index]
         r, t = np.broadcast_to(_EYE, (len(q), 3, 3)), np.broadcast_to(_ZERO, (len(q), 3))
-    sin = np.sin(q)
-    vers = 1.0 - np.cos(q)
+    sin, vers = np.sin(q), 1.0 - np.cos(q)
     rots, trans, frames = [r], [t], []
     for k in range(q.shape[-1] if depth is None else depth):
         t = t + _apply(r, c.translation[finger, k])
         r = _compose(r, c.rotation[finger, k])
         frames.append(r)
-        # Rodrigues: I + sin K + (1 - cos) K K.  Every step here is the same
-        # elementwise or per-matrix product for one chain, a batch of one
-        # chain and the stacked hand, so all three agree bit for bit.
-        rodrigues = sin[..., k, None, None] * c.skew[finger, k]
-        rodrigues += _EYE
-        rodrigues += vers[..., k, None, None] * c.skew_sq[finger, k]
-        r = r @ rodrigues
+        # r (I + sin K + (1 - cos) K K) as two products, flat in a one-finger
+        # batch; every path takes the same steps, so they agree bit for bit
+        r = (r + sin[..., k, None, None] * _compose(r, c.skew[finger, k])
+             + vers[..., k, None, None] * _compose(r, c.skew_sq[finger, k]))
         rots.append(r)
         trans.append(t)
     return rots, trans, frames

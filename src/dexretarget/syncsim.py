@@ -54,6 +54,8 @@ class StreamConfig:
         if len(set(names)) != len(names):
             raise SyncConfigError(f"stream names must be unique, got {names}")
         for s in self.streams:
+            if s.name.split() != [s.name] or ":" in s.name:  # written as one field
+                raise SyncConfigError(f"stream {s.name!r}: name must be one word without ':'")
             if not 0.0 < s.period < np.inf:
                 raise SyncConfigError(f"stream {s.name!r}: period must be positive and finite")
             if not 0.0 <= s.latency_bound < np.inf:

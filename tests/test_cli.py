@@ -421,7 +421,8 @@ def test_syncsim_bad_config_exits_2(tmp_path, capsys):
             ("streams:\n  - {name: cam, period: -1.0}\n", "period"),
             ("streams:\n  - {name: cam, period: 0.04, latency_bound: .nan, jitter: gauss}\n"
              "mode: soft\nduration: 2.0\n", "latency_bound"),
-            ("streams:\n  - {name: cam, period: 0.04}\nseed: 1.5\n", "seed")]:
+            ("streams:\n  - {name: cam, period: 0.04}\nseed: 1.5\n", "seed"),
+            ('streams:\n  - {name: "cam 1", period: 0.04}\n', "'cam 1': name")]:
         config.write_text(text)
         code = main(["syncsim", "--config", str(config), "--out", str(out)])
         assert code == EXIT_ERROR

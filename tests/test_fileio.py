@@ -262,6 +262,29 @@ def test_joint_trajectory_roundtrip(tmp_path):
     assert np.array_equal(converged, [s.converged for s in steps])
 
 
+@st.composite
+def joint_runs(draw):
+    """1-5 steps of a 1-6 joint chain with any finite timestamp, angles and
+    residuals, and either converged flag."""
+    dof = draw(st.integers(1, 6))
+    return dof, [SimpleNamespace(timestamp=draw(_FINITE), q=_arrays(draw, (dof,)),
+                                 residuals=_arrays(draw, (3,)), converged=draw(st.booleans()))
+                 for _ in range(draw(st.integers(1, 5)))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(joint_runs())
+def test_joint_trajectory_round_trip_property(tmp_path_factory, run):
+    dof, steps = run
+    path = tmp_path_factory.mktemp("joints") / "q.traj"
+    write_joint_trajectory(path, steps, dof)
+    t, qs, residuals, converged = read_joint_trajectory(path, dof)
+    assert t.tobytes() == np.array([s.timestamp for s in steps]).tobytes()
+    assert qs.tobytes() == np.array([s.q for s in steps]).tobytes()
+    assert residuals.tobytes() == np.array([s.residuals for s in steps]).tobytes()
+    assert converged.tolist() == [s.converged for s in steps]
+
+
 def test_joint_trajectory_read_errors(tmp_path):
     path = tmp_path / "q.traj"
     write_joint_trajectory(path, fake_steps(4, 3), 4)
@@ -277,6 +300,11 @@ def test_joint_trajectory_read_errors(tmp_path):
                            f"{t} 1 2 3 4 5 1\n")
         with pytest.raises(FileFormatError, match=r"stamped.traj:3: timestamp .* is not finite"):
             read_joint_trajectory(stamped, 2)
+    for value in ("nan", "-inf"):
+        spoiled = tmp_path / "spoiled.traj"
+        spoiled.write_text(f"# t q[2] align couple smooth converged\n0 1 {value} 3 4 5 1\n")
+        with pytest.raises(FileFormatError, match=r"spoiled.traj:2: .* must be finite"):
+            read_joint_trajectory(spoiled, 2)
     flagged = tmp_path / "flagged.traj"
     flagged.write_text("# t q[2] align couple smooth converged\n0 1 2 3 4 5 0.0\n")
     assert read_joint_trajectory(flagged, 2)[3].tolist() == [False]  # the number 0
@@ -334,6 +362,52 @@ def test_line_readers_share_record_rules(tmp_path, fmt):
     line = header.count("\n") + 3
     with pytest.raises(FileFormatError,
                        match=rf"records.txt:{line}: expected .*, got {n_fields + 1}$"):
+        read(path)
+
+
+# What each field of a _LINE_FORMATS record holds: "finite" must read as a
+# finite number, "flag" as 0 or 1, "number" as any number (a landmark may be
+# nan or inf), "name" as any word.
+_FIELD_KINDS = {
+    "keypoints": ["finite"] + (["number"] * 3 + ["flag"]) * 2,
+    "joints": ["finite"] * 6 + ["flag"],
+    "poses": ["name"] + ["finite"] * 3,
+}
+
+
+def _not_a_number(text):
+    try:
+        float(text)
+    except ValueError:
+        return True
+    return False
+
+
+# a token that splits as one field, is not a comment and reads as no number
+_WORD = st.text(st.characters(exclude_categories=("Z", "C")), min_size=1).filter(
+    lambda text: _not_a_number(text) and not text.startswith("#"))
+_NON_FINITE = st.sampled_from(["nan", "-nan", "NaN", "inf", "-inf", "+Infinity"])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(sorted(_LINE_FORMATS)), st.integers(0, 1), st.data())
+def test_line_readers_name_a_spoiled_field(tmp_path_factory, fmt, which, data):
+    # one field of one record goes missing, or reads as no number, or as a
+    # non-finite one where the field must be finite
+    read, _, header, *records = _LINE_FORMATS[fmt]
+    records = [r.split() for r in records]
+    field = data.draw(st.integers(0, len(records[which]) - 1), label="field")
+    kind = _FIELD_KINDS[fmt][field]
+    spoils = [st.none()] + [_WORD] * (kind != "name") + [_NON_FINITE] * (kind in ("finite", "flag"))
+    spoil = data.draw(st.one_of(spoils), label="spoil")
+    if spoil is None:
+        del records[which][field]
+    else:
+        records[which][field] = spoil
+    path = tmp_path_factory.mktemp("spoiled") / "records.txt"
+    path.write_text(header + "".join(" ".join(r) + "\n" for r in records), encoding="utf-8")
+    line = header.count("\n") + 1 + which
+    with pytest.raises(FileFormatError, match=rf"records.txt:{line}: "):
         read(path)
 
 

@@ -221,6 +221,46 @@ def test_random_chain_batch_rows_bit_equal_fk(chain):
             assert p.tobytes() == forward_kinematics(model, q)[frame].tobytes()
 
 
+@settings(max_examples=60, deadline=None)
+@given(serial_chain())
+def test_random_chain_walk_rotations_stay_orthonormal(chain):
+    model, q_batch = chain
+    for rots in (_chain_state(model, 0, q_batch)[0], _chain_state(model, None, q_batch[0])[0]):
+        for r in rots:
+            assert np.max(np.abs(np.swapaxes(r, -1, -2) @ r - np.eye(3))) <= 1e-12
+
+
+# A joint step r + sin (r K) + (1 - cos) (r K K) against r times the Rodrigues
+# matrix: on unit-norm rows the terms of an entry are at most 1, 1 and 2, so
+# both round to within a few units of 2**-52 of the exact product.
+_STEP_TOL = 4 * np.finfo(float).eps
+
+
+def _assert_steps_match_rodrigues(model, finger, q):
+    c = model.chains
+    rots, _, frames = _chain_state(model, finger, q)
+    for k, r in enumerate(frames):
+        theta = q[..., k, None, None]
+        rodrigues = (np.eye(3) + np.sin(theta) * c.skew[finger, k]
+                     + (1.0 - np.cos(theta)) * c.skew_sq[finger, k])
+        assert np.max(np.abs(rots[k + 1] - r @ rodrigues)) <= _STEP_TOL
+
+
+@settings(max_examples=60, deadline=None)
+@given(serial_chain())
+def test_random_chain_joint_step_matches_rodrigues_product(chain):
+    model, q_batch = chain
+    _assert_steps_match_rodrigues(model, 0, q_batch)
+
+
+def test_joint_step_matches_rodrigues_product_over_a_slice(robot):
+    rng = np.random.default_rng(8)
+    for i, f in enumerate(robot.fingers):
+        sl = robot.finger_slice(i)
+        q = rng.uniform(robot.lower_limits[sl], robot.upper_limits[sl], (_BATCH_ROWS, f.dof))
+        _assert_steps_match_rodrigues(robot, i, q)
+
+
 def _finger_doc(name, joints):
     return {"name": name,
             "joints": [{"name": f"{name}{k}", "axis": j["axis"],

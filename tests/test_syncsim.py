@@ -215,7 +215,8 @@ def test_config_validation_errors():
         (lambda: StreamConfig((good,), soft_latency=(0.015, float("inf"))), "soft_latency"),
         (lambda: StreamConfig((good,), soft_latency=(float("nan"), 0.1)), "soft_latency"),
         (lambda: StreamConfig((good,), soft_latency=(0.015, float("nan"))), "soft_latency"),
-    ]
+    ] + [(lambda name=name: StreamConfig((StreamSpec(name, period, 0.002),)), "name must be one word")
+         for name in ("", "cam 1", " cam", "cam\t", "t:x")]
     for build, needle in cases:
         with pytest.raises(SyncConfigError, match=needle):
             build()
