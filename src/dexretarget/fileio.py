@@ -66,14 +66,17 @@ def _yaml(path):
 # run wrist first, then each finger's j = 1..K-1 keypoints in order; the
 # wrist is stored once and expanded to every finger's j = 0 slot on read.
 
+def _slots(counts):
+    """(fingers, keypoints) index arrays: the slot of each landmark in a record."""
+    return tuple(np.array([(0, 0)] + [(i, j) for i, c in enumerate(counts) for j in range(1, c)]).T)
+
+
 def write_keypoint_trajectory(path, frames):
     frames = list(frames)
     if not frames:
         raise FileFormatError("refusing to write an empty keypoint trajectory")
     counts = frames[0].counts()
-    # row of each landmark in the frame's fingers stacked end to end
-    starts = np.cumsum((0,) + counts[:-1])
-    rows = [0] + [s + j for s, c in zip(starts, counts) for j in range(1, c)]
+    slots = _slots(counts)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# keypoint trajectory v1\n")
         fh.write(f"# fingers {len(counts)} keypoints {' '.join(str(c) for c in counts)}\n")
@@ -82,8 +85,7 @@ def write_keypoint_trajectory(path, frames):
             if frame.counts() != counts:
                 raise FileFormatError("all frames in one trajectory must share a layout")
             t = 0.0 if frame.timestamp is None else frame.timestamp
-            landmarks = np.column_stack((np.concatenate(frame.w)[rows],
-                                         np.concatenate(frame.valid)[rows]))
+            landmarks = np.column_stack((frame.w[slots], frame.valid[slots]))
             fh.write(_row([t] + landmarks.ravel().tolist()) + "\n")
 
 
@@ -118,17 +120,14 @@ def read_keypoint_trajectory(path):
         records.append(vals)
     if not records:
         raise FileFormatError(f"{path}: no data records")
-    # each finger's landmarks for the whole file at once: the wrist, then its
-    # own j = 1..c-1, which follow the previous fingers' in the record
+    # every slot's landmark for the whole file at once; the wrist fills each j = 0
+    rows = np.zeros((len(counts), max(counts)), dtype=int)
+    rows[_slots(counts)] = np.arange(n_landmarks)
     records = np.array(records)
-    landmarks = records[:, 1:].reshape(len(records), n_landmarks, 4)
-    per_finger, first = [], 1
-    for c in counts:
-        per_finger.append(landmarks[:, [0, *range(first, first + c - 1)]])
-        first += c - 1
-    w = [p[..., :3] for p in per_finger]
-    valid = [p[..., 3] != 0.0 for p in per_finger]
-    return [KeypointFrame([p[k] for p in w], [v[k] for v in valid], timestamp=t)
+    landmarks = records[:, 1:].reshape(len(records), n_landmarks, 4)[:, rows]
+    w, valid = landmarks[..., :3], landmarks[..., 3] != 0.0
+    return [KeypointFrame([a[:c] for a, c in zip(w[k], counts)],
+                          [v[:c] for v, c in zip(valid[k], counts)], timestamp=t)
             for k, t in enumerate(records[:, 0].tolist())]
 
 
@@ -147,7 +146,7 @@ def write_calibration(path, cal):
         "coupling_fingers": [int(i) for i in cal.coupling_fingers],
         "d_min": {int(i): float(v) for i, v in sorted(cal.d_min.items())},
         "d_max": {int(i): float(v) for i, v in sorted(cal.d_max.items())},
-        "w_star": [[[float(x) for x in p] for p in w] for w in cal.w_star.w],
+        "w_star": [w[:c].tolist() for w, c in zip(cal.w_star.w, cal.w_star.counts())],
     }
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=None)

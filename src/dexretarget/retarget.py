@@ -43,30 +43,43 @@ class RetargetConfigError(Exception):
 
 
 class KeypointFrame:
-    """One captured landmark frame: per-finger keypoint positions.
+    """One captured landmark frame on the hand's (finger, keypoint) slots.
 
-    ``w[i]`` is an (n_i + 1, 3) array of landmarks for finger i, ordered by
-    keypoint index; ``valid[i]`` flags per-landmark validity.  The j = 0
-    entry is the wrist root and is shared across fingers in captured data.
+    Built from one (n_i + 1, 3) landmark array per finger, ``w`` is (F, M, 3)
+    and ``valid`` (F, M), M the most keypoints on a finger; the slots past a
+    finger's count are zero and valid.  The j = 0 entry is the wrist root
+    and is shared across fingers in captured data.
     """
 
-    __slots__ = ("w", "valid", "timestamp")
+    __slots__ = ("w", "valid", "timestamp", "_counts")
 
     def __init__(self, w, valid=None, timestamp=None):
-        self.w = tuple(np.array(a, dtype=float) for a in w)
-        valid = [np.ones(a.shape[0]) for a in self.w] if valid is None else valid
-        self.valid = tuple(np.array(v, dtype=bool) for v in valid)
-        for a, v in zip(self.w, self.valid):
-            if a.ndim != 2 or a.shape[1] != 3 or v.shape != (a.shape[0],):
+        w = [np.asarray(a, dtype=float) for a in w]
+        self._counts = tuple(map(len, w))
+        valid = [np.ones(c, dtype=bool) for c in self._counts] if valid is None else valid
+        self.w = np.zeros((len(w), max(self._counts, default=0), 3))
+        self.valid = np.ones(self.w.shape[:2], dtype=bool)
+        for i, (a, v) in enumerate(zip(w, valid, strict=True)):
+            if a.ndim != 2 or a.shape[1] != 3 or np.shape(v) != (len(a),):
                 raise ValueError("landmark arrays must be (n_i + 1, 3) with matching validity")
+            self.w[i, :len(a)], self.valid[i, :len(a)] = a, v
         self.timestamp = timestamp
 
     def counts(self):
-        return tuple(a.shape[0] for a in self.w)
+        return self._counts
+
+    def tips(self):
+        """(F, 3) fingertip landmarks: each finger's last keypoint."""
+        return self.w[np.arange(len(self.w)), np.subtract(self._counts, 1)]
 
     def copy(self):
-        return KeypointFrame([a.copy() for a in self.w],
-                             [v.copy() for v in self.valid], self.timestamp)
+        return KeypointFrame([a[:c] for a, c in zip(self.w, self._counts)],
+                             [v[:c] for v, c in zip(self.valid, self._counts)], self.timestamp)
+
+
+def _norms(a):
+    """Row norms of ``a``, bit for bit each row's np.linalg.norm, unlike norm(a, axis=-1)."""
+    return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
 @dataclass(frozen=True)
@@ -106,38 +119,28 @@ def calibrate(model, q0, w_star):
     if w_star.counts() != model.keypoint_counts():
         raise CalibrationError(f"calibration frame layout {w_star.counts()} does not match "
                                f"model layout {model.keypoint_counts()}")
-    if not all(v.all() for v in w_star.valid):
+    if not w_star.valid.all():
         raise CalibrationError("calibration frame must have every landmark valid")
-    if not all(np.isfinite(w).all() for w in w_star.w):
+    if not np.isfinite(w_star.w).all():
         raise CalibrationError("calibration frame has a non-finite landmark")
 
     fk = forward_kinematics(model, q0)
-    ratios = []
-    offsets = np.zeros((len(model.fingers), 3))
-    for i, f in enumerate(model.fingers):
-        n_seg = len(f.keypoints) - 1
-        r_i = np.zeros(n_seg)
-        for j in range(n_seg):
-            robot_seg = np.linalg.norm(fk[(i, j + 1)] - fk[(i, j)])
-            human_seg = np.linalg.norm(w_star.w[i][j + 1] - w_star.w[i][j])
-            if human_seg <= 0.0:
-                raise CalibrationError(f"finger {i} segment {j}: human segment length is zero")
-            if robot_seg <= 0.0:
-                raise CalibrationError(f"finger {i} segment {j}: robot segment length is zero")
-            r_i[j] = robot_seg / human_seg
-        ratios.append(r_i)
-        offsets[i] = fk[(i, ANCHOR_INDEX)] - w_star.w[i][ANCHOR_INDEX]
+    robot = np.zeros_like(w_star.w)  # the robot's keypoints on the frame's slots
+    robot[tuple(np.array(list(fk)).T)] = list(fk.values())
+    human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
+    real = np.arange(robot.shape[1] - 1) < np.subtract(w_star.counts(), 1)[:, None]
+    for i, j in zip(*np.nonzero(real & ((human_seg <= 0.0) | (robot_seg <= 0.0)))):
+        side = "human" if human_seg[i, j] <= 0.0 else "robot"
+        raise CalibrationError(f"finger {i} segment {j}: {side} segment length is zero")
+    ratios = np.split(robot_seg[real] / human_seg[real], np.cumsum(real.sum(axis=1))[:-1])
+    offsets = robot[:, ANCHOR_INDEX] - w_star.w[:, ANCHOR_INDEX]
 
     coupling_fingers = tuple(range(1, len(model.fingers)))
-    d_min, d_max = {}, {}
-    for i in coupling_fingers:
-        tip_i = model.fingers[i].tip_index
-        tip_t = model.fingers[0].tip_index
-        span = float(np.linalg.norm(w_star.w[i][tip_i] - w_star.w[0][tip_t]))
-        if span <= 0.0:
-            raise CalibrationError(f"finger {i}: zero tip-to-thumb span at the calibration pose")
-        d_min[i] = 0.0
-        d_max[i] = span
+    tips = w_star.tips()
+    spans = _norms(tips[1:] - tips[0])
+    for i in np.flatnonzero(spans <= 0.0) + 1:
+        raise CalibrationError(f"finger {i}: zero tip-to-thumb span at the calibration pose")
+    d_min, d_max = dict.fromkeys(coupling_fingers, 0.0), dict(zip(coupling_fingers, spans.tolist()))
     return CalibrationData(tuple(ratios), offsets, w_star.copy(), q0.copy(),
                            d_min, d_max, coupling_fingers)
 
@@ -180,36 +183,35 @@ def adjust_keypoints(frame, cal):
     v_j = v_{j-1} + r_{j-1} (w_j - w_{j-1}).
 
     Returns:
-        tuple of (n_i + 1, 3) adjusted target arrays, one per finger.
+        (F, M, 3) adjusted targets on the frame's slots; the rows past a
+        finger's count are padding and hold no target.
     """
     if frame.counts() != tuple(r.shape[0] + 1 for r in cal.r):
         raise RetargetConfigError("frame layout does not match calibration layout")
-    out = []
-    for w, r_i, u_i in zip(frame.w, cal.r, cal.u, strict=True):
-        # equivalent cumulative form v_j = w_j + c_j, c_j = c_{j-1} +
-        # (r_{j-1} - 1)(w_j - w_{j-1}); degenerates to v = w exactly when
-        # every r = 1 and u = 0 instead of re-rounding each segment
-        steps = (r_i - 1.0)[:, None] * np.diff(w, axis=0)
-        steps[0] += u_i
-        corr = np.cumsum(steps, axis=0)
-        out.append(np.concatenate([w[:1], np.where(corr == 0.0, w[1:], w[1:] + corr)]))
-    return tuple(out)
+    w = frame.w
+    n_seg = w.shape[1] - 1
+    ratios = np.ones((len(w), n_seg))  # segment ratios on the slots, 1 past each finger's count
+    ratios[np.arange(n_seg) < np.subtract(frame.counts(), 1)[:, None]] = np.concatenate(cal.r)
+    # equivalent cumulative form v_j = w_j + c_j, c_0 = 0, c_j = c_{j-1} +
+    # (r_{j-1} - 1)(w_j - w_{j-1}); degenerates to v = w exactly when
+    # every r = 1 and u = 0 instead of re-rounding each segment
+    steps = np.zeros_like(w)
+    steps[:, 1:] = (ratios - 1.0)[..., None] * np.diff(w, axis=1)
+    steps[:, 1] += cal.u
+    corr = np.cumsum(steps, axis=1)
+    return np.where(corr == 0.0, w, w + corr)
 
 
 def baseline_uniform_scaling(frame, alpha):
     """Scale every landmark by ``alpha`` about the wrist root.
 
-    The naive fixed-ratio alternative to :func:`adjust_keypoints`; feeds
-    the same solver for side-by-side comparisons.
+    The naive fixed-ratio alternative to :func:`adjust_keypoints`, with the
+    same (F, M, 3) result; feeds the same solver for side-by-side comparisons.
     """
     if alpha <= 0.0:
         raise RetargetConfigError(f"alpha must be positive, got {alpha}")
-    root = frame.w[0][0]
-    out = []
-    for w in frame.w:
-        corr = (alpha - 1.0) * (w - root)  # alpha = 1 stays exactly w
-        out.append(np.where(corr == 0.0, w, w + corr))
-    return tuple(out)
+    corr = (alpha - 1.0) * (frame.w - frame.w[0, 0])  # alpha = 1 stays exactly w
+    return np.where(corr == 0.0, frame.w, frame.w + corr)
 
 
 @dataclass(frozen=True)
@@ -229,15 +231,13 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     finger approaches the thumb; omega_i = sigmoid(k (d_i - c)).
     """
     fingers = cal.coupling_fingers
-    delta = np.zeros((len(fingers), 3))
-    d = np.zeros(len(fingers))
-    for m, i in enumerate(fingers):
-        lo, hi = cal.d_min[i], cal.d_max[i]
-        if hi <= lo:
-            raise RetargetConfigError(f"finger {i}: d_max must exceed d_min, got [{lo}, {hi}]")
-        delta[m] = frame.w[i][-1] - frame.w[0][-1]
-        dist = np.linalg.norm(delta[m])
-        d[m] = min(max(1.0 - (dist - lo) / (hi - lo), 0.0), 1.0)
+    lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
+    for i, a, b in zip(fingers, lo, hi):
+        if b <= a:
+            raise RetargetConfigError(f"finger {i}: d_max must exceed d_min, got [{a}, {b}]")
+    tips = frame.tips()
+    delta = tips[list(fingers)] - tips[0]
+    d = np.clip(1.0 - (_norms(delta) - lo) / (hi - lo), 0.0, 1.0)
     with np.errstate(over="ignore"):  # a steep gate sends exp to inf, and omega to 0
         omega = 1.0 / (1.0 + np.exp(-k * (d - c)))  # sigmoid gate
     return CouplingState(tuple(fingers), delta, d, omega)
@@ -275,15 +275,20 @@ class RetargetProblem:
             raise RetargetConfigError("targets and q_prev must be finite")
         if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
-        for i, j in self.pairs:
-            try:
-                self.model.keypoint(i, j)
-            except KeyError:
-                raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
-                                          f"of model {self.model.name!r}") from None
+        _check_pairs(self.model, self.pairs)
         if self.coupling is not None and not np.all(
                 (self.coupling.omega >= 0.0) & (self.coupling.omega <= 1.0)):
             raise RetargetConfigError("coupling weights must lie in [0, 1]")
+
+
+def _check_pairs(model, pairs):
+    """Raise RetargetConfigError unless every pair names a keypoint of ``model``."""
+    for i, j in pairs:
+        try:
+            model.keypoint(i, j)
+        except KeyError:
+            raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
+                                      f"of model {model.name!r}") from None
 
 
 def default_pairs(model):
@@ -446,31 +451,30 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         list of StreamStep, one per input frame.
     """
     _check_calibration(model, cal)
-    pairs = default_pairs(model) if pairs is None else pairs
+    pairs = default_pairs(model) if pairs is None else tuple((int(i), int(j)) for i, j in pairs)
+    _check_pairs(model, pairs)
+    fingers, index = np.array(pairs, dtype=int).reshape(-1, 2).T
     use_coupling = len(cal.coupling_fingers) > 0 and lambdas[1] > 0.0
     q_prev = np.clip(cal.q0, model.lower_limits, model.upper_limits)
     residuals = np.zeros(3)
-    # per finger: the newest valid value of each landmark, and the frames
-    # since it was valid; one never valid is rejected before its zero is read
-    last_seen = [np.zeros((c, 3)) for c in model.keypoint_counts()]
-    ages = [np.full(c, MAX_HOLD_FRAMES) for c in model.keypoint_counts()]
+    # the newest valid value of each landmark, and the frames since it was
+    # valid; one never valid is rejected before its zero is read
+    held = KeypointFrame([np.zeros((c, 3)) for c in model.keypoint_counts()])
+    ages = np.full(held.valid.shape, MAX_HOLD_FRAMES)
     steps = []
     for idx, frame in enumerate(frames):
         if frame.counts() != model.keypoint_counts():
             raise RetargetConfigError(f"frame {idx} layout {frame.counts()} does not match the model")
-        for seen, age, w, v in zip(last_seen, ages, frame.w, frame.valid):
-            v = v & np.isfinite(w).all(axis=1)  # a non-finite landmark counts as missing
-            age[:] = np.where(v, 0, age + 1)
-            seen[v] = w[v]
-        rejected = any(np.any(age > MAX_HOLD_FRAMES) for age in ages)
+        seen = frame.valid & np.isfinite(frame.w).all(axis=2)  # non-finite counts as missing
+        ages = np.where(seen, 0, ages + 1)
+        held.w[seen] = frame.w[seen]
+        rejected = bool(np.any(ages > MAX_HOLD_FRAMES))
         result = None
         if not rejected:
-            eff = KeypointFrame(last_seen, timestamp=frame.timestamp)
-            v = (adjust_keypoints(eff, cal) if scaling_alpha is None
-                 else baseline_uniform_scaling(eff, scaling_alpha))
-            targets = np.array([v[i][j] for i, j in pairs])
-            coupling = coupling_weights(eff, cal, sigmoid_k, sigmoid_c) if use_coupling else None
-            prob = RetargetProblem(model, pairs, targets, coupling, q_prev,
+            v = (adjust_keypoints(held, cal) if scaling_alpha is None
+                 else baseline_uniform_scaling(held, scaling_alpha))
+            coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c) if use_coupling else None
+            prob = RetargetProblem(model, pairs, v[fingers, index], coupling, q_prev,
                                    lambdas=tuple(lambdas), tolerance=tolerance,
                                    max_iterations=max_iterations)
             with contextlib.suppress(np.linalg.LinAlgError):
@@ -481,5 +485,5 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                                 converged=result is not None and result.converged,
                                 rejected=rejected,
                                 solver_failed=result is None and not rejected,
-                                filled=sum(np.count_nonzero(age) for age in ages)))
+                                filled=int(np.count_nonzero(ages))))
     return steps

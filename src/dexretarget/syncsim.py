@@ -172,11 +172,10 @@ class FrameSet:
     """Assembled frames in columnar form: one row per frame, one column per
     stream, with member status coded FRESH/HELD/MISSING."""
 
-    def __init__(self, log, triggers, member_event, member_emission, status, age,
+    def __init__(self, log, triggers, member_emission, status, age,
                  skew, complete, event_role, window, max_hold_age):
         self.log = log
         self.triggers = triggers
-        self.member_event = member_event      # (F, S) int64, -1 when absent
         self.member_emission = member_emission
         self.status = status                  # (F, S) int8
         self.age = age                        # (F, S) seconds, nan when missing
@@ -223,7 +222,6 @@ def assemble_frames(log, window=None, max_hold_age=None):
     triggers = np.arange(n_frames) * period
     n_streams = len(log.config.streams)
 
-    member_event = np.full((n_frames, n_streams), -1, dtype=np.int64)
     member_emission = np.full((n_frames, n_streams), np.nan)
     status = np.full((n_frames, n_streams), MISSING, dtype=np.int8)
     age = np.full((n_frames, n_streams), np.nan)
@@ -244,7 +242,6 @@ def assemble_frames(log, window=None, max_hold_age=None):
             frames_rev = nearest[rev]
             uniq, first = np.unique(frames_rev, return_index=True)
             winners = rev[first]
-            member_event[uniq, s] = live[winners]
             member_emission[uniq, s] = em[winners]
             status[uniq, s] = FRESH
             age[uniq, s] = 0.0
@@ -260,7 +257,6 @@ def assemble_frames(log, window=None, max_hold_age=None):
             hold_age = triggers[rows] - em[prev]
             ok = hold_age <= max_hold_age + _EPS
             rows, prev, hold_age = rows[ok], prev[ok], hold_age[ok]
-            member_event[rows, s] = live[prev]
             member_emission[rows, s] = em[prev]
             status[rows, s] = HELD
             age[rows, s] = hold_age
@@ -270,7 +266,7 @@ def assemble_frames(log, window=None, max_hold_age=None):
     hi = np.where(fresh, member_emission, -np.inf).max(axis=1)
     skew = np.where(fresh.sum(axis=1) >= 2, hi - lo, 0.0)
     complete = ~np.any(status == MISSING, axis=1)
-    return FrameSet(log, triggers, member_event, member_emission, status, age,
+    return FrameSet(log, triggers, member_emission, status, age,
                     skew, complete, event_role, window, max_hold_age)
 
 

@@ -111,6 +111,26 @@ fingers:
       - {index: 1, name: tip, attached_to: b2, offset: [0.03, 0.0, 0.0]}
 """
 
+# two one-joint fingers with different keypoint counts and 2 DoF in all, like
+# planar_2dof: the short finger's (1, 2) slot is padding
+RAGGED_2DOF = """
+name: ragged_2dof
+fingers:
+  - name: long
+    joints:
+      - {name: a, axis: [0.0, 0.0, 1.0], origin_translation: [0.0, 0.0, 0.0], limits: [-1.6, 1.6]}
+    keypoints:
+      - {index: 0, name: root, attached_to: base}
+      - {index: 1, name: mid, attached_to: a, offset: [1.0, 0.0, 0.0]}
+      - {index: 2, name: tip, attached_to: a, offset: [2.0, 0.0, 0.0]}
+  - name: short
+    joints:
+      - {name: b, axis: [0.0, 0.0, 1.0], origin_translation: [0.0, 1.0, 0.0], limits: [-1.6, 1.6]}
+    keypoints:
+      - {index: 0, name: root, attached_to: base}
+      - {index: 1, name: tip, attached_to: b, offset: [1.0, 0.0, 0.0]}
+"""
+
 
 @pytest.fixture(scope="session")
 def robot():
@@ -130,6 +150,11 @@ def human():
 @pytest.fixture(scope="session")
 def toy_3dof():
     return load_hand_model(TOY_3DOF)
+
+
+@pytest.fixture(scope="session")
+def ragged_2dof():
+    return load_hand_model(RAGGED_2DOF)
 
 
 @pytest.fixture(scope="session")

@@ -1,5 +1,6 @@
 """Calibration, conformal adjustment, coupling, objective, solver, stream."""
 
+import re
 import warnings
 
 import numpy as np
@@ -165,7 +166,9 @@ def _segment_loop(w, r, u):
 @given(segment_case())
 def test_segment_law_property(case):
     frame, cal = case
-    for w, v, r, u in zip(frame.w, adjust_keypoints(frame, cal), cal.r, cal.u):
+    for w, v, r, u, c in zip(frame.w, adjust_keypoints(frame, cal), cal.r, cal.u,
+                             frame.counts()):
+        w, v = w[:c], v[:c]
         assert v.tobytes() == _segment_loop(w, r, u).tobytes()
         if np.all(r == 1.0) and not np.any(u):
             assert v.tobytes() == w.tobytes()
@@ -273,6 +276,36 @@ def test_steep_gate_is_a_step_without_warnings(calibration, gesture_frames):
     assert np.all(states[20].omega == 0.0)
     for state in states:
         assert np.all(state.omega == np.where(state.d > 0.5, 1.0, 0.0))
+
+
+def _coupling_loop(w, cal, k, c):
+    """The per-finger loop form of the coupling terms, as a bitwise reference."""
+    fingers = cal.coupling_fingers
+    delta, d = np.zeros((len(fingers), 3)), np.zeros(len(fingers))
+    for m, i in enumerate(fingers):
+        lo, hi = cal.d_min[i], cal.d_max[i]
+        delta[m] = w[i][-1] - w[0][-1]
+        dist = np.linalg.norm(delta[m])
+        d[m] = min(max(1.0 - (dist - lo) / (hi - lo), 0.0), 1.0)
+    return delta, d, 1.0 / (1.0 + np.exp(-k * (d - c)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.lists(st.integers(2, 6), min_size=2, max_size=5),
+       st.floats(0.1, 50.0), st.floats(0.0, 1.0))
+def test_coupling_matches_finger_loop_property(seed, counts, k, c):
+    rng = np.random.default_rng(seed)
+    w = [rng.uniform(-0.15, 0.15, (n, 3)) for n in counts]
+    frame = KeypointFrame(w)
+    fingers = tuple(range(1, len(counts)))
+    d_min = {i: float(rng.uniform(0.0, 0.1)) for i in fingers}
+    d_max = {i: d_min[i] + float(rng.uniform(0.01, 0.4)) for i in fingers}
+    cal = CalibrationData(r=tuple(np.ones(n - 1) for n in counts), u=np.zeros((len(counts), 3)),
+                          w_star=frame, q0=np.zeros(1), d_min=d_min, d_max=d_max,
+                          coupling_fingers=fingers)
+    state = coupling_weights(frame, cal, k, c)
+    for got, want in zip((state.delta, state.d, state.omega), _coupling_loop(w, cal, k, c)):
+        assert got.tobytes() == want.tobytes()
 
 
 def test_bad_distance_bounds_rejected(calibration):
@@ -587,21 +620,25 @@ _LANDMARK = st.sampled_from(["ok", "flagged", "nan"])
 
 
 @settings(max_examples=30, deadline=None)
-@given(st.lists(st.lists(_LANDMARK, min_size=3, max_size=3), min_size=1, max_size=9))
-def test_stream_hold_fill_law(planar, pattern):
+@given(st.lists(st.lists(_LANDMARK, min_size=3, max_size=3), min_size=1, max_size=9),
+       st.booleans())
+def test_stream_hold_fill_law(planar, ragged_2dof, pattern, ragged):
     # A frame is rejected iff some landmark is missing (flagged invalid or
     # non-finite) and has been so for over MAX_HOLD_FRAMES consecutive frames
     # or since the first frame; ``filled`` counts the landmarks missing in it.
-    cal = calibrate(planar, planar.rest_pose, identity_frame(planar))
+    # The pattern plays on finger 0; in the ragged model, finger 1 has a
+    # padding slot, which never fills, ages or rejects.
+    model = ragged_2dof if ragged else planar
+    cal = calibrate(model, model.rest_pose, identity_frame(model))
     frames = []
     for k, states in enumerate(pattern):
-        frame = identity_frame(planar, np.array([0.1, 0.2]) + 0.05 * k)
+        frame = identity_frame(model, np.array([0.1, 0.2]) + 0.05 * k)
         for j, state in enumerate(states):
             frame.valid[0][j] = state != "flagged"
             frame.w[0][j, k % 3] = {"ok": frame.w[0][j, k % 3], "flagged": 99.0,
                                     "nan": np.nan}[state]
         frames.append(frame)
-    steps = retarget_stream(planar, cal, frames)
+    steps = retarget_stream(model, cal, frames)
     runs = np.zeros(3, dtype=int)  # consecutive frames each landmark has been missing
     held = np.array([0.0, 0.0])
     for k, (states, step) in enumerate(zip(pattern, steps)):
@@ -613,9 +650,24 @@ def test_stream_hold_fill_law(planar, pattern):
         assert np.all(np.isfinite(step.q)) and np.all(np.isfinite(step.residuals))
         if rejected:
             assert not step.converged and not step.solver_failed
-            assert np.array_equal(step.q, np.clip(cal.q0, planar.lower_limits,
-                                                  planar.upper_limits) if k == 0 else held)
+            assert np.array_equal(step.q, np.clip(cal.q0, model.lower_limits,
+                                                  model.upper_limits) if k == 0 else held)
         held = step.q
+
+
+@pytest.mark.parametrize("pair", [(5, 4), (0, 9), (-1, 4)])
+def test_stream_rejects_bad_alignment_pair(robot, calibration, gesture_frames, pair):
+    # checked once, before the first frame is pulled
+    pulled = []
+
+    def frames():
+        for frame in gesture_frames["pinch"][:2]:
+            pulled.append(frame)
+            yield frame
+
+    with pytest.raises(RetargetConfigError, match=re.escape(f"alignment pair {pair}")):
+        retarget_stream(robot, calibration, frames(), pairs=((0, 4), pair))
+    assert not pulled
 
 
 def test_stream_layout_mismatch_raises(robot, calibration):
