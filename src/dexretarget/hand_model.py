@@ -1,8 +1,9 @@
 """Kinematic hand models loaded from YAML documents.
 
 A model document describes serial finger chains rooted at the hand base,
-the keypoint frames attached to their links, and optional fingertip taxel
-grids.  Loaded models are immutable: all arrays are frozen and the
+each a list of joints in order from base to tip, the keypoint frames
+attached to the base or a joint, listed by index, and optional fingertip
+taxel grids.  Loaded models are immutable: all arrays are frozen and the
 dataclasses carry no setters.  Units are meters and radians throughout.
 """
 
@@ -53,16 +54,14 @@ def rpy_matrix(roll, pitch, yaw):
 
 @dataclass(frozen=True)
 class Joint:
-    """One revolute joint: fixed parent offset, then rotation about ``axis``."""
+    """One revolute joint: fixed offset from the previous link, then rotation about ``axis``."""
 
     name: str
-    axis: np.ndarray                # unit 3-vector, parent link frame
-    origin_translation: np.ndarray  # parent link frame, meters
+    axis: np.ndarray                # unit 3-vector, previous link frame
+    origin_translation: np.ndarray  # previous link frame, meters
     origin_rotation: np.ndarray     # 3x3, applied after the translation
     lower: float
     upper: float
-    parent: str                     # link name this joint hangs off
-    child: str                      # link name this joint drives
 
 
 @dataclass(frozen=True)
@@ -150,7 +149,7 @@ class HandModel:
 
 def _stack_chains(fingers, total_dof):
     depth, width = max(f.dof for f in fingers), max(len(f.keypoints) for f in fingers)
-    pad = Joint("", np.zeros(3), np.zeros(3), np.eye(3), 0.0, 0.0, "", "")
+    pad = Joint("", np.zeros(3), np.zeros(3), np.eye(3), 0.0, 0.0)
     joints = [f.joints + (pad,) * (depth - f.dof) for f in fingers]
     kps = [f.keypoints + (Keypoint(0, "", 0, np.zeros(3)),) * (width - len(f.keypoints))
            for f in fingers]
@@ -164,7 +163,8 @@ def _stack_chains(fingers, total_dof):
                       _freeze(link, int), _freeze(offset))
 
 
-def _build_joint(raw, prev_child, where):
+def _build_joint(raw, prev, where):
+    """Joint from one ``joints`` entry; ``prev`` names the joint before it, or 'base'."""
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: joint entry must be a mapping")
     try:
@@ -174,6 +174,10 @@ def _build_joint(raw, prev_child, where):
         limits = raw["limits"]
     except KeyError as e:
         raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
+    parent = str(raw.get("parent", prev))
+    if parent != prev:
+        raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
+                         f"base to tip, so its parent is the previous joint {prev!r}")
     norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_UNIT_TOL:
         raise ModelError(f"{where}.axis: |axis| = {norm:.12g}, must be 1 within {AXIS_UNIT_TOL}")
@@ -185,42 +189,11 @@ def _build_joint(raw, prev_child, where):
         raise ModelError(f"{where}.limits: expected [lower, upper], got {limits!r}") from None
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ModelError(f"{where}.limits: lower must be < upper, got [{lower}, {upper}]")
-    parent = str(raw.get("parent", prev_child))
-    child = str(raw.get("child", name))
-    return Joint(name, _freeze(axis), _freeze(trans), _freeze(rot), lower, upper, parent, child)
-
-
-def _order_chain(joints, finger_name):
-    """Order joints base-to-tip following parent links; reject anything non-serial."""
-    links = {BASE_LINK} | {j.child for j in joints}
-    for j in joints:
-        if j.parent not in links:
-            raise ModelError(
-                f"finger {finger_name!r}: joint {j.name!r} references unknown parent link {j.parent!r}")
-    by_parent: dict[str, list[Joint]] = {}
-    for j in joints:
-        by_parent.setdefault(j.parent, []).append(j)
-    for parent, js in by_parent.items():
-        if len(js) > 1:
-            names = ", ".join(x.name for x in js)
-            raise ModelError(f"finger {finger_name!r}: link {parent!r} has multiple child joints ({names})")
-    chain = []
-    cursor = BASE_LINK
-    while cursor in by_parent:
-        j = by_parent.pop(cursor)[0]
-        chain.append(j)
-        cursor = j.child
-    if by_parent:
-        left = ", ".join(js[0].name for js in by_parent.values())
-        raise ModelError(f"finger {finger_name!r}: joints not reachable from base (cycle or disconnected): {left}")
-    return chain
+    return Joint(name, _freeze(axis), _freeze(trans), _freeze(rot), lower, upper)
 
 
 def _build_keypoints(raw_list, chain, finger_name):
-    depth_of = {BASE_LINK: 0}
-    for pos, j in enumerate(chain):
-        depth_of[j.name] = pos + 1
-        depth_of.setdefault(j.child, pos + 1)
+    depth_of = {BASE_LINK: 0} | {j.name: k + 1 for k, j in enumerate(chain)}
     kps = []
     for n, raw in enumerate(raw_list):
         where = f"fingers[{finger_name}].keypoints[{n}]"
@@ -234,15 +207,14 @@ def _build_keypoints(raw_list, chain, finger_name):
         except (TypeError, ValueError):
             raise ModelError(f"{where}.index: expected an integer, got {raw['index']!r}") from None
         if attached not in depth_of:
-            raise ModelError(f"{where}: attached_to {attached!r} names no joint or 'base'")
+            raise ModelError(f"{where}: attached_to {attached!r} names no joint of the finger or 'base'")
         offset = _vec3(raw.get("offset", [0.0, 0.0, 0.0]), f"{where}.offset")
         kps.append(Keypoint(index, str(raw.get("name", f"{finger_name}_{index}")),
                             depth_of[attached], _freeze(offset)))
-    kps.sort(key=lambda kp: kp.index)
     indices = [kp.index for kp in kps]
     if indices != list(range(len(kps))):
-        raise ModelError(
-            f"finger {finger_name!r}: keypoint indices must be unique and contiguous from 0, got {indices}")
+        raise ModelError(f"finger {finger_name!r}: keypoints must be listed by index, "
+                         f"contiguous from 0, got {indices}")
     if len(kps) < 2:
         raise ModelError(f"finger {finger_name!r}: need at least 2 keypoints (root and tip)")
     return tuple(kps)
@@ -279,7 +251,7 @@ def load_hand_model(document):
 
     Raises:
         ModelError: on YAML syntax errors (with line info) or any failed
-            validation (limits, axis norms, chain topology, keypoint indexing).
+            validation (limits, axis norms, joint order, keypoint indexing).
     """
     try:
         raw = yaml.safe_load(document)
@@ -305,13 +277,10 @@ def load_hand_model(document):
         raw_joints = rf.get("joints")
         if not isinstance(raw_joints, list) or not raw_joints:
             raise ModelError(f"fingers[{fi}] ({fname}): needs a non-empty 'joints' list")
-        joints = []
-        prev_child = BASE_LINK
+        chain = []
         for ji, rj in enumerate(raw_joints):
-            j = _build_joint(rj, prev_child, f"fingers[{fname}].joints[{ji}]")
-            joints.append(j)
-            prev_child = j.child
-        chain = _order_chain(joints, fname)
+            prev = chain[-1].name if chain else BASE_LINK
+            chain.append(_build_joint(rj, prev, f"fingers[{fname}].joints[{ji}]"))
         kps = _build_keypoints(rf.get("keypoints", []), chain, fname)
         fingers.append(Finger(fname, tuple(chain), kps, None, dof_offset))
         dof_offset += len(chain)

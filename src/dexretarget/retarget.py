@@ -127,22 +127,32 @@ def calibrate(model, q0, w_star):
     fk = forward_kinematics(model, q0)
     robot = np.zeros_like(w_star.w)  # the robot's keypoints on the frame's slots
     robot[tuple(np.array(list(fk)).T)] = list(fk.values())
-    human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
+    tips = w_star.tips()
+    with np.errstate(over="ignore"):  # a huge landmark's length overflows to inf, rejected below
+        human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
+        spans = _norms(tips[1:] - tips[0])
     real = np.arange(robot.shape[1] - 1) < np.subtract(w_star.counts(), 1)[:, None]
-    for i, j in zip(*np.nonzero(real & ((human_seg <= 0.0) | (robot_seg <= 0.0)))):
-        side = "human" if human_seg[i, j] <= 0.0 else "robot"
-        raise CalibrationError(f"finger {i} segment {j}: {side} segment length is zero")
+    for i, j in zip(*np.nonzero(real & ~(_usable(human_seg) & (robot_seg > 0.0)))):
+        side, length = ("robot", robot_seg[i, j]) if _usable(human_seg[i, j]) \
+            else ("human", human_seg[i, j])
+        raise CalibrationError(f"finger {i} segment {j}: {side} segment length is {length:g}; "
+                               f"it must be finite and > 0")
+    for i in np.flatnonzero(~_usable(spans)) + 1:
+        raise CalibrationError(f"finger {i}: tip-to-thumb span at the calibration pose is "
+                               f"{spans[i - 1]:g}; it must be finite and > 0")
     ratios = np.split(robot_seg[real] / human_seg[real], np.cumsum(real.sum(axis=1))[:-1])
     offsets = robot[:, ANCHOR_INDEX] - w_star.w[:, ANCHOR_INDEX]
-
     coupling_fingers = tuple(range(1, len(model.fingers)))
-    tips = w_star.tips()
-    spans = _norms(tips[1:] - tips[0])
-    for i in np.flatnonzero(spans <= 0.0) + 1:
-        raise CalibrationError(f"finger {i}: zero tip-to-thumb span at the calibration pose")
     d_min, d_max = dict.fromkeys(coupling_fingers, 0.0), dict(zip(coupling_fingers, spans.tolist()))
-    return CalibrationData(tuple(ratios), offsets, w_star.copy(), q0.copy(),
-                           d_min, d_max, coupling_fingers)
+    cal = CalibrationData(tuple(ratios), offsets, w_star.copy(), q0.copy(),
+                          d_min, d_max, coupling_fingers)
+    _check_calibration(model, cal)
+    return cal
+
+
+def _usable(length):
+    """Whether a calibration length is finite and > 0, elementwise."""
+    return (length > 0.0) & (length < np.inf)
 
 
 def _check_calibration(model, cal):
@@ -276,8 +286,20 @@ class RetargetProblem:
         if not self.tolerance > 0.0 or self.max_iterations < 1:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
         _check_pairs(self.model, self.pairs)
-        if self.coupling is not None and not np.all(
-                (self.coupling.omega >= 0.0) & (self.coupling.omega <= 1.0)):
+        c = self.coupling
+        if c is None:
+            return
+        for i in c.fingers:
+            if not 0 <= i < len(self.model.fingers):
+                raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
+                                          f"{self.model.name!r}")
+        m = len(c.fingers)
+        if np.shape(c.delta) != (m, 3) or np.shape(c.omega) != (m,):
+            raise RetargetConfigError(f"coupling of {m} fingers needs delta ({m}, 3) and omega "
+                                      f"({m},), got {np.shape(c.delta)} and {np.shape(c.omega)}")
+        if not np.all(np.isfinite(c.delta)):
+            raise RetargetConfigError("coupling offsets delta must be finite")
+        if not np.all((c.omega >= 0.0) & (c.omega <= 1.0)):
             raise RetargetConfigError("coupling weights must lie in [0, 1]")
 
 
@@ -429,7 +451,7 @@ class StreamStep:
     residuals: np.ndarray
     converged: bool
     rejected: bool          # landmark gap exceeded the fill budget
-    solver_failed: bool     # solve raised; q holds the previous output
+    solver_failed: bool     # solve raised or was not finite; q holds the previous output
     filled: int             # landmarks filled from history this frame
 
 
@@ -443,9 +465,12 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     Missing landmarks, and landmarks with a non-finite coordinate, are
     filled from the last valid value for up to ``MAX_HOLD_FRAMES``
     consecutive frames; beyond that the frame is rejected and the previous
-    output is held.  The first frame warm-starts from the calibration
-    configuration.  ``scaling_alpha`` switches the target construction from
-    conformal adjustment to uniform scaling.
+    output is held.  A frame whose targets, tip offsets or solved residual
+    terms are not finite (a huge landmark overflows them) is marked
+    ``solver_failed`` and also holds the previous output.  The first frame
+    warm-starts from the calibration configuration.  ``scaling_alpha``
+    switches the target construction from conformal adjustment to uniform
+    scaling.
 
     Returns:
         list of StreamStep, one per input frame.
@@ -471,14 +496,19 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         rejected = bool(np.any(ages > MAX_HOLD_FRAMES))
         result = None
         if not rejected:
-            v = (adjust_keypoints(held, cal) if scaling_alpha is None
-                 else baseline_uniform_scaling(held, scaling_alpha))
-            coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c) if use_coupling else None
-            prob = RetargetProblem(model, pairs, v[fingers, index], coupling, q_prev,
-                                   lambdas=tuple(lambdas), tolerance=tolerance,
-                                   max_iterations=max_iterations)
-            with contextlib.suppress(np.linalg.LinAlgError):
-                result = solve_retarget(prob)
+            # a huge landmark can overflow a target, a tip offset or a residual
+            # term to inf; such a frame fails and holds the previous output
+            with np.errstate(over="ignore", invalid="ignore"):
+                v = (adjust_keypoints(held, cal) if scaling_alpha is None
+                     else baseline_uniform_scaling(held, scaling_alpha))[fingers, index]
+                coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c) if use_coupling else None
+                if np.isfinite(v).all() and (coupling is None or np.isfinite(coupling.delta).all()):
+                    prob = RetargetProblem(model, pairs, v, coupling, q_prev, lambdas=tuple(lambdas),
+                                           tolerance=tolerance, max_iterations=max_iterations)
+                    with contextlib.suppress(np.linalg.LinAlgError):
+                        result = solve_retarget(prob)
+            if result is not None and not np.isfinite(result.residuals).all():
+                result = None
         if result is not None:
             q_prev, residuals = result.q, result.residuals
         steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), residuals.copy(),

@@ -106,6 +106,18 @@ def test_calibrate_zero_segment_fails(tmp_path, planar, capsys):
     assert "finger 0 segment 0" in capsys.readouterr().err
 
 
+def test_calibrate_overflowing_landmark_exits_2(tmp_path, capsys):
+    frame = read_keypoint_trajectory(DATA / "human_calibration.traj")[0]
+    frame.w[0][1][0] = 1e200  # thumb keypoint 1, x: its segments' lengths overflow
+    capture = tmp_path / "huge.traj"
+    write_keypoint_trajectory(capture, [frame])
+    out = tmp_path / "out"
+    code = main(["calibrate", "--model", ROBOT, "--keypoints", str(capture), "--out", str(out)])
+    assert code == EXIT_ERROR
+    assert "finger 0 segment 0: human segment length is inf" in capsys.readouterr().err
+    assert not (out / "calibration.yaml").exists()
+
+
 def test_calibrate_rest_pose_override(tmp_path, planar):
     q0 = np.array([0.3, -0.2])
     capture = tmp_path / "capture.traj"
@@ -154,6 +166,25 @@ def test_retarget_fills_non_finite_landmark(tmp_path, robot, calibration):
                  "--calibration", str(cal), "--input", str(clip), "--out", str(out)])
     assert code == EXIT_OK
     assert "nan" not in (out / "retargeted.traj").read_text()
+
+
+@pytest.mark.parametrize("value", [1e200, 1.79e308])
+def test_retarget_overflowing_landmark_fails_its_frame(tmp_path, calibration, value):
+    # finite, but a target (1.79e308) or a residual term (1e200) overflows to inf
+    frames = read_keypoint_trajectory(DATA / "gestures" / "fist.traj")
+    frames[5].w[0][2][0] = value  # thumb keypoint 2, x
+    clip = tmp_path / "fist_huge.traj"
+    write_keypoint_trajectory(clip, frames)
+    cal = tmp_path / "calibration.yaml"
+    write_calibration(cal, calibration)
+    out = tmp_path / "out"
+    code = main(["retarget", "--model", ROBOT, "--calibration", str(cal),
+                 "--input", str(clip), "--out", str(out)])
+    assert code == EXIT_PARTIAL
+    _, qs, residuals, converged = read_joint_trajectory(out / "retargeted.traj", 20)
+    assert np.all(np.isfinite(qs)) and np.all(np.isfinite(residuals))
+    assert np.flatnonzero(~converged).tolist() == [5]
+    assert np.array_equal(qs[5], qs[4]) and np.array_equal(residuals[5], residuals[4])
 
 
 @pytest.mark.parametrize("record, column, value, needle", [

@@ -95,12 +95,14 @@ def test_non_unit_axis_rejected():
 
 def test_unknown_parent_rejected():
     doc = MINIMAL.replace("{name: j2, axis", "{name: j2, parent: ghost, axis")
-    _expect_error(doc, "unknown parent")
+    _expect_error(doc, "fingers[arm].joints[1]: joint 'j2' names parent 'ghost', "
+                       "but joints are listed base to tip")
 
 
 def test_branching_chain_rejected():
     doc = MINIMAL.replace("{name: j2, axis", "{name: j2, parent: base, axis")
-    _expect_error(doc, "multiple child joints")
+    _expect_error(doc, "fingers[arm].joints[1]: joint 'j2' names parent 'base', "
+                       "but joints are listed base to tip")
 
 
 def test_cyclic_chain_rejected():
@@ -115,7 +117,31 @@ fingers:
       - {index: 0, name: root, attached_to: base}
       - {index: 1, name: tip, attached_to: j2}
 """
-    _expect_error(doc, "cycle or disconnected")
+    _expect_error(doc, "fingers[arm].joints[0]: joint 'j1' names parent 'j2', "
+                       "but joints are listed base to tip")
+
+
+def test_explicit_parents_in_order_load_as_listed():
+    doc = MINIMAL.replace("{name: j1, axis", "{name: j1, parent: base, axis") \
+        .replace("{name: j2, axis", "{name: j2, parent: j1, axis")
+    m, plain = load_hand_model(doc), load_hand_model(MINIMAL)
+    assert all(np.array_equal(a, b) for a, b in zip(m.chains, plain.chains))
+
+
+def test_tip_first_listing_rejected():
+    doc = """
+name: tip_first
+fingers:
+  - name: arm
+    joints:
+      - {name: j2, parent: j1, axis: [0.0, 0.0, 1.0], origin_translation: [1.0, 0.0, 0.0], limits: [-1.0, 1.0]}
+      - {name: j1, parent: base, axis: [0.0, 0.0, 1.0], origin_translation: [0.0, 0.0, 0.0], limits: [-1.0, 1.0]}
+    keypoints:
+      - {index: 0, name: root, attached_to: base}
+      - {index: 1, name: tip, attached_to: j2}
+"""
+    _expect_error(doc, "fingers[arm].joints[0]: joint 'j2' names parent 'j1', "
+                       "but joints are listed base to tip")
 
 
 def test_keypoint_indices_must_be_contiguous():
@@ -123,6 +149,9 @@ def test_keypoint_indices_must_be_contiguous():
                   "contiguous")
     _expect_error(MINIMAL.replace("index: 1, name: tip", "index: one, name: tip"),
                   "expected an integer")
+    root = "      - {index: 0, name: root, attached_to: base}\n"
+    _expect_error(MINIMAL.replace(root, "") + root,  # listed out of index order
+                  "listed by index, contiguous from 0, got [1, 0]")
 
 
 def test_at_least_two_keypoints():
@@ -132,6 +161,9 @@ def test_at_least_two_keypoints():
 
 def test_keypoint_unknown_attachment():
     _expect_error(MINIMAL.replace("attached_to: j2", "attached_to: nowhere"), "attached_to")
+    on_link = MINIMAL.replace("{name: j2, axis", "{name: j2, child: j2_link, axis") \
+        .replace("attached_to: j2", "attached_to: j2_link")  # a link name, not a joint's
+    _expect_error(on_link, "attached_to 'j2_link' names no joint")
 
 
 def test_duplicate_finger_name():

@@ -344,7 +344,17 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
      "coupling weights"),
     ({"pairs": ((0, 4), (-1, 4)), "targets": np.zeros((2, 3))}, r"alignment pair \(-1, 4\)"),
     ({"pairs": ((5, 4),), "targets": np.zeros((1, 3))}, r"alignment pair \(5, 4\)"),
-    ({"pairs": ((0, 9),), "targets": np.zeros((1, 3))}, r"alignment pair \(0, 9\)")])
+    ({"pairs": ((0, 9),), "targets": np.zeros((1, 3))}, r"alignment pair \(0, 9\)"),
+    ({"coupling": CouplingState((9,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
+     "coupled finger 9 is not a finger"),
+    ({"coupling": CouplingState((-1,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
+     "coupled finger -1 is not a finger"),
+    ({"coupling": CouplingState((1, 2), np.zeros((1, 3)), np.zeros(2), np.ones(2))},
+     r"delta \(2, 3\)"),
+    ({"coupling": CouplingState((1, 2), np.zeros((2, 3)), np.zeros(2), np.ones(1))},
+     r"omega \(2,\)"),
+    ({"coupling": CouplingState((1, 2), np.full((2, 3), np.inf), np.zeros(2), np.ones(2))},
+     "delta must be finite")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
     rng = np.random.default_rng(8)
     good = make_problem(robot, calibration, rng)
