@@ -1,17 +1,20 @@
 """Kinematic hand models loaded from YAML documents.
 
 A model document describes serial finger chains rooted at the hand base,
-each a list of joints in order from base to tip, the keypoint frames
-attached to the base or a joint, listed by index, and optional fingertip
-taxel grids.  Loaded models are immutable: all arrays are frozen and the
-dataclasses carry no setters.  Units are meters and radians throughout.
+each a list of uniquely named joints in order from base to tip, the
+keypoint frames attached to the base or a joint, listed by index, and
+optional fingertip taxel grids; a key no entry accepts is an error.  A
+loaded model keeps its chains only as the stacked arrays of
+``HandModel.chains`` plus per-finger joint and keypoint counts.  Loaded
+models are immutable: all arrays are frozen and the dataclasses carry no
+setters.  Units are meters and radians throughout.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
@@ -41,6 +44,13 @@ def _vec3(value, where):
     return v
 
 
+def _check_keys(raw, accepted, where):
+    """Raise ModelError for the first key of mapping ``raw`` not in ``accepted``."""
+    for key in raw:
+        if key not in accepted:
+            raise ModelError(f"{where}: unknown key {key!r}, expected one of {', '.join(accepted)}")
+
+
 def rpy_matrix(roll, pitch, yaw):
     """Rotation matrix from fixed-axis roll/pitch/yaw angles (x, then y, then z)."""
     cr, sr = math.cos(roll), math.sin(roll)
@@ -50,28 +60,6 @@ def rpy_matrix(roll, pitch, yaw):
     ry = np.array([[cp, 0.0, sp], [0.0, 1.0, 0.0], [-sp, 0.0, cp]])
     rz = np.array([[cy, -sy, 0.0], [sy, cy, 0.0], [0.0, 0.0, 1.0]])
     return rz @ ry @ rx
-
-
-@dataclass(frozen=True)
-class Joint:
-    """One revolute joint: fixed offset from the previous link, then rotation about ``axis``."""
-
-    name: str
-    axis: np.ndarray                # unit 3-vector, previous link frame
-    origin_translation: np.ndarray  # previous link frame, meters
-    origin_rotation: np.ndarray     # 3x3, applied after the translation
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class Keypoint:
-    """A named frame on one link, identified by its per-finger index j."""
-
-    index: int
-    name: str
-    link: int          # number of chain joints preceding the frame; 0 = palm
-    offset: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -86,18 +74,14 @@ class TaxelLayout:
 @dataclass(frozen=True)
 class Finger:
     name: str
-    joints: tuple[Joint, ...]
-    keypoints: tuple[Keypoint, ...]
+    dof: int
+    keypoint_count: int  # keypoints 0..keypoint_count - 1, root to tip
     taxels: TaxelLayout | None
     dof_offset: int  # index of this finger's first joint in the global q vector
 
     @property
-    def dof(self):
-        return len(self.joints)
-
-    @property
     def tip_index(self):
-        return self.keypoints[-1].index
+        return self.keypoint_count - 1
 
 
 # Every finger's chain stacked into (F, D, ...) arrays, D the longest chain,
@@ -132,41 +116,50 @@ class HandModel:
         return slice(f.dof_offset, f.dof_offset + f.dof)
 
     def keypoint(self, i, j):
-        """Keypoint ``j`` of finger ``i``; the loader stores each finger's
-        keypoints by index, contiguous from 0, so ``j`` is a position."""
-        if not (0 <= i < len(self.fingers) and 0 <= j < len(self.fingers[i].keypoints)):
+        """(link, offset) of keypoint ``j`` of finger ``i``: the number of
+        chain joints before its frame (0 = palm) and its fixed offset in
+        that link's frame."""
+        if not (0 <= i < len(self.fingers) and 0 <= j < self.fingers[i].keypoint_count):
             raise KeyError(f"no keypoint ({i}, {j}) in model {self.name!r}")
-        return self.fingers[i].keypoints[j]
+        return self.chains.link[i, j], self.chains.offset[i, j]
 
     def keypoint_ids(self):
         """All (finger, keypoint) index pairs, finger-major."""
-        return [(i, kp.index) for i, f in enumerate(self.fingers) for kp in f.keypoints]
+        return [(i, j) for i, f in enumerate(self.fingers) for j in range(f.keypoint_count)]
 
     def keypoint_counts(self):
         """Number of keypoints per finger (n_i + 1, counting the j = 0 root)."""
-        return tuple(len(f.keypoints) for f in self.fingers)
+        return tuple(f.keypoint_count for f in self.fingers)
 
 
-def _stack_chains(fingers, total_dof):
-    depth, width = max(f.dof for f in fingers), max(len(f.keypoints) for f in fingers)
-    pad = Joint("", np.zeros(3), np.zeros(3), np.eye(3), 0.0, 0.0)
-    joints = [f.joints + (pad,) * (depth - f.dof) for f in fingers]
-    kps = [f.keypoints + (Keypoint(0, "", 0, np.zeros(3)),) * (width - len(f.keypoints))
-           for f in fingers]
-    trans, rot, axis = (np.array([[getattr(j, a) for j in c] for c in joints])
-                        for a in ("origin_translation", "origin_rotation", "axis"))
+def _stack_rows(rows, length, pad):
+    """Each finger's list of rows, padded with ``pad`` to ``length``, as one
+    (F, length, ...) array per field of a row."""
+    fields = [zip(*(r + [pad] * (length - len(r)))) for r in rows]  # per finger
+    return [np.array(field) for field in zip(*fields)]
+
+
+def _stack_chains(fingers, joints, keypoints, total_dof):
+    """ChainStack of the fingers' joint rows (name, axis, translation,
+    rotation, limits) and keypoint rows (link, offset)."""
+    depth, width = max(f.dof for f in fingers), max(f.keypoint_count for f in fingers)
+    identity_joint = ("", np.zeros(3), np.zeros(3), np.eye(3), (0.0, 0.0))
+    _, axis, trans, rot, _ = _stack_rows(joints, depth, identity_joint)
+    link, offset = _stack_rows(keypoints, width, (0, np.zeros(3)))  # padding on the palm
     kx, ky, kz, zero = *np.moveaxis(axis, -1, 0), np.zeros(axis.shape[:2])
     skew = np.stack([zero, -kz, ky, kz, zero, -kx, -ky, kx, zero], -1).reshape(rot.shape)
     q_index = [[f.dof_offset + k if k < f.dof else total_dof for k in range(depth)] for f in fingers]
-    link, offset = ([[getattr(kp, a) for kp in c] for c in kps] for a in ("link", "offset"))
     return ChainStack(*map(_freeze, (trans, rot, axis, skew, skew @ skew)), _freeze(q_index, int),
                       _freeze(link, int), _freeze(offset))
 
 
-def _build_joint(raw, prev, where):
-    """Joint from one ``joints`` entry; ``prev`` names the joint before it, or 'base'."""
+def _build_joint(raw, earlier, where):
+    """One ``joints`` entry's row (name, axis, translation, rotation,
+    (lower, upper)); ``earlier`` names the finger's joints listed before it."""
     if not isinstance(raw, dict):
         raise ModelError(f"{where}: joint entry must be a mapping")
+    _check_keys(raw, ("name", "parent", "axis", "origin_translation", "origin_rotation", "limits"),
+                where)
     try:
         name = str(raw["name"])
         axis = _vec3(raw["axis"], f"{where}.axis")
@@ -174,6 +167,12 @@ def _build_joint(raw, prev, where):
         limits = raw["limits"]
     except KeyError as e:
         raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
+    if name == BASE_LINK:
+        raise ModelError(f"{where}: joint {name!r} takes the name reserved for the palm")
+    if name in earlier:
+        raise ModelError(f"{where}: joint {name!r} repeats an earlier joint's name; "
+                         f"joint names are unique within a finger")
+    prev = earlier[-1] if earlier else BASE_LINK
     parent = str(raw.get("parent", prev))
     if parent != prev:
         raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
@@ -189,16 +188,19 @@ def _build_joint(raw, prev, where):
         raise ModelError(f"{where}.limits: expected [lower, upper], got {limits!r}") from None
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ModelError(f"{where}.limits: lower must be < upper, got [{lower}, {upper}]")
-    return Joint(name, _freeze(axis), _freeze(trans), _freeze(rot), lower, upper)
+    return name, axis, trans, rot, (lower, upper)
 
 
-def _build_keypoints(raw_list, chain, finger_name):
-    depth_of = {BASE_LINK: 0} | {j.name: k + 1 for k, j in enumerate(chain)}
-    kps = []
+def _build_keypoints(raw_list, joint_names, finger_name):
+    """Each ``keypoints`` entry's (link, offset), the link resolved from
+    ``attached_to`` against 'base' and the finger's ``joint_names``."""
+    depth_of = {BASE_LINK: 0} | {name: k + 1 for k, name in enumerate(joint_names)}
+    indices, kps = [], []
     for n, raw in enumerate(raw_list):
         where = f"fingers[{finger_name}].keypoints[{n}]"
         if not isinstance(raw, dict):
             raise ModelError(f"{where}: keypoint entry must be a mapping")
+        _check_keys(raw, ("index", "name", "attached_to", "offset"), where)
         try:
             index = int(raw["index"])
             attached = str(raw["attached_to"])
@@ -209,15 +211,14 @@ def _build_keypoints(raw_list, chain, finger_name):
         if attached not in depth_of:
             raise ModelError(f"{where}: attached_to {attached!r} names no joint of the finger or 'base'")
         offset = _vec3(raw.get("offset", [0.0, 0.0, 0.0]), f"{where}.offset")
-        kps.append(Keypoint(index, str(raw.get("name", f"{finger_name}_{index}")),
-                            depth_of[attached], _freeze(offset)))
-    indices = [kp.index for kp in kps]
+        indices.append(index)
+        kps.append((depth_of[attached], offset))
     if indices != list(range(len(kps))):
         raise ModelError(f"finger {finger_name!r}: keypoints must be listed by index, "
                          f"contiguous from 0, got {indices}")
     if len(kps) < 2:
         raise ModelError(f"finger {finger_name!r}: need at least 2 keypoints (root and tip)")
-    return tuple(kps)
+    return kps
 
 
 def _build_taxels(raw, where):
@@ -244,14 +245,16 @@ def load_hand_model(document):
     Args:
         document: YAML text with fields ``name``, ``fingers[].joints[]``,
             ``fingers[].keypoints[]``, optional ``taxel_layouts[]`` and
-            ``rest_pose``.
+            ``rest_pose``.  A keypoint's ``name`` is accepted but not kept.
 
     Returns:
-        HandModel with frozen arrays.
+        HandModel whose joints and keypoints live in the frozen arrays of
+        its ``chains``, each finger keeping only its counts.
 
     Raises:
         ModelError: on YAML syntax errors (with line info) or any failed
-            validation (limits, axis norms, joint order, keypoint indexing).
+            validation (unknown keys, limits, axis norms, joint names and
+            order, keypoint indexing).
     """
     try:
         raw = yaml.safe_load(document)
@@ -259,12 +262,13 @@ def load_hand_model(document):
         raise ModelError(f"document is not valid YAML: {e}") from None
     if not isinstance(raw, dict):
         raise ModelError("document root must be a mapping")
+    _check_keys(raw, ("name", "fingers", "taxel_layouts", "rest_pose"), "document")
     name = str(raw.get("name", "unnamed"))
     raw_fingers = raw.get("fingers")
     if not isinstance(raw_fingers, list) or not raw_fingers:
         raise ModelError("document must declare a non-empty 'fingers' list")
 
-    fingers = []
+    fingers, joints, keypoints = [], [], []
     dof_offset = 0
     seen_names = set()
     for fi, rf in enumerate(raw_fingers):
@@ -274,15 +278,18 @@ def load_hand_model(document):
         if fname in seen_names:
             raise ModelError(f"fingers[{fi}]: duplicate finger name {fname!r}")
         seen_names.add(fname)
+        _check_keys(rf, ("name", "joints", "keypoints"), f"fingers[{fname}]")
         raw_joints = rf.get("joints")
         if not isinstance(raw_joints, list) or not raw_joints:
             raise ModelError(f"fingers[{fi}] ({fname}): needs a non-empty 'joints' list")
-        chain = []
+        chain, names = [], []
         for ji, rj in enumerate(raw_joints):
-            prev = chain[-1].name if chain else BASE_LINK
-            chain.append(_build_joint(rj, prev, f"fingers[{fname}].joints[{ji}]"))
-        kps = _build_keypoints(rf.get("keypoints", []), chain, fname)
-        fingers.append(Finger(fname, tuple(chain), kps, None, dof_offset))
+            chain.append(_build_joint(rj, names, f"fingers[{fname}].joints[{ji}]"))
+            names.append(chain[-1][0])
+        kps = _build_keypoints(rf.get("keypoints", []), names, fname)
+        fingers.append(Finger(fname, len(chain), len(kps), None, dof_offset))
+        joints.append(chain)
+        keypoints.append(kps)
         dof_offset += len(chain)
 
     by_name = {f.name: i for i, f in enumerate(fingers)}
@@ -290,15 +297,14 @@ def load_hand_model(document):
         where = f"taxel_layouts[{ti}]"
         if not isinstance(rt, dict) or "finger" not in rt:
             raise ModelError(f"{where}: entry must be a mapping with a 'finger'")
+        _check_keys(rt, ("finger", "rows", "cols", "origin", "row_step", "col_step"), where)
         fname = str(rt["finger"])
         if fname not in by_name:
             raise ModelError(f"{where}: unknown finger {fname!r}")
         i = by_name[fname]
         if fingers[i].taxels is not None:
             raise ModelError(f"{where}: finger {fname!r} already has a taxel layout")
-        layout = _build_taxels(rt, where)
-        f = fingers[i]
-        fingers[i] = Finger(f.name, f.joints, f.keypoints, layout, f.dof_offset)
+        fingers[i] = replace(fingers[i], taxels=_build_taxels(rt, where))
 
     total_dof = dof_offset
     rest = raw.get("rest_pose")
@@ -311,12 +317,11 @@ def load_hand_model(document):
             raise ModelError(f"rest_pose: expected {total_dof} numbers, got {rest!r}") from None
         if rest_pose.shape != (total_dof,):
             raise ModelError(f"rest_pose: expected {total_dof} values, got shape {rest_pose.shape}")
-    lo = np.array([j.lower for f in fingers for j in f.joints])
-    hi = np.array([j.upper for f in fingers for j in f.joints])
+    lo, hi = np.array([limits for chain in joints for *_, limits in chain]).T
     if not np.all((rest_pose >= lo) & (rest_pose <= hi)):
         raise ModelError("rest_pose: values must lie within joint limits")
     return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose), _freeze(lo), _freeze(hi),
-                     _stack_chains(fingers, total_dof))
+                     _stack_chains(fingers, joints, keypoints, total_dof))
 
 
 def load_hand_model_file(path):

@@ -142,7 +142,7 @@ def jacobian(model, q, frame):
         joints not on the frame's chain are zero.
     """
     i = frame[0]
-    link = model.keypoint(*frame).link
+    link, _ = model.keypoint(*frame)
     q = _coerce_q(model, q)[model.finger_slice(i)]
     at = _gather(model, _chain_state(model, i, q), [frame], finger=i)
     jac = np.zeros((6, model.total_dof))
@@ -245,7 +245,7 @@ def batch_keypoint_positions(model, frame, q_batch):
         (B, 3) positions in the hand base frame.
     """
     i, j = frame
-    kp = model.keypoint(i, j)
+    link, offset = model.keypoint(i, j)
     q_batch = np.asarray(q_batch, dtype=float)
     dof = model.fingers[i].dof
     if q_batch.ndim != 2 or q_batch.shape[1] != dof:
@@ -253,7 +253,7 @@ def batch_keypoint_positions(model, frame, q_batch):
     out = np.empty((q_batch.shape[0], 3))
     for start in range(0, q_batch.shape[0], _BATCH_ROWS):
         rows = slice(start, start + _BATCH_ROWS)
-        rots, trans = _chain_state(model, i, q_batch[rows], kp.link)[:2]
-        out[rows] = trans[-1] + _apply(rots[-1], kp.offset)
+        rots, trans = _chain_state(model, i, q_batch[rows], link)[:2]
+        out[rows] = trans[-1] + _apply(rots[-1], offset)
         del rots, trans  # the next walk then reuses this one's memory, still in cache
     return out

@@ -1,8 +1,12 @@
 """Model document loading and validation."""
 
+import dataclasses
+
 import numpy as np
 import pytest
+import yaml
 
+from conftest import DATA
 from dexretarget.hand_model import ModelError, load_hand_model
 
 MINIMAL = """
@@ -15,6 +19,10 @@ fingers:
     keypoints:
       - {index: 0, name: root, attached_to: base}
       - {index: 1, name: tip, attached_to: j2, offset: [1.0, 0.0, 0.0]}
+"""
+WITH_TAXELS = MINIMAL + """
+taxel_layouts:
+  - {finger: arm, rows: 2, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [0.001, 0.0, 0.0], col_step: [0.0, 0.001, 0.0]}
 """
 
 
@@ -63,20 +71,25 @@ def test_limits_and_rest_pose(robot):
 
 
 def test_keypoint_lookup(robot):
-    kp = robot.keypoint(0, 4)
-    assert kp.index == 4
+    thumb = yaml.safe_load((DATA / "rapid_hand_20dof.yaml").read_text())["fingers"][0]
+    tip = thumb["keypoints"][4]
+    joint_names = [j["name"] for j in thumb["joints"]]
+    link, offset = robot.keypoint(0, 4)
+    assert link == joint_names.index(tip["attached_to"]) + 1 == 4
+    assert offset.tolist() == tip["offset"] == [0.025, 0.0, 0.0]
     for i, j in ((0, 9), (-1, 4), (5, 4), (0, -1)):
         with pytest.raises(KeyError):
             robot.keypoint(i, j)
 
 
 def test_model_is_immutable(robot):
-    with pytest.raises(ValueError):
-        robot.rest_pose[0] = 1.0
-    with pytest.raises(ValueError):
-        robot.fingers[0].joints[0].axis[0] = 0.5
-    with pytest.raises(Exception):
-        robot.fingers[0].joints[0].lower = -9.0  # frozen dataclass
+    arrays = [*robot.chains, robot.lower_limits, robot.upper_limits, robot.rest_pose,
+              *(f.taxels.positions for f in robot.fingers)]
+    for a in arrays:
+        with pytest.raises(ValueError):
+            a.reshape(-1)[0] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        robot.fingers[0].dof = 9
 
 
 def _expect_error(doc, needle):
@@ -163,7 +176,29 @@ def test_keypoint_unknown_attachment():
     _expect_error(MINIMAL.replace("attached_to: j2", "attached_to: nowhere"), "attached_to")
     on_link = MINIMAL.replace("{name: j2, axis", "{name: j2, child: j2_link, axis") \
         .replace("attached_to: j2", "attached_to: j2_link")  # a link name, not a joint's
-    _expect_error(on_link, "attached_to 'j2_link' names no joint")
+    _expect_error(on_link, "fingers[arm].joints[1]: unknown key 'child'")
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("name: mini", "name: mini\nrest_pos: [0.0, 0.0]", "document: unknown key 'rest_pos'"),
+    ("    keypoints:", "    keypoint:", "fingers[arm]: unknown key 'keypoint'"),
+    ("{name: j2, axis", "{name: j2, parnt: ghost, axis", "fingers[arm].joints[1]: unknown key 'parnt'"),
+    ("offset: [1.0", "offst: [1.0", "fingers[arm].keypoints[1]: unknown key 'offst'"),
+    ("rows: 2", "rows: 2, colums: 3", "taxel_layouts[0]: unknown key 'colums'"),
+], ids=["document", "finger", "joint", "keypoint", "taxel_layout"])
+def test_misspelt_key_rejected(old, new, needle):
+    load_hand_model(WITH_TAXELS)
+    _expect_error(WITH_TAXELS.replace(old, new, 1), needle)
+
+
+def test_duplicate_joint_name_rejected():
+    doc = MINIMAL.replace("{name: j2, axis", "{name: j1, axis").replace("attached_to: j2", "attached_to: j1")
+    _expect_error(doc, "fingers[arm].joints[1]: joint 'j1' repeats an earlier joint's name")
+
+
+def test_joint_named_base_rejected():
+    _expect_error(MINIMAL.replace("{name: j1, axis", "{name: base, axis"),
+                  "fingers[arm].joints[0]: joint 'base' takes the name reserved for the palm")
 
 
 def test_duplicate_finger_name():
@@ -179,10 +214,7 @@ def test_rest_pose_validation():
 
 
 def test_taxel_layout_validation():
-    good = MINIMAL + """
-taxel_layouts:
-  - {finger: arm, rows: 2, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [0.001, 0.0, 0.0], col_step: [0.0, 0.001, 0.0]}
-"""
+    good = WITH_TAXELS
     m = load_hand_model(good)
     assert m.fingers[0].taxels.positions.shape == (6, 3)
     _expect_error(good.replace("finger: arm", "finger: leg"), "unknown finger")
