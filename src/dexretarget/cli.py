@@ -149,8 +149,9 @@ def cmd_retarget(args):
 
 
 def cmd_metrics(args):
+    if args.metric in ("manipulability", "all") and args.poses is None:
+        raise argparse.ArgumentTypeError("--poses is required for manipulability")
     model = load_hand_model_file(args.model)
-    out = _out_dir(args)
     lines = []
     if args.metric in ("manipulability", "all"):
         poses = read_poses(args.poses, model.total_dof)
@@ -176,6 +177,7 @@ def cmd_metrics(args):
             except VoxelRangeError as e:
                 raise argparse.ArgumentTypeError(f"--voxel-mm {args.voxel_mm!r} is too small: {e}")
             lines += [f"{model.fingers[i].name} {vol!r}" for (i, _), vol in zip(tips, volumes)]
+    out = _out_dir(args)
     with open(out / "metrics.txt", "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
     _write_manifest(out, args, ["metrics.txt"])
@@ -273,10 +275,6 @@ def main(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
-    if getattr(args, "metric", None) in ("manipulability", "all") and \
-            getattr(args, "poses", "x") is None:
-        print("metrics: --poses is required for manipulability", file=sys.stderr)
-        return EXIT_ERROR
     try:
         return args.func(args)
     except _INPUT_ERRORS as e:

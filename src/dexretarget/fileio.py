@@ -155,6 +155,11 @@ def write_calibration(path, cal):
 def read_calibration(path):
     doc = _yaml(path)
     try:
+        for key, kind, wants in (("d_min", dict, "a mapping"), ("d_max", dict, "a mapping"),
+                                 ("coupling_fingers", list, "a list")):
+            if not isinstance(doc[key], kind):
+                raise FileFormatError(f"{path}: malformed calibration file: {key} must be "
+                                      f"{wants}, got {doc[key]!r}")
         w_star = KeypointFrame([np.array(w, dtype=float) for w in doc["w_star"]])
         return CalibrationData(
             r=tuple(np.array(r, dtype=float) for r in doc["segment_ratios"]),
@@ -216,11 +221,31 @@ def read_poses(path, dof):
 
 # --- sync simulator --------------------------------------------------------
 
+_CONFIG_KEYS = ("streams", "rate_hz", "mode", "soft_latency", "seed", "duration")
+_STREAM_KEYS = ("name", "period", "latency_bound", "jitter", "dropout")
+
+
+def _check_keys(path, raw, accepted, where):
+    """Raise FileFormatError unless ``raw`` is a mapping with keys only from ``accepted``."""
+    if not isinstance(raw, dict):
+        raise FileFormatError(f"{path}: {where}: expected a mapping, got {raw!r}")
+    for key in raw:
+        if key not in accepted:
+            raise FileFormatError(f"{path}: {where}: unknown key {key!r}, "
+                                  f"expected one of {', '.join(accepted)}")
+
+
 def read_stream_config(path):
     """Load a StreamConfig plus simulation duration from YAML."""
     doc = _yaml(path)
     if not isinstance(doc, dict) or "streams" not in doc:
         raise FileFormatError(f"{path}: expected a mapping with a 'streams' list")
+    _check_keys(path, doc, _CONFIG_KEYS, "document")
+    if not isinstance(doc["streams"], list):
+        raise FileFormatError(f"{path}: streams: expected a list of stream entries, "
+                              f"got {doc['streams']!r}")
+    for n, s in enumerate(doc["streams"]):
+        _check_keys(path, s, _STREAM_KEYS, f"streams[{n}]")
     seed = doc.get("seed", 0)
     if type(seed) is not int:
         raise FileFormatError(f"{path}: seed must be an integer, got {seed!r}")

@@ -194,6 +194,9 @@ def _build_joint(raw, earlier, where):
 def _build_keypoints(raw_list, joint_names, finger_name):
     """Each ``keypoints`` entry's (link, offset), the link resolved from
     ``attached_to`` against 'base' and the finger's ``joint_names``."""
+    if not isinstance(raw_list, list):
+        raise ModelError(f"fingers[{finger_name}].keypoints: expected a list of keypoint "
+                         f"entries, got {raw_list!r}")
     depth_of = {BASE_LINK: 0} | {name: k + 1 for k, name in enumerate(joint_names)}
     indices, kps = [], []
     for n, raw in enumerate(raw_list):
@@ -293,7 +296,10 @@ def load_hand_model(document):
         dof_offset += len(chain)
 
     by_name = {f.name: i for i, f in enumerate(fingers)}
-    for ti, rt in enumerate(raw.get("taxel_layouts", []) or []):
+    raw_taxels = raw.get("taxel_layouts")  # an empty entry declares no layouts
+    if raw_taxels is not None and not isinstance(raw_taxels, list):
+        raise ModelError(f"taxel_layouts: expected a list of layout entries, got {raw_taxels!r}")
+    for ti, rt in enumerate(raw_taxels or []):
         where = f"taxel_layouts[{ti}]"
         if not isinstance(rt, dict) or "finger" not in rt:
             raise ModelError(f"{where}: entry must be a mapping with a 'finger'")

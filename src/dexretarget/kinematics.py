@@ -85,14 +85,14 @@ def _chain_state(model, finger, q, depth=None):
 KeypointGather = namedtuple("KeypointGather", "points axes origins links columns")
 
 
-def _gather(model, state, keys, finger=None):
-    """Place the (finger, keypoint) pairs ``keys`` on the walk ``state``: of
-    the whole hand, or, given ``finger``, of that finger alone, which every
-    key is then on."""
+def _gather(model, state, slots, finger=None):
+    """Place the keypoints at ``slots``, a (K, 2) array of (finger,
+    keypoint) pairs, on the walk ``state``: of the whole hand, or, given
+    ``finger``, of that finger alone, which every slot is then on."""
     c = model.chains
-    fingers, index = np.asarray(keys, dtype=int).T
+    fingers, index = np.asarray(slots, dtype=int).T
     rots, trans, frames = map(np.stack, state)
-    axis, on = c.axis.swapaxes(0, 1), fingers  # on: each key's finger in the walk
+    axis, on = c.axis.swapaxes(0, 1), fingers  # on: each slot's finger in the walk
     if finger is not None:  # give the walk the hand's finger dimension
         rots, trans, frames = rots[:, None], trans[:, None], frames[:, None]
         axis, on = c.axis[finger, :len(frames), None], np.zeros_like(fingers)
@@ -117,15 +117,16 @@ def linear_jacobian_block(at, n_dof):
 
 
 def forward_kinematics(model, q):
-    """All keypoint positions at configuration q.
+    """Every keypoint slot's position at configuration q.
 
     Returns:
-        dict mapping (finger, keypoint) index pairs to 3-vectors in the
-        hand base frame.
+        (F, M, 3) array on the slots of ``model.chains``: ``fk[i, j]`` is
+        keypoint j of finger i in the hand base frame.  The slots past a
+        finger's keypoint count are padding and exactly zero.
     """
-    keys = model.keypoint_ids()
+    slots = np.indices(model.chains.link.shape).reshape(2, -1).T
     state = _chain_state(model, None, _coerce_q(model, q))
-    return dict(zip(keys, _gather(model, state, keys).points))
+    return _gather(model, state, slots).points.reshape(model.chains.offset.shape)
 
 
 def jacobian(model, q, frame):
@@ -144,7 +145,7 @@ def jacobian(model, q, frame):
     i = frame[0]
     link, _ = model.keypoint(*frame)
     q = _coerce_q(model, q)[model.finger_slice(i)]
-    at = _gather(model, _chain_state(model, i, q), [frame], finger=i)
+    at = _gather(model, _chain_state(model, i, q), np.array([frame]), finger=i)
     jac = np.zeros((6, model.total_dof))
     jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
     jac[3:, at.columns[0, :link]] = at.axes[:link, 0].T

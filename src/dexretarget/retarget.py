@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import contextlib
 from collections import namedtuple
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -124,9 +124,7 @@ def calibrate(model, q0, w_star):
     if not np.isfinite(w_star.w).all():
         raise CalibrationError("calibration frame has a non-finite landmark")
 
-    fk = forward_kinematics(model, q0)
-    robot = np.zeros_like(w_star.w)  # the robot's keypoints on the frame's slots
-    robot[tuple(np.array(list(fk)).T)] = list(fk.values())
+    robot = forward_kinematics(model, q0)  # the robot's keypoints on the frame's slots
     tips = w_star.tips()
     with np.errstate(over="ignore"):  # a huge landmark's length overflows to inf, rejected below
         human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
@@ -258,7 +256,11 @@ class RetargetProblem:
     """One frame's solve: alignment targets, coupling state, warm start.
 
     ``pairs`` lists the (finger, keypoint) frames entering the alignment
-    term, aligned with rows of ``targets``.
+    term, aligned with rows of ``targets``.  Once checked, the problem fixes
+    its residual layout: ``slots``, the (K, 2) keypoints each evaluation
+    places (the pairs, then the thumb tip and each coupled tip when a
+    finger is coupled), and ``rows``, the term of each residual row (0
+    align, 1 couple, 2 smooth).
     """
 
     model: HandModel
@@ -269,6 +271,8 @@ class RetargetProblem:
     lambdas: tuple[float, float, float] = DEFAULT_LAMBDAS
     tolerance: float = DEFAULT_TOLERANCE
     max_iterations: int = DEFAULT_MAX_ITERATIONS
+    slots: np.ndarray = field(init=False, repr=False)
+    rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.targets = np.asarray(self.targets, dtype=float)
@@ -287,20 +291,24 @@ class RetargetProblem:
             raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
         _check_pairs(self.model, self.pairs)
         c = self.coupling
-        if c is None:
-            return
-        for i in c.fingers:
+        coupled = () if c is None else tuple(c.fingers)
+        for i in coupled:
             if not 0 <= i < len(self.model.fingers):
                 raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
                                           f"{self.model.name!r}")
-        m = len(c.fingers)
-        if np.shape(c.delta) != (m, 3) or np.shape(c.omega) != (m,):
-            raise RetargetConfigError(f"coupling of {m} fingers needs delta ({m}, 3) and omega "
-                                      f"({m},), got {np.shape(c.delta)} and {np.shape(c.omega)}")
-        if not np.all(np.isfinite(c.delta)):
-            raise RetargetConfigError("coupling offsets delta must be finite")
-        if not np.all((c.omega >= 0.0) & (c.omega <= 1.0)):
-            raise RetargetConfigError("coupling weights must lie in [0, 1]")
+        if c is not None:
+            m = len(coupled)
+            if np.shape(c.delta) != (m, 3) or np.shape(c.omega) != (m,):
+                raise RetargetConfigError(f"coupling of {m} fingers needs delta ({m}, 3) and "
+                                          f"omega ({m},), got {np.shape(c.delta)} and "
+                                          f"{np.shape(c.omega)}")
+            if not np.all(np.isfinite(c.delta)):
+                raise RetargetConfigError("coupling offsets delta must be finite")
+            if not np.all((c.omega >= 0.0) & (c.omega <= 1.0)):
+                raise RetargetConfigError("coupling weights must lie in [0, 1]")
+        tips = [(i, self.model.fingers[i].tip_index) for i in (0,) + coupled] if coupled else []
+        self.slots = np.array(self.pairs + tuple(tips), dtype=int).reshape(-1, 2)
+        self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled), n))
 
 
 def _check_pairs(model, pairs):
@@ -330,15 +338,11 @@ def _residuals(q, prob):
     targets - FK over ``prob.pairs``, sqrt(omega_m) (D_m - g_m) per coupled
     finger, then q - q_prev.  The objective weighs block b by lambda_b."""
     model, n = prob.model, prob.model.total_dof
-    coupled = prob.coupling.fingers if prob.coupling is not None else ()
-    keys = list(prob.pairs)  # keypoints to place: the pairs, then the thumb and coupled tips
-    if coupled:
-        keys += [(i, model.fingers[i].tip_index) for i in (0,) + coupled]
-    at = _gather(model, _chain_state(model, None, q), keys)
+    at = _gather(model, _chain_state(model, None, q), prob.slots)
     p, dp = at.points, linear_jacobian_block(at, n)  # positions, dp/dq
-    m = len(prob.pairs)  # the thumb tip's row
+    m = len(prob.pairs)  # the thumb tip's row, if a finger is coupled
     e, jac = [prob.targets - p[:m]], [-dp[:m]]
-    if coupled:
+    if len(p) > m:
         s = np.sqrt(prob.coupling.omega)[:, None]
         e.append(s * (prob.coupling.delta - (p[m + 1:] - p[m])))
         jac.append(-s[..., None] * (dp[m + 1:] - dp[m]))
@@ -346,23 +350,17 @@ def _residuals(q, prob):
             np.concatenate([a.reshape(-1, n) for a in jac] + [np.eye(n)]))
 
 
-def _row_terms(prob):
-    """Term of each residual row: 0 align, 1 couple, 2 smooth."""
-    m = len(prob.coupling.fingers) if prob.coupling is not None else 0
-    return np.repeat([0, 1, 2], (3 * len(prob.pairs), 3 * m, prob.model.total_dof))
-
-
 def objective(q, prob):
     """Total weighted objective and its (align, couple, smooth) terms."""
     e, _ = _residuals(np.asarray(q, dtype=float), prob)
-    terms = np.bincount(_row_terms(prob), e * e, minlength=3)
+    terms = np.bincount(prob.rows, e * e, minlength=3)
     return float(np.dot(prob.lambdas, terms)), terms
 
 
 def objective_gradient(q, prob):
     """Analytic gradient of the total objective, 2 J^T (lambda e) by rows."""
     e, jac = _residuals(np.asarray(q, dtype=float), prob)
-    return 2.0 * jac.T @ (np.take(prob.lambdas, _row_terms(prob)) * e)
+    return 2.0 * jac.T @ (np.take(prob.lambdas, prob.rows) * e)
 
 
 @dataclass(frozen=True)
@@ -432,11 +430,10 @@ def solve_retarget(prob):
     Deterministic, never ends above the warm start clip(q_prev), and
     returns the last iterate with ``converged=False`` when the budget runs
     out."""
-    rows = _row_terms(prob)
-    res = minimize(lambda x: _residuals(x, prob), np.sqrt(np.take(prob.lambdas, rows)),
+    res = minimize(lambda x: _residuals(x, prob), np.sqrt(np.take(prob.lambdas, prob.rows)),
                    prob.q_prev, prob.model.lower_limits, prob.model.upper_limits,
                    prob.tolerance, prob.max_iterations)
-    terms = np.bincount(rows, res.e * res.e, minlength=3)
+    terms = np.bincount(prob.rows, res.e * res.e, minlength=3)
     return RetargetResult(res.x, float(np.dot(prob.lambdas, terms)), terms,
                           res.nit, res.converged)
 

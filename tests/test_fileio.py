@@ -5,6 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -239,6 +240,22 @@ def test_calibration_read_errors(tmp_path):
         read_calibration(missing)
 
 
+@pytest.mark.parametrize("key, value, needle", [
+    ("d_min", [0.0], "d_min must be a mapping, got [0.0]"),
+    ("d_max", 5, "d_max must be a mapping, got 5"),
+    ("coupling_fingers", {1: 2}, "coupling_fingers must be a list, got {1: 2}"),
+], ids=["d_min_list", "d_max_number", "coupling_fingers_mapping"])
+def test_calibration_field_of_wrong_shape_rejected(tmp_path, calibration, key, value, needle):
+    path = tmp_path / "calibration.yaml"
+    write_calibration(path, calibration)
+    doc = yaml.safe_load(path.read_text())
+    doc[key] = value
+    path.write_text(yaml.safe_dump(doc))
+    with pytest.raises(FileFormatError, match="malformed calibration file") as err:
+        read_calibration(path)
+    assert needle in str(err.value)
+
+
 # --- joint trajectories ------------------------------------------------------
 
 def fake_steps(dof, n, seed=0):
@@ -464,6 +481,23 @@ def test_stream_config_errors(tmp_path):
         seeded.write_text(f"streams:\n  - {{name: cam, period: 0.04}}\nseed: {seed}\n")
         with pytest.raises(FileFormatError, match="seed must be an integer"):
             read_stream_config(seeded)
+
+
+@pytest.mark.parametrize("text, needle", [
+    ("streams:\n  - {name: cam, period: 0.04, latency_bond: 0.5}\n",
+     "streams[0]: unknown key 'latency_bond', expected one of name, period, latency_bound"),
+    ("streams:\n  - {name: cam, period: 0.04}\nrate: 50\n",
+     "document: unknown key 'rate', expected one of streams, rate_hz, mode"),
+    ("streams: {name: cam, period: 0.04}\n", "streams: expected a list of stream entries"),
+    ("streams:\n  - {name: cam, period: 0.04}\n  - touch\n",
+     "streams[1]: expected a mapping, got 'touch'"),
+], ids=["stream_key", "document_key", "streams_mapping", "stream_entry_text"])
+def test_stream_config_rejects_unknown_keys(tmp_path, text, needle):
+    path = tmp_path / "streams.yaml"
+    path.write_text(text)
+    with pytest.raises(FileFormatError) as err:
+        read_stream_config(path)
+    assert f"{path}: {needle}" in str(err.value)
 
 
 def test_event_log_and_frames_writers(tmp_path):

@@ -191,6 +191,17 @@ def test_misspelt_key_rejected(old, new, needle):
     _expect_error(WITH_TAXELS.replace(old, new, 1), needle)
 
 
+@pytest.mark.parametrize("doc, needle", [
+    (MINIMAL[:MINIMAL.index("    keypoints:")] + "    keypoints: 5\n",
+     "fingers[arm].keypoints: expected a list of keypoint entries, got 5"),
+    (MINIMAL[:MINIMAL.index("    keypoints:")] + "    keypoints:\n",
+     "fingers[arm].keypoints: expected a list of keypoint entries, got None"),
+    (MINIMAL + "taxel_layouts: 5\n", "taxel_layouts: expected a list of layout entries, got 5"),
+], ids=["keypoints_number", "keypoints_empty", "taxel_layouts_number"])
+def test_entry_list_that_is_not_a_list_rejected(doc, needle):
+    _expect_error(doc, needle)
+
+
 def test_duplicate_joint_name_rejected():
     doc = MINIMAL.replace("{name: j2, axis", "{name: j1, axis").replace("attached_to: j2", "attached_to: j1")
     _expect_error(doc, "fingers[arm].joints[1]: joint 'j1' repeats an earlier joint's name")

@@ -45,6 +45,20 @@ def test_reference_rest_pose_goldens(robot):
     np.testing.assert_allclose(fk[(4, 4)], [0.111, -0.027, 0.0], atol=1e-12)
 
 
+@pytest.mark.parametrize("name", ["ragged_2dof", "robot"])
+def test_fk_is_the_slot_array(request, name):
+    model = request.getfixturevalue(name)
+    q = random_q(model, np.random.default_rng(3))
+    fk = forward_kinematics(model, q)
+    assert fk.shape == model.chains.offset.shape
+    state = _chain_state(model, None, q)
+    for i, count in enumerate(model.keypoint_counts()):
+        assert np.all(fk[i, count:] == 0.0)  # padding slots
+        for j in range(count):
+            alone = _gather(model, state, np.array([(i, j)])).points[0]
+            assert fk[i, j].tobytes() == alone.tobytes()
+
+
 def test_single_keypoint_matches_full_fk(robot):
     rng = np.random.default_rng(0)
     q = random_q(robot, rng)

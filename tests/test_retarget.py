@@ -363,6 +363,21 @@ def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, 
                                   "coupling": good.coupling, "q_prev": good.q_prev, **options})
 
 
+@pytest.mark.parametrize("fingers", [None, (), (1, 2, 3, 4)], ids=["none", "empty", "all"])
+def test_problem_fixes_slots_and_rows(robot, fingers):
+    pairs = default_pairs(robot)
+    coupling = None if fingers is None else CouplingState(
+        fingers, np.zeros((len(fingers), 3)), np.zeros(len(fingers)), np.full(len(fingers), 0.5))
+    prob = RetargetProblem(robot, pairs, np.zeros((len(pairs), 3)), coupling, robot.rest_pose)
+    tips = [(i, robot.fingers[i].tip_index) for i in (0,) + fingers] if fingers else []
+    assert prob.slots.tolist() == [list(p) for p in pairs + tuple(tips)]
+    e, jac = retarget._residuals(robot.rest_pose, prob)
+    assert len(prob.rows) == len(e) == len(jac)
+    n_coupled = len(fingers or ())
+    assert np.bincount(prob.rows, minlength=3).tolist() == [3 * len(pairs), 3 * n_coupled,
+                                                           robot.total_dof]
+
+
 def test_perfect_match_costs_zero(robot, calibration):
     q = np.clip(calibration.q0 + 0.1, robot.lower_limits, robot.upper_limits)
     fk = forward_kinematics(robot, q)

@@ -40,16 +40,8 @@ def pose(model, **per_finger):
 
 def capture_frame(model, q, t):
     fk = forward_kinematics(model, q)
-    counts = model.keypoint_counts()
-    w = []
-    for i, c in enumerate(counts):
-        pts = np.zeros((c, 3))
-        for j in range(1, c):
-            pts[j] = fk[(i, j)]
-        # wrist landmark: hand-frame origin, shared j=0 slot
-        w.append(pts)
-    valid = [np.ones(c, dtype=bool) for c in counts]
-    return KeypointFrame(w, valid, timestamp=t)
+    fk[:, 0] = 0.0  # wrist landmark: hand-frame origin, shared j=0 slot
+    return KeypointFrame([fk[i, :c] for i, c in enumerate(model.keypoint_counts())], timestamp=t)
 
 
 def gesture_clip(model, q_target):
