@@ -13,6 +13,8 @@ import numpy as np
 import yaml
 
 from .retarget import CalibrationData, KeypointFrame
+from .schema import (INTEGER, INTEGERS, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING, Kind, check,
+                     entries, list_of, numbers)
 from .syncsim import STATUS_NAMES, StreamConfig, StreamSpec
 
 F = "%.17g"
@@ -152,26 +154,28 @@ def write_calibration(path, cal):
         yaml.safe_dump(doc, fh, sort_keys=True, default_flow_style=None)
 
 
+_RATIOS = list_of(NUMBERS, "a list of lists of numbers")
+_OFFSETS = Kind("a list of equal-length lists of numbers",  # retarget names a wrong width
+                lambda v: _RATIOS.test(v) and len(set(map(len, v))) < 2)
+_POINTS = list_of(numbers(3), "a list of 3-number lists")
+_CALIBRATION = {"segment_ratios": (_RATIOS, True), "anchor_offsets": (_OFFSETS, True),
+                "q0": (NUMBERS, True), "coupling_fingers": (INTEGERS, True),
+                "d_min": (NUMBER_BY_INTEGER, True), "d_max": (NUMBER_BY_INTEGER, True),
+                "w_star": (list_of(_POINTS, "a list of lists of 3-number lists"), True)}
+
+
 def read_calibration(path):
     doc = _yaml(path)
-    try:
-        for key, kind, wants in (("d_min", dict, "a mapping"), ("d_max", dict, "a mapping"),
-                                 ("coupling_fingers", list, "a list")):
-            if not isinstance(doc[key], kind):
-                raise FileFormatError(f"{path}: malformed calibration file: {key} must be "
-                                      f"{wants}, got {doc[key]!r}")
-        w_star = KeypointFrame([np.array(w, dtype=float) for w in doc["w_star"]])
-        return CalibrationData(
-            r=tuple(np.array(r, dtype=float) for r in doc["segment_ratios"]),
-            u=np.array(doc["anchor_offsets"], dtype=float),
-            w_star=w_star,
-            q0=np.array(doc["q0"], dtype=float),
-            d_min={int(i): float(v) for i, v in doc["d_min"].items()},
-            d_max={int(i): float(v) for i, v in doc["d_max"].items()},
-            coupling_fingers=tuple(int(i) for i in doc["coupling_fingers"]),
-        )
-    except (KeyError, TypeError, ValueError) as e:
-        raise FileFormatError(f"{path}: malformed calibration file: {e}") from None
+    check(doc, _CALIBRATION, lambda m: FileFormatError(f"{path}: malformed calibration file: {m}"))
+    return CalibrationData(
+        r=tuple(np.array(r, dtype=float) for r in doc["segment_ratios"]),
+        u=np.array(doc["anchor_offsets"], dtype=float),
+        w_star=KeypointFrame([np.reshape(w, (-1, 3)) for w in doc["w_star"]]),
+        q0=np.array(doc["q0"], dtype=float),
+        d_min={i: float(v) for i, v in doc["d_min"].items()},
+        d_max={i: float(v) for i, v in doc["d_max"].items()},
+        coupling_fingers=tuple(doc["coupling_fingers"]),
+    )
 
 
 # --- joint trajectories ----------------------------------------------------
@@ -221,51 +225,26 @@ def read_poses(path, dof):
 
 # --- sync simulator --------------------------------------------------------
 
-_CONFIG_KEYS = ("streams", "rate_hz", "mode", "soft_latency", "seed", "duration")
-_STREAM_KEYS = ("name", "period", "latency_bound", "jitter", "dropout")
-
-
-def _check_keys(path, raw, accepted, where):
-    """Raise FileFormatError unless ``raw`` is a mapping with keys only from ``accepted``."""
-    if not isinstance(raw, dict):
-        raise FileFormatError(f"{path}: {where}: expected a mapping, got {raw!r}")
-    for key in raw:
-        if key not in accepted:
-            raise FileFormatError(f"{path}: {where}: unknown key {key!r}, "
-                                  f"expected one of {', '.join(accepted)}")
+_STREAM = {"name": (STRING, True), "period": (NUMBER, True), "latency_bound": (NUMBER, False),
+           "jitter": (STRING, False), "dropout": (NUMBER, False)}
+_CONFIG = {"streams": (entries(_STREAM, "a list of stream entries"), True),
+           "rate_hz": (NUMBER, False), "mode": (STRING, False), "soft_latency": (numbers(2), False),
+           "seed": (INTEGER, False), "duration": (NUMBER, False)}
 
 
 def read_stream_config(path):
     """Load a StreamConfig plus simulation duration from YAML."""
     doc = _yaml(path)
-    if not isinstance(doc, dict) or "streams" not in doc:
-        raise FileFormatError(f"{path}: expected a mapping with a 'streams' list")
-    _check_keys(path, doc, _CONFIG_KEYS, "document")
-    if not isinstance(doc["streams"], list):
-        raise FileFormatError(f"{path}: streams: expected a list of stream entries, "
-                              f"got {doc['streams']!r}")
-    for n, s in enumerate(doc["streams"]):
-        _check_keys(path, s, _STREAM_KEYS, f"streams[{n}]")
-    seed = doc.get("seed", 0)
-    if type(seed) is not int:
-        raise FileFormatError(f"{path}: seed must be an integer, got {seed!r}")
-    try:
-        streams = tuple(
-            StreamSpec(name=str(s["name"]), period=float(s["period"]),
-                       latency_bound=float(s.get("latency_bound", 0.0)),
-                       jitter=str(s.get("jitter", "uniform")),
-                       dropout=float(s.get("dropout", 0.0)))
-            for s in doc["streams"])
-        config = StreamConfig(
-            streams=streams,
-            rate_hz=float(doc.get("rate_hz", 25.0)),
-            mode=str(doc.get("mode", "hard")),
-            soft_latency=tuple(float(x) for x in doc.get("soft_latency", (0.015, 0.100))),
-            seed=seed)
-        duration = float(doc.get("duration", 10.0))
-    except (KeyError, TypeError, ValueError) as e:
-        raise FileFormatError(f"{path}: malformed stream config: {e}") from None
-    return config, duration
+    check(doc, _CONFIG, lambda m: FileFormatError(f"{path}: {m}"))
+    streams = tuple(StreamSpec(name=s["name"], period=float(s["period"]),
+                               latency_bound=float(s.get("latency_bound", 0.0)),
+                               jitter=s.get("jitter", "uniform"), dropout=float(s.get("dropout", 0.0)))
+                    for s in doc["streams"])
+    config = StreamConfig(streams=streams, rate_hz=float(doc.get("rate_hz", 25.0)),
+                          mode=doc.get("mode", "hard"),
+                          soft_latency=tuple(map(float, doc.get("soft_latency", (0.015, 0.100)))),
+                          seed=doc.get("seed", 0))
+    return config, float(doc.get("duration", 10.0))
 
 
 def _blocks(n):

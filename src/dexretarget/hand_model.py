@@ -3,8 +3,8 @@
 A model document describes serial finger chains rooted at the hand base,
 each a list of uniquely named joints in order from base to tip, the
 keypoint frames attached to the base or a joint, listed by index, and
-optional fingertip taxel grids; a key no entry accepts is an error.  A
-loaded model keeps its chains only as the stacked arrays of
+optional fingertip taxel grids, each entry checked against its table below.
+A loaded model keeps its chains only as the stacked arrays of
 ``HandModel.chains`` plus per-finger joint and keypoint counts.  Loaded
 models are immutable: all arrays are frozen and the dataclasses carry no
 setters.  Units are meters and radians throughout.
@@ -18,6 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 import yaml
+
+from .schema import INTEGER, NUMBERS, STRING, check, entries, numbers
 
 AXIS_UNIT_TOL = 1e-9
 
@@ -34,21 +36,13 @@ def _freeze(a, dtype=float):
     return a
 
 
-def _vec3(value, where):
-    try:
-        v = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        raise ModelError(f"{where}: expected a 3-vector, got {value!r}") from None
-    if v.shape != (3,) or not np.all(np.isfinite(v)):
-        raise ModelError(f"{where}: expected a finite 3-vector, got {value!r}")
-    return v
-
-
-def _check_keys(raw, accepted, where):
-    """Raise ModelError for the first key of mapping ``raw`` not in ``accepted``."""
-    for key in raw:
-        if key not in accepted:
-            raise ModelError(f"{where}: unknown key {key!r}, expected one of {', '.join(accepted)}")
+def _vectors(raw, where, *keys):
+    """Entry ``raw``'s finite 3-vectors under ``keys``, zero for an absent optional one."""
+    vs = [np.array(raw.get(key, (0.0, 0.0, 0.0)), dtype=float) for key in keys]
+    for key, v in zip(keys, vs):
+        if not np.all(np.isfinite(v)):
+            raise ModelError(f"{where}.{key}: expected a finite 3-vector, got {raw[key]!r}")
+    return vs
 
 
 def rpy_matrix(roll, pitch, yaw):
@@ -123,10 +117,6 @@ class HandModel:
             raise KeyError(f"no keypoint ({i}, {j}) in model {self.name!r}")
         return self.chains.link[i, j], self.chains.offset[i, j]
 
-    def keypoint_ids(self):
-        """All (finger, keypoint) index pairs, finger-major."""
-        return [(i, j) for i, f in enumerate(self.fingers) for j in range(f.keypoint_count)]
-
     def keypoint_counts(self):
         """Number of keypoints per finger (n_i + 1, counting the j = 0 root)."""
         return tuple(f.keypoint_count for f in self.fingers)
@@ -153,69 +143,58 @@ def _stack_chains(fingers, joints, keypoints, total_dof):
                       _freeze(link, int), _freeze(offset))
 
 
+_VEC3 = numbers(3)
+_JOINT = {"name": (STRING, True), "parent": (STRING, False), "axis": (_VEC3, True),
+          "origin_translation": (_VEC3, True), "origin_rotation": (_VEC3, False),
+          "limits": (numbers(2), True)}
+_KEYPOINT = {"index": (INTEGER, True), "name": (STRING, False), "attached_to": (STRING, True),
+             "offset": (_VEC3, False)}
+_FINGER = {"name": (STRING, True), "joints": (entries(_JOINT, "a list of joint entries"), True),
+           "keypoints": (entries(_KEYPOINT, "a list of keypoint entries"), True)}
+_TAXELS = {"finger": (STRING, True), "rows": (INTEGER, True), "cols": (INTEGER, True),
+           "origin": (_VEC3, True), "row_step": (_VEC3, True), "col_step": (_VEC3, True)}
+_DOCUMENT = {"name": (STRING, False),
+             "fingers": (entries(_FINGER, "a list of finger entries", label="name"), True),
+             "taxel_layouts": (entries(_TAXELS, "a list of layout entries"), False),
+             "rest_pose": (NUMBERS, False)}
+
+
 def _build_joint(raw, earlier, where):
     """One ``joints`` entry's row (name, axis, translation, rotation,
     (lower, upper)); ``earlier`` names the finger's joints listed before it."""
-    if not isinstance(raw, dict):
-        raise ModelError(f"{where}: joint entry must be a mapping")
-    _check_keys(raw, ("name", "parent", "axis", "origin_translation", "origin_rotation", "limits"),
-                where)
-    try:
-        name = str(raw["name"])
-        axis = _vec3(raw["axis"], f"{where}.axis")
-        trans = _vec3(raw["origin_translation"], f"{where}.origin_translation")
-        limits = raw["limits"]
-    except KeyError as e:
-        raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
+    name = raw["name"]
     if name == BASE_LINK:
         raise ModelError(f"{where}: joint {name!r} takes the name reserved for the palm")
     if name in earlier:
         raise ModelError(f"{where}: joint {name!r} repeats an earlier joint's name; "
                          f"joint names are unique within a finger")
     prev = earlier[-1] if earlier else BASE_LINK
-    parent = str(raw.get("parent", prev))
+    parent = raw.get("parent", prev)
     if parent != prev:
         raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
                          f"base to tip, so its parent is the previous joint {prev!r}")
+    axis, trans, rpy = _vectors(raw, where, "axis", "origin_translation", "origin_rotation")
     norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_UNIT_TOL:
         raise ModelError(f"{where}.axis: |axis| = {norm:.12g}, must be 1 within {AXIS_UNIT_TOL}")
-    rpy = raw.get("origin_rotation", [0.0, 0.0, 0.0])
-    rot = rpy_matrix(*_vec3(rpy, f"{where}.origin_rotation"))
-    try:
-        lower, upper = float(limits[0]), float(limits[1])
-    except (TypeError, ValueError, IndexError):
-        raise ModelError(f"{where}.limits: expected [lower, upper], got {limits!r}") from None
+    lower, upper = map(float, raw["limits"])
     if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
         raise ModelError(f"{where}.limits: lower must be < upper, got [{lower}, {upper}]")
-    return name, axis, trans, rot, (lower, upper)
+    return name, axis, trans, rpy_matrix(*rpy), (lower, upper)
 
 
 def _build_keypoints(raw_list, joint_names, finger_name):
     """Each ``keypoints`` entry's (link, offset), the link resolved from
     ``attached_to`` against 'base' and the finger's ``joint_names``."""
-    if not isinstance(raw_list, list):
-        raise ModelError(f"fingers[{finger_name}].keypoints: expected a list of keypoint "
-                         f"entries, got {raw_list!r}")
     depth_of = {BASE_LINK: 0} | {name: k + 1 for k, name in enumerate(joint_names)}
-    indices, kps = [], []
+    kps = []
     for n, raw in enumerate(raw_list):
         where = f"fingers[{finger_name}].keypoints[{n}]"
-        if not isinstance(raw, dict):
-            raise ModelError(f"{where}: keypoint entry must be a mapping")
-        _check_keys(raw, ("index", "name", "attached_to", "offset"), where)
-        try:
-            index = int(raw["index"])
-            attached = str(raw["attached_to"])
-        except KeyError as e:
-            raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
-        except (TypeError, ValueError):
-            raise ModelError(f"{where}.index: expected an integer, got {raw['index']!r}") from None
-        if attached not in depth_of:
-            raise ModelError(f"{where}: attached_to {attached!r} names no joint of the finger or 'base'")
-        offset = _vec3(raw.get("offset", [0.0, 0.0, 0.0]), f"{where}.offset")
-        indices.append(index)
-        kps.append((depth_of[attached], offset))
+        if raw["attached_to"] not in depth_of:
+            raise ModelError(f"{where}: attached_to {raw['attached_to']!r} names no joint of the "
+                             f"finger or 'base'")
+        kps.append((depth_of[raw["attached_to"]], *_vectors(raw, where, "offset")))
+    indices = [raw["index"] for raw in raw_list]
     if indices != list(range(len(kps))):
         raise ModelError(f"finger {finger_name!r}: keypoints must be listed by index, "
                          f"contiguous from 0, got {indices}")
@@ -225,18 +204,10 @@ def _build_keypoints(raw_list, joint_names, finger_name):
 
 
 def _build_taxels(raw, where):
-    try:
-        rows, cols = int(raw["rows"]), int(raw["cols"])
-        origin = _vec3(raw["origin"], f"{where}.origin")
-        row_step = _vec3(raw["row_step"], f"{where}.row_step")
-        col_step = _vec3(raw["col_step"], f"{where}.col_step")
-    except KeyError as e:
-        raise ModelError(f"{where}: missing required field {e.args[0]!r}") from None
-    except (TypeError, ValueError):
-        raise ModelError(f"{where}: rows and cols must be integers, got "
-                         f"{raw['rows']!r}x{raw['cols']!r}") from None
+    rows, cols = raw["rows"], raw["cols"]
     if rows <= 0 or cols <= 0:
         raise ModelError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
+    origin, row_step, col_step = _vectors(raw, where, "origin", "row_step", "col_step")
     r_idx, c_idx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
     return TaxelLayout(rows, cols, _freeze(pos))
@@ -255,79 +226,58 @@ def load_hand_model(document):
         its ``chains``, each finger keeping only its counts.
 
     Raises:
-        ModelError: on YAML syntax errors (with line info) or any failed
-            validation (unknown keys, limits, axis norms, joint names and
-            order, keypoint indexing).
+        ModelError: on YAML syntax errors (with line info); on an entry that
+            is not a mapping, an unknown or missing key, or a value of the
+            wrong kind (a boolean is never a number, a fraction never an
+            integer), naming the entry and the key; and on any failed check
+            of meaning (limits, axis norms, finite vectors, joint names and
+            order, keypoint indexing and attachment, taxel grids, rest pose).
     """
     try:
         raw = yaml.safe_load(document)
     except yaml.YAMLError as e:
         raise ModelError(f"document is not valid YAML: {e}") from None
-    if not isinstance(raw, dict):
-        raise ModelError("document root must be a mapping")
-    _check_keys(raw, ("name", "fingers", "taxel_layouts", "rest_pose"), "document")
-    name = str(raw.get("name", "unnamed"))
-    raw_fingers = raw.get("fingers")
-    if not isinstance(raw_fingers, list) or not raw_fingers:
-        raise ModelError("document must declare a non-empty 'fingers' list")
+    check(raw, _DOCUMENT, ModelError)
+    if not raw["fingers"]:
+        raise ModelError("fingers: needs at least one finger")
 
     fingers, joints, keypoints = [], [], []
     dof_offset = 0
-    seen_names = set()
-    for fi, rf in enumerate(raw_fingers):
-        if not isinstance(rf, dict) or "name" not in rf:
-            raise ModelError(f"fingers[{fi}]: entry must be a mapping with a 'name'")
-        fname = str(rf["name"])
-        if fname in seen_names:
+    for fi, rf in enumerate(raw["fingers"]):
+        fname = rf["name"]
+        if fname in (f.name for f in fingers):
             raise ModelError(f"fingers[{fi}]: duplicate finger name {fname!r}")
-        seen_names.add(fname)
-        _check_keys(rf, ("name", "joints", "keypoints"), f"fingers[{fname}]")
-        raw_joints = rf.get("joints")
-        if not isinstance(raw_joints, list) or not raw_joints:
-            raise ModelError(f"fingers[{fi}] ({fname}): needs a non-empty 'joints' list")
+        if not rf["joints"]:
+            raise ModelError(f"fingers[{fname}].joints: needs at least one joint")
         chain, names = [], []
-        for ji, rj in enumerate(raw_joints):
+        for ji, rj in enumerate(rf["joints"]):
             chain.append(_build_joint(rj, names, f"fingers[{fname}].joints[{ji}]"))
             names.append(chain[-1][0])
-        kps = _build_keypoints(rf.get("keypoints", []), names, fname)
+        kps = _build_keypoints(rf["keypoints"], names, fname)
         fingers.append(Finger(fname, len(chain), len(kps), None, dof_offset))
         joints.append(chain)
         keypoints.append(kps)
         dof_offset += len(chain)
 
     by_name = {f.name: i for i, f in enumerate(fingers)}
-    raw_taxels = raw.get("taxel_layouts")  # an empty entry declares no layouts
-    if raw_taxels is not None and not isinstance(raw_taxels, list):
-        raise ModelError(f"taxel_layouts: expected a list of layout entries, got {raw_taxels!r}")
-    for ti, rt in enumerate(raw_taxels or []):
+    for ti, rt in enumerate(raw.get("taxel_layouts", [])):
         where = f"taxel_layouts[{ti}]"
-        if not isinstance(rt, dict) or "finger" not in rt:
-            raise ModelError(f"{where}: entry must be a mapping with a 'finger'")
-        _check_keys(rt, ("finger", "rows", "cols", "origin", "row_step", "col_step"), where)
-        fname = str(rt["finger"])
-        if fname not in by_name:
-            raise ModelError(f"{where}: unknown finger {fname!r}")
-        i = by_name[fname]
+        if rt["finger"] not in by_name:
+            raise ModelError(f"{where}: unknown finger {rt['finger']!r}")
+        i = by_name[rt["finger"]]
         if fingers[i].taxels is not None:
-            raise ModelError(f"{where}: finger {fname!r} already has a taxel layout")
+            raise ModelError(f"{where}: finger {rt['finger']!r} already has a taxel layout")
         fingers[i] = replace(fingers[i], taxels=_build_taxels(rt, where))
 
     total_dof = dof_offset
-    rest = raw.get("rest_pose")
-    if rest is None:
-        rest_pose = np.zeros(total_dof)
-    else:
-        try:
-            rest_pose = np.asarray(rest, dtype=float)
-        except (TypeError, ValueError):
-            raise ModelError(f"rest_pose: expected {total_dof} numbers, got {rest!r}") from None
-        if rest_pose.shape != (total_dof,):
-            raise ModelError(f"rest_pose: expected {total_dof} values, got shape {rest_pose.shape}")
+    rest_pose = np.array(raw.get("rest_pose", np.zeros(total_dof)), dtype=float)
+    if rest_pose.shape != (total_dof,):
+        raise ModelError(f"rest_pose: expected {total_dof} values, got shape {rest_pose.shape}")
     lo, hi = np.array([limits for chain in joints for *_, limits in chain]).T
     if not np.all((rest_pose >= lo) & (rest_pose <= hi)):
         raise ModelError("rest_pose: values must lie within joint limits")
-    return HandModel(name, tuple(fingers), total_dof, _freeze(rest_pose), _freeze(lo), _freeze(hi),
-                     _stack_chains(fingers, joints, keypoints, total_dof))
+    return HandModel(raw.get("name", "unnamed"), tuple(fingers), total_dof, _freeze(rest_pose),
+                     _freeze(lo), _freeze(hi), _stack_chains(fingers, joints, keypoints, total_dof))
 
 
 def load_hand_model_file(path):

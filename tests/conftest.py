@@ -9,7 +9,12 @@ from dexretarget.fileio import read_keypoint_trajectory, read_static_keypoints
 from dexretarget.hand_model import load_hand_model, load_hand_model_file
 from dexretarget.retarget import KeypointFrame, calibrate
 
-DATA = pathlib.Path(__file__).resolve().parents[1] / "src" / "dexretarget" / "data"
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+DATA = ROOT / "src" / "dexretarget" / "data"
+
+# README's example stream config, verbatim
+README_STREAMS = (ROOT / "README.md").read_text(encoding="utf-8") \
+    .split("A stream config looks like:\n\n```yaml\n")[1].split("```")[0]
 
 GESTURES = ("fist", "pinch", "spread", "point")
 

@@ -7,6 +7,7 @@ import sys
 
 import numpy as np
 import pytest
+import yaml
 
 from dexretarget import cli
 from dexretarget.cli import EXIT_ERROR, EXIT_OK, EXIT_PARTIAL, main
@@ -21,7 +22,7 @@ from dexretarget.fileio import (
 from dexretarget.kinematics import forward_kinematics
 from dexretarget.retarget import KeypointFrame, retarget_stream
 
-from conftest import ARC_PAIR, DATA, TOY_3DOF
+from conftest import ARC_PAIR, DATA, README_STREAMS, TOY_3DOF
 
 PLANAR = str(DATA / "planar_2dof.yaml")
 ROBOT = str(DATA / "rapid_hand_20dof.yaml")
@@ -62,6 +63,31 @@ def test_cli_import_leaves_scipy_out():
          "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"],
         env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True, check=True)
     assert run.stdout.strip() == "[]"
+
+
+def test_console_script_exits_2_on_a_boolean_leaving_no_out(tmp_path, calibration):
+    """The entry point ``dexretarget.cli:main`` in a fresh process, as the
+    console script runs it."""
+    streams, cal = tmp_path / "streams.yaml", tmp_path / "calibration.yaml"
+    streams.write_text(README_STREAMS.replace("duration: 10.0", "duration: yes"))
+    write_calibration(cal, calibration)
+    doc = yaml.safe_load(cal.read_text())
+    doc["d_max"][1] = True
+    cal.write_text(yaml.safe_dump(doc))
+    src = str(DATA.parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    for argv, needle in [
+            (["syncsim", "--config", str(streams)], "duration: expected a number, got True"),
+            (["retarget", "--model", ROBOT, "--calibration", str(cal), "--input",
+              str(DATA / "gestures" / "pinch.traj")], "d_max: expected a mapping from integers")]:
+        out = tmp_path / argv[0]
+        run = subprocess.run(
+            [sys.executable, "-c", "import sys; from dexretarget.cli import main; sys.exit(main())",
+             *argv, "--out", str(out)],
+            env={**os.environ, "PYTHONPATH": path}, capture_output=True, text=True)
+        assert run.returncode == EXIT_ERROR
+        assert needle in run.stderr
+        assert not out.exists()
 
 
 # --- calibrate ------------------------------------------------------------

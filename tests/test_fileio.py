@@ -1,5 +1,6 @@
 """Round-trips and failure modes for every on-disk format."""
 
+import re
 from types import SimpleNamespace
 from unittest import mock
 
@@ -9,7 +10,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import DATA, README_STREAMS
 from dexretarget import fileio
+from dexretarget.cli import EXIT_ERROR, main
 from dexretarget.fileio import (
     FileFormatError,
     read_calibration,
@@ -241,9 +244,9 @@ def test_calibration_read_errors(tmp_path):
 
 
 @pytest.mark.parametrize("key, value, needle", [
-    ("d_min", [0.0], "d_min must be a mapping, got [0.0]"),
-    ("d_max", 5, "d_max must be a mapping, got 5"),
-    ("coupling_fingers", {1: 2}, "coupling_fingers must be a list, got {1: 2}"),
+    ("d_min", [0.0], "d_min: expected a mapping from integers to numbers, got [0.0]"),
+    ("d_max", 5, "d_max: expected a mapping from integers to numbers, got 5"),
+    ("coupling_fingers", {1: 2}, "coupling_fingers: expected a list of integers, got {1: 2}"),
 ], ids=["d_min_list", "d_max_number", "coupling_fingers_mapping"])
 def test_calibration_field_of_wrong_shape_rejected(tmp_path, calibration, key, value, needle):
     path = tmp_path / "calibration.yaml"
@@ -254,6 +257,37 @@ def test_calibration_field_of_wrong_shape_rejected(tmp_path, calibration, key, v
     with pytest.raises(FileFormatError, match="malformed calibration file") as err:
         read_calibration(path)
     assert needle in str(err.value)
+
+
+def _spoil(doc, key, value):
+    doc = dict(doc)
+    if isinstance(key, tuple):  # (key, index): one item of a list
+        key, k = key
+        doc[key] = doc[key][:k] + [value] + doc[key][k + 1:]
+    else:
+        doc[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("key, value, needle", [
+    ("coupling_fingers", [1.5, 2, 3, 4], "coupling_fingers: expected a list of integers, got [1.5,"),
+    ("d_max", {1: True}, "d_max: expected a mapping from integers to numbers, got {1: True}"),
+    (("q0", 3), True, "q0: expected a list of numbers, got [0.0, 0.0, 0.0, True, "),
+    ("lambdas", [1.0, 1.0, 1.0], "document: unknown key 'lambdas', expected one of segment_ratios"),
+], ids=["coupling_fraction", "d_max_bool", "q0_bool", "unknown_key"])
+def test_calibration_value_of_the_wrong_kind_rejected(tmp_path, capsys, calibration, key, value,
+                                                      needle):
+    path, out = tmp_path / "calibration.yaml", tmp_path / "out"
+    write_calibration(path, calibration)
+    path.write_text(yaml.safe_dump(_spoil(yaml.safe_load(path.read_text()), key, value)))
+    with pytest.raises(FileFormatError, match="malformed calibration file") as err:
+        read_calibration(path)
+    assert needle in str(err.value)
+    assert main(["retarget", "--model", str(DATA / "rapid_hand_20dof.yaml"), "--calibration",
+                 str(path), "--input", str(DATA / "gestures" / "fist.traj"),
+                 "--out", str(out)]) == EXIT_ERROR
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 # --- joint trajectories ------------------------------------------------------
@@ -466,11 +500,12 @@ def test_stream_config_defaults(tmp_path):
 def test_stream_config_errors(tmp_path):
     bad = tmp_path / "bad.yaml"
     bad.write_text("- just\n- a list\n")
-    with pytest.raises(FileFormatError, match="streams"):
+    with pytest.raises(FileFormatError,
+                       match=re.escape("document: expected a mapping, got ['just', 'a list']")):
         read_stream_config(bad)
     malformed = tmp_path / "malformed.yaml"
     malformed.write_text("streams:\n  - {period: 0.04}\n")
-    with pytest.raises(FileFormatError, match="malformed stream config"):
+    with pytest.raises(FileFormatError, match=re.escape("streams[0]: missing required key 'name'")):
         read_stream_config(malformed)
     invalid = tmp_path / "invalid.yaml"
     invalid.write_text("{unbalanced: [\n")
@@ -479,7 +514,7 @@ def test_stream_config_errors(tmp_path):
     for seed in ("1.5", "'3'", "true", ".nan"):
         seeded = tmp_path / "seeded.yaml"
         seeded.write_text(f"streams:\n  - {{name: cam, period: 0.04}}\nseed: {seed}\n")
-        with pytest.raises(FileFormatError, match="seed must be an integer"):
+        with pytest.raises(FileFormatError, match="seed: expected an integer, got "):
             read_stream_config(seeded)
 
 
@@ -498,6 +533,28 @@ def test_stream_config_rejects_unknown_keys(tmp_path, text, needle):
     with pytest.raises(FileFormatError) as err:
         read_stream_config(path)
     assert f"{path}: {needle}" in str(err.value)
+
+
+@pytest.mark.parametrize("old, new, needle", [
+    ("duration: 10.0", "duration: yes", "duration: expected a number, got True"),
+    ("dropout: 0.044", "dropout: true", "streams[1].dropout: expected a number, got True"),
+    ("rate_hz: 25.0", "rate_hz: true", "rate_hz: expected a number, got True"),
+    ("period: 0.04, latency_bound: 0.002", f"period: 1{'0' * 400}, latency_bound: 0.002",
+     "streams[0].period: expected a number, got 1000"),
+    ("mode: hard", "mode: soft\nsoft_latency: [0.015, 0.05, 0.1]",
+     "soft_latency: expected 2 numbers, got [0.015, 0.05, 0.1]"),
+], ids=["duration_yes", "dropout_true", "rate_hz_true", "period_past_float_range",
+        "soft_latency_three"])
+def test_stream_config_value_of_the_wrong_kind_rejected(tmp_path, capsys, old, new, needle):
+    assert old in README_STREAMS
+    path, out = tmp_path / "streams.yaml", tmp_path / "out"
+    path.write_text(README_STREAMS.replace(old, new))
+    with pytest.raises(FileFormatError) as err:
+        read_stream_config(path)
+    assert f"{path}: {needle}" in str(err.value)
+    assert main(["syncsim", "--config", str(path), "--out", str(out)]) == EXIT_ERROR
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_event_log_and_frames_writers(tmp_path):

@@ -7,6 +7,7 @@ import pytest
 import yaml
 
 from conftest import DATA
+from dexretarget.cli import EXIT_ERROR, main
 from dexretarget.hand_model import ModelError, load_hand_model
 
 MINIMAL = """
@@ -202,6 +203,31 @@ def test_entry_list_that_is_not_a_list_rejected(doc, needle):
     _expect_error(doc, needle)
 
 
+@pytest.mark.parametrize("old, new, needle", [
+    ("axis: [0.0, 0.0, 1.0]", "axis: [false, false, true]",
+     "fingers[arm].joints[0].axis: expected 3 numbers, got [False, False, True]"),
+    ("limits: [-1.0, 1.0]", "limits: [false, true]",
+     "fingers[arm].joints[0].limits: expected 2 numbers, got [False, True]"),
+    ("limits: [-1.0, 1.0]", "limits: [-1.0, 1.0, 7.0]",
+     "fingers[arm].joints[0].limits: expected 2 numbers, got [-1.0, 1.0, 7.0]"),
+    ("index: 1,", "index: true,", "fingers[arm].keypoints[1].index: expected an integer, got True"),
+    ("index: 1,", "index: 1.7,", "fingers[arm].keypoints[1].index: expected an integer, got 1.7"),
+    ("rows: 2", "rows: 2.9", "taxel_layouts[0].rows: expected an integer, got 2.9"),
+    ("name: mini", "name: mini\nrest_pose: [true, false]",
+     "rest_pose: expected a list of numbers, got [True, False]"),
+], ids=["axis_bools", "limits_bools", "limits_three", "index_bool", "index_fraction",
+        "rows_fraction", "rest_pose_bools"])
+def test_value_of_the_wrong_kind_rejected(tmp_path, capsys, old, new, needle):
+    doc = WITH_TAXELS.replace(old, new, 1)
+    _expect_error(doc, needle)
+    path, out = tmp_path / "model.yaml", tmp_path / "out"
+    path.write_text(doc)
+    assert main(["metrics", "--model", str(path), "--metric", "opposability", "--samples", "10",
+                 "--out", str(out)]) == EXIT_ERROR
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_joint_name_rejected():
     doc = MINIMAL.replace("{name: j2, axis", "{name: j1, axis").replace("attached_to: j2", "attached_to: j1")
     _expect_error(doc, "fingers[arm].joints[1]: joint 'j1' repeats an earlier joint's name")
@@ -220,7 +246,7 @@ def test_duplicate_finger_name():
 def test_rest_pose_validation():
     _expect_error(MINIMAL + "\nrest_pose: [2.0, 0.0]\n", "within joint limits")
     _expect_error(MINIMAL + "\nrest_pose: [0.0]\n", "expected 2 values")
-    _expect_error(MINIMAL + "\nrest_pose: [a, 0.0]\n", "expected 2 numbers")
+    _expect_error(MINIMAL + "\nrest_pose: [a, 0.0]\n", "rest_pose: expected a list of numbers, got ['a', 0.0]")
     _expect_error(MINIMAL + "\nrest_pose: [.nan, 0.0]\n", "within joint limits")
 
 
@@ -230,7 +256,8 @@ def test_taxel_layout_validation():
     assert m.fingers[0].taxels.positions.shape == (6, 3)
     _expect_error(good.replace("finger: arm", "finger: leg"), "unknown finger")
     _expect_error(good.replace("rows: 2", "rows: 0"), "positive")
-    _expect_error(good.replace("rows: 2", "rows: two"), "must be integers")
+    _expect_error(good.replace("rows: 2", "rows: two"),
+                  "taxel_layouts[0].rows: expected an integer, got 'two'")
     dup = good + good[good.index("  - {finger: arm"):]
     _expect_error(dup, "already has a taxel layout")
 

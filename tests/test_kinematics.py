@@ -20,6 +20,11 @@ def random_q(model, rng):
     return rng.uniform(model.lower_limits, model.upper_limits)
 
 
+def _pairs(model):
+    """All (finger, keypoint) index pairs, finger-major."""
+    return [(i, j) for i, c in enumerate(model.keypoint_counts()) for j in range(c)]
+
+
 # --- forward kinematics ------------------------------------------------------
 
 def test_planar_straight_chain(planar):
@@ -146,7 +151,7 @@ def test_jacobian_bit_equal_whole_hand_block(robot):
     for _ in range(5):
         q = random_q(robot, rng)
         state = _chain_state(robot, None, q)
-        for frame in robot.keypoint_ids():
+        for frame in _pairs(robot):
             block = linear_jacobian_block(_gather(robot, state, [frame]), robot.total_dof)
             assert jacobian(robot, q, frame)[:3].tobytes() == block[0].tobytes()
 
@@ -159,7 +164,7 @@ def test_jacobian_matches_finite_differences(robot, planar, toy_3dof, seed):
     for _ in range(10):
         m = models[rng.integers(len(models))]
         q = random_q(m, rng) * 0.9
-        ids = m.keypoint_ids()
+        ids = _pairs(m)
         frame = ids[rng.integers(len(ids))]
         jac = jacobian(m, q, frame)[:3]
         h = 1e-6
@@ -214,7 +219,7 @@ def test_random_chain_jacobian_matches_central_differences(chain):
     model, q_batch = chain
     q = q_batch[0]
     h = 1e-6
-    for frame in model.keypoint_ids():
+    for frame in _pairs(model):
         jac = jacobian(model, q, frame)[:3]
         fd = np.zeros_like(jac)
         for k in range(model.total_dof):
@@ -229,7 +234,7 @@ def test_random_chain_jacobian_matches_central_differences(chain):
 @given(serial_chain())
 def test_random_chain_batch_rows_bit_equal_fk(chain):
     model, q_batch = chain
-    for frame in model.keypoint_ids():
+    for frame in _pairs(model):
         pts = batch_keypoint_positions(model, frame, q_batch)
         for q, p in zip(q_batch, pts):
             assert p.tobytes() == forward_kinematics(model, q)[frame].tobytes()
@@ -314,12 +319,12 @@ def test_ragged_hand_matches_its_fingers_and_differences(case, seed):
                 == fk[(i, j)].tobytes()
     h, n = 1e-6, hand.total_dof
     steps = h * np.eye(n)
-    for frame in hand.keypoint_ids():
+    for frame in _pairs(hand):
         fd = np.array([forward_kinematics(hand, q + dq)[frame]
                        - forward_kinematics(hand, q - dq)[frame] for dq in steps]).T / (2 * h)
         assert np.max(np.abs(jacobian(hand, q, frame)[:3] - fd)) < 1e-7
     rng = np.random.default_rng(seed)
-    pairs = hand.keypoint_ids()
+    pairs = _pairs(hand)
     tips = [f.tip_index for f in hand.fingers]
     coupling = CouplingState(fingers=tuple(range(1, len(tips))),
                              delta=rng.uniform(-0.1, 0.1, (len(tips) - 1, 3)),
