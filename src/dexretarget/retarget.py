@@ -216,8 +216,8 @@ def baseline_uniform_scaling(frame, alpha):
     The naive fixed-ratio alternative to :func:`adjust_keypoints`, with the
     same (F, M, 3) result; feeds the same solver for side-by-side comparisons.
     """
-    if alpha <= 0.0:
-        raise RetargetConfigError(f"alpha must be positive, got {alpha}")
+    if not 0.0 < alpha < np.inf:
+        raise RetargetConfigError(f"alpha must be finite and > 0, got {alpha}")
     corr = (alpha - 1.0) * (frame.w - frame.w[0, 0])  # alpha = 1 stays exactly w
     return np.where(corr == 0.0, frame.w, frame.w + corr)
 
@@ -253,15 +253,13 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
 
 @dataclass
 class RetargetProblem:
-    """One frame's solve: alignment targets, coupling state, warm start.
+    """A stream's solve: settings and residual layout, checked and fixed once,
+    and one frame's targets, coupling and warm start, checked by :meth:`at`.
 
-    ``pairs`` lists the (finger, keypoint) frames entering the alignment
-    term, aligned with rows of ``targets``.  Once checked, the problem fixes
-    its residual layout: ``slots``, the (K, 2) keypoints each evaluation
-    places (the pairs, then the thumb tip and each coupled tip when a
-    finger is coupled), and ``rows``, the term of each residual row (0
-    align, 1 couple, 2 smooth).
-    """
+    ``pairs`` are the (finger, keypoint) frames aligned with rows of
+    ``targets``; ``slots`` the (K, 2) keypoints each evaluation places (the
+    pairs, then the thumb tip and each coupled tip when a finger is coupled);
+    ``rows`` the term of each residual row (0 align, 1 couple, 2 smooth)."""
 
     model: HandModel
     pairs: tuple[tuple[int, int], ...]
@@ -275,50 +273,54 @@ class RetargetProblem:
     rows: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.targets = np.asarray(self.targets, dtype=float)
-        self.q_prev = np.asarray(self.q_prev, dtype=float)
         self.pairs = tuple((int(i), int(j)) for i, j in self.pairs)
-        n = self.model.total_dof
-        if self.q_prev.shape != (n,):
-            raise RetargetConfigError(f"q_prev has shape {self.q_prev.shape}, expected ({n},)")
-        if self.targets.shape != (len(self.pairs), 3):
-            raise RetargetConfigError("targets must be (len(pairs), 3)")
+        for i, j in self.pairs:
+            try:
+                self.model.keypoint(i, j)
+            except KeyError:
+                raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
+                                          f"of model {self.model.name!r}") from None
         if len(self.lambdas) != 3 or not all(0.0 <= l < np.inf for l in self.lambdas):
             raise RetargetConfigError(f"lambdas must be 3 finite weights >= 0, got {self.lambdas}")
-        if not (np.all(np.isfinite(self.targets)) and np.all(np.isfinite(self.q_prev))):
-            raise RetargetConfigError("targets and q_prev must be finite")
-        if not self.tolerance > 0.0 or self.max_iterations < 1:
-            raise RetargetConfigError("tolerance must be > 0 and max_iterations >= 1")
-        _check_pairs(self.model, self.pairs)
-        c = self.coupling
-        coupled = () if c is None else tuple(c.fingers)
-        for i in coupled:
-            if not 0 <= i < len(self.model.fingers):
-                raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
-                                          f"{self.model.name!r}")
-        if c is not None:
-            m = len(coupled)
-            if np.shape(c.delta) != (m, 3) or np.shape(c.omega) != (m,):
-                raise RetargetConfigError(f"coupling of {m} fingers needs delta ({m}, 3) and "
-                                          f"omega ({m},), got {np.shape(c.delta)} and "
-                                          f"{np.shape(c.omega)}")
-            if not np.all(np.isfinite(c.delta)):
-                raise RetargetConfigError("coupling offsets delta must be finite")
-            if not np.all((c.omega >= 0.0) & (c.omega <= 1.0)):
-                raise RetargetConfigError("coupling weights must lie in [0, 1]")
+        if not self.tolerance > 0.0 or not isinstance(self.max_iterations, (int, np.integer)) \
+                or self.max_iterations < 1:
+            raise RetargetConfigError("tolerance must be > 0 and max_iterations an integer >= 1")
+        coupled = () if self.coupling is None else tuple(self.coupling.fingers)
+        for i in (i for i in coupled if not 0 <= i < len(self.model.fingers)):
+            raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
+                                      f"{self.model.name!r}")
         tips = [(i, self.model.fingers[i].tip_index) for i in (0,) + coupled] if coupled else []
         self.slots = np.array(self.pairs + tuple(tips), dtype=int).reshape(-1, 2)
-        self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled), n))
+        self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled),
+                                          self.model.total_dof))
+        self.at(self.targets, self.coupling, self.q_prev)
 
-
-def _check_pairs(model, pairs):
-    """Raise RetargetConfigError unless every pair names a keypoint of ``model``."""
-    for i, j in pairs:
-        try:
-            model.keypoint(i, j)
-        except KeyError:
-            raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
-                                      f"of model {model.name!r}") from None
+    def at(self, targets, coupling, q_prev):
+        """Check and hold one frame's targets, coupling and warm start; returns self."""
+        targets, q_prev = np.asarray(targets, dtype=float), np.asarray(q_prev, dtype=float)
+        n = self.model.total_dof
+        if q_prev.shape != (n,):
+            raise RetargetConfigError(f"q_prev has shape {q_prev.shape}, expected ({n},)")
+        if targets.shape != (len(self.pairs), 3):
+            raise RetargetConfigError("targets must be (len(pairs), 3)")
+        if not (np.all(np.isfinite(targets)) and np.all(np.isfinite(q_prev))):
+            raise RetargetConfigError("targets and q_prev must be finite")
+        fingers = () if coupling is None else tuple(coupling.fingers)
+        coupled = tuple(self.slots[len(self.pairs) + 1:, 0].tolist())
+        if fingers != coupled:
+            raise RetargetConfigError(f"coupling of fingers {fingers}, the layout's are {coupled}")
+        if coupling is not None:
+            m = len(fingers)
+            if np.shape(coupling.delta) != (m, 3) or np.shape(coupling.omega) != (m,):
+                raise RetargetConfigError(f"coupling of {m} fingers needs delta ({m}, 3) and "
+                                          f"omega ({m},), got {np.shape(coupling.delta)} and "
+                                          f"{np.shape(coupling.omega)}")
+            if not np.all(np.isfinite(coupling.delta)):
+                raise RetargetConfigError("coupling offsets delta must be finite")
+            if not np.all((coupling.omega >= 0.0) & (coupling.omega <= 1.0)):
+                raise RetargetConfigError("coupling weights must lie in [0, 1]")
+        self.targets, self.coupling, self.q_prev = targets, coupling, q_prev
+        return self
 
 
 def default_pairs(model):
@@ -458,7 +460,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
                     max_iterations=DEFAULT_MAX_ITERATIONS, scaling_alpha=None):
     """Retarget an ordered landmark stream into a joint trajectory.
 
-    The calibration is checked against the model before the first frame.
+    The calibration and the settings are checked before the first frame.
     Missing landmarks, and landmarks with a non-finite coordinate, are
     filled from the last valid value for up to ``MAX_HOLD_FRAMES``
     consecutive frames; beyond that the frame is rejected and the previous
@@ -473,12 +475,19 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
         list of StreamStep, one per input frame.
     """
     _check_calibration(model, cal)
-    pairs = default_pairs(model) if pairs is None else tuple((int(i), int(j)) for i, j in pairs)
-    _check_pairs(model, pairs)
-    fingers, index = np.array(pairs, dtype=int).reshape(-1, 2).T
-    use_coupling = len(cal.coupling_fingers) > 0 and lambdas[1] > 0.0
-    q_prev = np.clip(cal.q0, model.lower_limits, model.upper_limits)
-    residuals = np.zeros(3)
+    for name, value in (("sigmoid_k", sigmoid_k), ("sigmoid_c", sigmoid_c)):
+        if not np.isfinite(value):
+            raise RetargetConfigError(f"{name} must be finite, got {value}")
+    if scaling_alpha is not None and not 0.0 < scaling_alpha < np.inf:
+        raise RetargetConfigError(f"scaling_alpha must be finite and > 0, got {scaling_alpha}")
+    pairs = default_pairs(model) if pairs is None else tuple(pairs)
+    lambdas, m = tuple(lambdas), len(cal.coupling_fingers)
+    coupling = CouplingState(cal.coupling_fingers, np.zeros((m, 3)), *np.zeros((2, m))) \
+        if len(lambdas) == 3 and lambdas[1] > 0.0 else None  # bad lambdas fail in the problem
+    q_prev, residuals = np.clip(cal.q0, model.lower_limits, model.upper_limits), np.zeros(3)
+    prob = RetargetProblem(model, pairs, np.zeros((len(pairs), 3)), coupling, q_prev,
+                           lambdas=lambdas, tolerance=tolerance, max_iterations=max_iterations)
+    fingers, index = prob.slots[:len(prob.pairs)].T
     # the newest valid value of each landmark, and the frames since it was
     # valid; one never valid is rejected before its zero is read
     held = KeypointFrame([np.zeros((c, 3)) for c in model.keypoint_counts()])
@@ -498,19 +507,16 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
             with np.errstate(over="ignore", invalid="ignore"):
                 v = (adjust_keypoints(held, cal) if scaling_alpha is None
                      else baseline_uniform_scaling(held, scaling_alpha))[fingers, index]
-                coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c) if use_coupling else None
+                coupling = prob.coupling and coupling_weights(held, cal, sigmoid_k, sigmoid_c)
                 if np.isfinite(v).all() and (coupling is None or np.isfinite(coupling.delta).all()):
-                    prob = RetargetProblem(model, pairs, v, coupling, q_prev, lambdas=tuple(lambdas),
-                                           tolerance=tolerance, max_iterations=max_iterations)
                     with contextlib.suppress(np.linalg.LinAlgError):
-                        result = solve_retarget(prob)
+                        result = solve_retarget(prob.at(v, coupling, q_prev))
             if result is not None and not np.isfinite(result.residuals).all():
                 result = None
         if result is not None:
             q_prev, residuals = result.q, result.residuals
         steps.append(StreamStep(idx, frame.timestamp, q_prev.copy(), residuals.copy(),
                                 converged=result is not None and result.converged,
-                                rejected=rejected,
-                                solver_failed=result is None and not rejected,
+                                rejected=rejected, solver_failed=result is None and not rejected,
                                 filled=int(np.count_nonzero(ages))))
     return steps

@@ -12,9 +12,10 @@ from dexretarget.retarget import KeypointFrame, calibrate
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 DATA = ROOT / "src" / "dexretarget" / "data"
 
-# README's example stream config, verbatim
-README_STREAMS = (ROOT / "README.md").read_text(encoding="utf-8") \
-    .split("A stream config looks like:\n\n```yaml\n")[1].split("```")[0]
+# README's example stream config and Python library example, verbatim
+README = (ROOT / "README.md").read_text(encoding="utf-8")
+README_STREAMS = README.split("A stream config looks like:\n\n```yaml\n")[1].split("```")[0]
+README_LIBRARY = README.split("## Library\n\n```python\n")[1].split("```")[0]
 
 GESTURES = ("fist", "pinch", "spread", "point")
 

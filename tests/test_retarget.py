@@ -209,8 +209,9 @@ def test_alpha_two_doubles_wrist_relative_norms(robot):
 def test_alpha_must_be_positive(robot):
     rng = np.random.default_rng(5)
     frame = random_frame(robot.keypoint_counts(), rng)
-    with pytest.raises(RetargetConfigError):
-        baseline_uniform_scaling(frame, 0.0)
+    for alpha in (0.0, -1.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(RetargetConfigError, match="alpha must be finite and > 0"):
+            baseline_uniform_scaling(frame, alpha)
 
 
 # --- coupling weights -----------------------------------------------------------
@@ -336,11 +337,14 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
 @pytest.mark.parametrize("options, needle", [
     ({"lambdas": (np.nan, 1.0, 1.0)}, "lambdas"), ({"lambdas": (1.0, np.inf, 1.0)}, "lambdas"),
     ({"lambdas": (1.0, 1.0, -1.0)}, "lambdas"), ({"tolerance": np.nan}, "tolerance"),
-    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, np.nan))},
+    ({"layout": (1, 2, 3, 4),
+      "coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, np.nan))},
      "coupling weights"),
-    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, -0.1))},
+    ({"layout": (1, 2, 3, 4),
+      "coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, -0.1))},
      "coupling weights"),
-    ({"coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, 1.5))},
+    ({"layout": (1, 2, 3, 4),
+      "coupling": CouplingState((1, 2, 3, 4), np.zeros((4, 3)), np.zeros(4), np.full(4, 1.5))},
      "coupling weights"),
     ({"pairs": ((0, 4), (-1, 4)), "targets": np.zeros((2, 3))}, r"alignment pair \(-1, 4\)"),
     ({"pairs": ((5, 4),), "targets": np.zeros((1, 3))}, r"alignment pair \(5, 4\)"),
@@ -349,18 +353,66 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
      "coupled finger 9 is not a finger"),
     ({"coupling": CouplingState((-1,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
      "coupled finger -1 is not a finger"),
-    ({"coupling": CouplingState((1, 2), np.zeros((1, 3)), np.zeros(2), np.ones(2))},
+    ({"layout": (1, 2),
+      "coupling": CouplingState((1, 2), np.zeros((1, 3)), np.zeros(2), np.ones(2))},
      r"delta \(2, 3\)"),
-    ({"coupling": CouplingState((1, 2), np.zeros((2, 3)), np.zeros(2), np.ones(1))},
+    ({"layout": (1, 2),
+      "coupling": CouplingState((1, 2), np.zeros((2, 3)), np.zeros(2), np.ones(1))},
      r"omega \(2,\)"),
-    ({"coupling": CouplingState((1, 2), np.full((2, 3), np.inf), np.zeros(2), np.ones(2))},
-     "delta must be finite")])
+    ({"layout": (1, 2),
+      "coupling": CouplingState((1, 2), np.full((2, 3), np.inf), np.zeros(2), np.ones(2))},
+     "delta must be finite"),
+    ({"layout": (1, 2, 3, 4), "targets": np.full((10, 3), np.nan)}, "targets and q_prev must"),
+    ({"layout": (1, 2, 3, 4), "q_prev": np.full(20, np.inf)}, "targets and q_prev must"),
+    ({"layout": (1, 2, 3, 4), "targets": np.zeros((9, 3))}, "targets must be"),
+    ({"layout": (1, 2, 3, 4), "q_prev": np.zeros(19)},
+     r"q_prev has shape \(19,\), expected \(20,\)"),
+    ({"layout": (1, 2, 3, 4),
+      "coupling": CouplingState((1, 2), np.zeros((2, 3)), np.zeros(2), np.ones(2))},
+     r"coupling of fingers \(1, 2\), the layout's are \(1, 2, 3, 4\)"),
+    ({"layout": (1, 2, 3, 4), "coupling": None},
+     r"coupling of fingers \(\), the layout's are \(1, 2, 3, 4\)"),
+    ({"layout": (), "coupling": CouplingState((1,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
+     r"coupling of fingers \(1,\), the layout's are \(\)")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
+    # A case with a "layout" is a fault in one frame's targets, coupling or
+    # warm start: RetargetProblem.at rejects it on a sound problem coupling
+    # those fingers, and leaves that problem as it was.  The constructor
+    # takes its layout from the coupling it is given, so it runs the case
+    # unless that coupling couples other fingers than the layout's.
     rng = np.random.default_rng(8)
     good = make_problem(robot, calibration, rng)
-    with pytest.raises(RetargetConfigError, match=needle):
-        RetargetProblem(robot, **{"pairs": good.pairs, "targets": good.targets,
-                                  "coupling": good.coupling, "q_prev": good.q_prev, **options})
+    case = {"pairs": good.pairs, "targets": good.targets, "coupling": good.coupling,
+            "q_prev": good.q_prev, **options}
+    layout = case.pop("layout", None)
+    if layout is None or (() if case["coupling"] is None else case["coupling"].fingers) == layout:
+        with pytest.raises(RetargetConfigError, match=needle):
+            RetargetProblem(robot, **case)
+    if layout is not None:
+        m = len(layout)
+        sound = RetargetProblem(robot, good.pairs, good.targets, CouplingState(
+            layout, np.zeros((m, 3)), np.zeros(m), np.full(m, 0.5)), good.q_prev)
+        held = (sound.targets, sound.coupling, sound.q_prev)
+        with pytest.raises(RetargetConfigError, match=needle):
+            sound.at(case["targets"], case["coupling"], case["q_prev"])
+        assert all(a is b for a, b in zip((sound.targets, sound.coupling, sound.q_prev), held))
+
+
+@pytest.mark.parametrize("coupled", [True, False], ids=["coupled", "uncoupled"])
+@pytest.mark.parametrize("seed", range(4))
+def test_problem_at_solves_as_a_fresh_problem(robot, calibration, seed, coupled):
+    # one problem carried from frame to frame solves each frame bit for bit
+    # as a problem built for that frame alone
+    rng = np.random.default_rng(40 + seed)
+    carried = make_problem(robot, calibration, rng, coupling=coupled)
+    for _ in range(3):
+        fresh = make_problem(robot, calibration, rng, coupling=coupled)
+        want = solve_retarget(fresh)
+        got = solve_retarget(carried.at(fresh.targets, fresh.coupling, fresh.q_prev))
+        assert got.q.tobytes() == want.q.tobytes()
+        assert got.residuals.tobytes() == want.residuals.tobytes()
+        assert (got.objective, got.iterations, got.converged) == \
+            (want.objective, want.iterations, want.converged)
 
 
 @pytest.mark.parametrize("fingers", [None, (), (1, 2, 3, 4)], ids=["none", "empty", "all"])
@@ -693,6 +745,62 @@ def test_stream_rejects_bad_alignment_pair(robot, calibration, gesture_frames, p
     with pytest.raises(RetargetConfigError, match=re.escape(f"alignment pair {pair}")):
         retarget_stream(robot, calibration, frames(), pairs=((0, 4), pair))
     assert not pulled
+
+
+_BAD_SETTINGS = [
+    ("pairs", ((0, 4), (5, 4)), "alignment pair"), ("lambdas", (1.0,), "lambdas"),
+    ("lambdas", (1.0, 1.0, 1.0, 1.0), "lambdas"), ("lambdas", (1.0, -1.0, 1.0), "lambdas"),
+    ("lambdas", (np.nan, 1.0, 1.0), "lambdas"), ("lambdas", (1.0, 1.0, np.inf), "lambdas"),
+    ("tolerance", 0.0, "tolerance"), ("tolerance", np.nan, "tolerance"),
+    ("max_iterations", 0, "max_iterations"), ("max_iterations", 2.5, "max_iterations"),
+    ("max_iterations", 3.0, "max_iterations"), ("scaling_alpha", 0.0, "scaling_alpha"),
+    ("scaling_alpha", -1.5, "scaling_alpha"), ("scaling_alpha", np.nan, "scaling_alpha"),
+    ("scaling_alpha", np.inf, "scaling_alpha"), ("sigmoid_k", np.nan, "sigmoid_k"),
+    ("sigmoid_k", np.inf, "sigmoid_k"), ("sigmoid_c", -np.inf, "sigmoid_c"),
+    ("sigmoid_c", np.nan, "sigmoid_c")]
+
+
+@pytest.mark.parametrize("stream", ["good", "all_rejected"])
+@pytest.mark.parametrize("setting, value, needle", _BAD_SETTINGS,
+                         ids=[f"{s}={v}" for s, v, _ in _BAD_SETTINGS])
+def test_stream_rejects_bad_setting_before_the_first_frame(robot, calibration, gesture_frames,
+                                                           setting, value, needle, stream):
+    frames = [f.copy() for f in gesture_frames["pinch"][:3]]
+    if stream == "all_rejected":
+        for frame in frames:
+            frame.valid[2][3] = False  # never valid: with sound settings every frame is rejected
+        assert all(s.rejected for s in retarget_stream(robot, calibration, frames))
+    pulled = []
+
+    def pull():
+        for frame in frames:
+            pulled.append(frame)
+            yield frame
+
+    with pytest.raises(RetargetConfigError, match=needle):
+        retarget_stream(robot, calibration, pull(), **{setting: value})
+    assert not pulled
+
+
+@pytest.mark.parametrize("settings", [{}, {"lambdas": (1.0, 0.0, 0.0), "scaling_alpha": 2.0}],
+                         ids=["defaults", "uncoupled_uniform"])
+def test_stream_builds_one_problem_before_the_first_frame(robot, calibration, gesture_frames,
+                                                          monkeypatch, settings):
+    built, seen = [], []
+
+    def counted(*args, **kwargs):
+        built.append(RetargetProblem(*args, **kwargs))
+        return built[-1]
+
+    def pull():
+        for frame in gesture_frames["pinch"][:6]:
+            seen.append(len(built))
+            yield frame
+
+    monkeypatch.setattr(retarget, "RetargetProblem", counted)
+    steps = retarget_stream(robot, calibration, pull(), **settings)
+    assert len(built) == 1 and seen == [1] * 6
+    assert [s.solver_failed or s.rejected for s in steps] == [False] * 6
 
 
 def test_stream_layout_mismatch_raises(robot, calibration):
