@@ -47,17 +47,17 @@ def _compose(r, m):
 
 
 def _chain_state(model, finger, q, depth=None):
-    """Walk chains at joint angles ``q``: finger ``finger``'s (dof,) or
-    (B, dof) angles, or, with ``finger`` None, every finger at once from the
-    hand's (total_dof,) q, stacked into the (F, D) layout of ``model.chains``.
+    """Walk chains in one of two layouts: with ``finger`` None, the whole
+    hand at one (total_dof,) ``q``, in the (F, D) layout of ``model.chains``;
+    else finger ``finger`` alone over a (B, dof) batch of its angles ``q``.
 
     Returns:
         (rots, trans, frames): lists of the link rotations and translations
         for links 0..depth (link 0 is the palm; depth defaults to the
         joints in ``q``) and of the joint frames, the rotation in which
         joint k's axis is expressed, for joints 0..depth-1.  Joint k's
-        origin is ``trans[k + 1]``.  Entries carry the batch or finger
-        dimension once a joint angle has entered them.
+        origin is ``trans[k + 1]``.  Entries carry the finger dimension, or
+        the batch dimension once a joint angle has entered them.
     """
     c = model.chains
     r, t = _EYE, _ZERO
@@ -79,27 +79,22 @@ def _chain_state(model, finger, q, depth=None):
     return rots, trans, frames
 
 
-# keypoints placed on a walk: (n, 3) positions, the (D, n, 3) world axes
-# and origins of the D walked joints of each one's finger, (n,) links and
-# (n, D) q columns of those joints (total_dof for padding)
+# keypoints placed on a whole-hand walk: (n, 3) positions, the (D, n, 3)
+# world axes and origins of the D joints of each one's finger, (n,) links
+# and (n, D) q columns of those joints (total_dof for padding)
 KeypointGather = namedtuple("KeypointGather", "points axes origins links columns")
 
 
-def _gather(model, state, slots, finger=None):
+def _gather(model, state, slots):
     """Place the keypoints at ``slots``, a (K, 2) array of (finger,
-    keypoint) pairs, on the walk ``state``: of the whole hand, or, given
-    ``finger``, of that finger alone, which every slot is then on."""
+    keypoint) pairs, on the whole-hand walk ``state``."""
     c = model.chains
     fingers, index = np.asarray(slots, dtype=int).T
     rots, trans, frames = map(np.stack, state)
-    axis, on = c.axis.swapaxes(0, 1), fingers  # on: each slot's finger in the walk
-    if finger is not None:  # give the walk the hand's finger dimension
-        rots, trans, frames = rots[:, None], trans[:, None], frames[:, None]
-        axis, on = c.axis[finger, :len(frames), None], np.zeros_like(fingers)
     links = c.link[fingers, index]
-    points = trans[links, on] + _apply(rots[links, on], c.offset[fingers, index])
-    axes = _apply(frames, axis)[:, on]
-    return KeypointGather(points, axes, trans[1:, on], links, c.q_index[fingers, :len(frames)])
+    points = trans[links, fingers] + _apply(rots[links, fingers], c.offset[fingers, index])
+    axes = _apply(frames, c.axis.swapaxes(0, 1))[:, fingers]
+    return KeypointGather(points, axes, trans[1:, fingers], links, c.q_index[fingers])
 
 
 def linear_jacobian_block(at, n_dof):
@@ -142,10 +137,8 @@ def jacobian(model, q, frame):
         rad/s), rows 3:6 to angular velocity (rad/s per rad/s).  Columns of
         joints not on the frame's chain are zero.
     """
-    i = frame[0]
     link, _ = model.keypoint(*frame)
-    q = _coerce_q(model, q)[model.finger_slice(i)]
-    at = _gather(model, _chain_state(model, i, q), np.array([frame]), finger=i)
+    at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), [frame])
     jac = np.zeros((6, model.total_dof))
     jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
     jac[3:, at.columns[0, :link]] = at.axes[:link, 0].T

@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import kinematics
 from .hand_model import HandModel
 from .kinematics import _chain_state, _gather, linear_jacobian_block
 
@@ -111,8 +112,6 @@ def calibrate(model, q0, w_star):
         coupled finger.  Every finger after the thumb (finger 0) is coupled
         to it.
     """
-    from .kinematics import forward_kinematics
-
     q0 = np.asarray(q0, dtype=float)
     if q0.shape != (model.total_dof,):
         raise CalibrationError(f"q0 has shape {q0.shape}, expected ({model.total_dof},)")
@@ -124,7 +123,7 @@ def calibrate(model, q0, w_star):
     if not np.isfinite(w_star.w).all():
         raise CalibrationError("calibration frame has a non-finite landmark")
 
-    robot = forward_kinematics(model, q0)  # the robot's keypoints on the frame's slots
+    robot = kinematics.forward_kinematics(model, q0)  # the robot's keypoints on the frame's slots
     tips = w_star.tips()
     with np.errstate(over="ignore"):  # a huge landmark's length overflows to inf, rejected below
         human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
@@ -259,7 +258,8 @@ class RetargetProblem:
     ``pairs`` are the (finger, keypoint) frames aligned with rows of
     ``targets``; ``slots`` the (K, 2) keypoints each evaluation places (the
     pairs, then the thumb tip and each coupled tip when a finger is coupled);
-    ``rows`` the term of each residual row (0 align, 1 couple, 2 smooth)."""
+    ``rows`` the term of each residual row (0 align, 1 couple, 2 smooth);
+    ``weights`` each row's sqrt(lambda)."""
 
     model: HandModel
     pairs: tuple[tuple[int, int], ...]
@@ -271,6 +271,7 @@ class RetargetProblem:
     max_iterations: int = DEFAULT_MAX_ITERATIONS
     slots: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
+    weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.pairs = tuple((int(i), int(j)) for i, j in self.pairs)
@@ -282,9 +283,11 @@ class RetargetProblem:
                                           f"of model {self.model.name!r}") from None
         if len(self.lambdas) != 3 or not all(0.0 <= l < np.inf for l in self.lambdas):
             raise RetargetConfigError(f"lambdas must be 3 finite weights >= 0, got {self.lambdas}")
-        if not self.tolerance > 0.0 or not isinstance(self.max_iterations, (int, np.integer)) \
-                or self.max_iterations < 1:
-            raise RetargetConfigError("tolerance must be > 0 and max_iterations an integer >= 1")
+        if not 0.0 < self.tolerance < np.inf:
+            raise RetargetConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
+        if not np.issubdtype(type(self.max_iterations), np.integer) or self.max_iterations < 1:
+            raise RetargetConfigError(f"max_iterations must be an integer >= 1, got "
+                                      f"{self.max_iterations!r}")
         coupled = () if self.coupling is None else tuple(self.coupling.fingers)
         for i in (i for i in coupled if not 0 <= i < len(self.model.fingers)):
             raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
@@ -293,6 +296,7 @@ class RetargetProblem:
         self.slots = np.array(self.pairs + tuple(tips), dtype=int).reshape(-1, 2)
         self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled),
                                           self.model.total_dof))
+        self.weights = np.sqrt(np.take(self.lambdas, self.rows))
         self.at(self.targets, self.coupling, self.q_prev)
 
     def at(self, targets, coupling, q_prev):
@@ -432,8 +436,8 @@ def solve_retarget(prob):
     Deterministic, never ends above the warm start clip(q_prev), and
     returns the last iterate with ``converged=False`` when the budget runs
     out."""
-    res = minimize(lambda x: _residuals(x, prob), np.sqrt(np.take(prob.lambdas, prob.rows)),
-                   prob.q_prev, prob.model.lower_limits, prob.model.upper_limits,
+    res = minimize(lambda x: _residuals(x, prob), prob.weights, prob.q_prev,
+                   prob.model.lower_limits, prob.model.upper_limits,
                    prob.tolerance, prob.max_iterations)
     terms = np.bincount(prob.rows, res.e * res.e, minlength=3)
     return RetargetResult(res.x, float(np.dot(prob.lambdas, terms)), terms,

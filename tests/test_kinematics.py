@@ -146,7 +146,7 @@ def test_jacobian_off_chain_columns_zero(robot):
 
 
 def test_jacobian_bit_equal_whole_hand_block(robot):
-    # jacobian walks one finger; the retargeting residual walks the hand
+    # jacobian reads the retargeting residual's whole-hand walk and gather
     rng = np.random.default_rng(7)
     for _ in range(5):
         q = random_q(robot, rng)

@@ -373,7 +373,8 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
     ({"layout": (1, 2, 3, 4), "coupling": None},
      r"coupling of fingers \(\), the layout's are \(1, 2, 3, 4\)"),
     ({"layout": (), "coupling": CouplingState((1,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
-     r"coupling of fingers \(1,\), the layout's are \(\)")])
+     r"coupling of fingers \(1,\), the layout's are \(\)"),
+    ({"tolerance": np.inf}, "tolerance"), ({"max_iterations": True}, "max_iterations")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
     # A case with a "layout" is a fault in one frame's targets, coupling or
     # warm start: RetargetProblem.at rejects it on a sound problem coupling
@@ -757,7 +758,8 @@ _BAD_SETTINGS = [
     ("scaling_alpha", -1.5, "scaling_alpha"), ("scaling_alpha", np.nan, "scaling_alpha"),
     ("scaling_alpha", np.inf, "scaling_alpha"), ("sigmoid_k", np.nan, "sigmoid_k"),
     ("sigmoid_k", np.inf, "sigmoid_k"), ("sigmoid_c", -np.inf, "sigmoid_c"),
-    ("sigmoid_c", np.nan, "sigmoid_c")]
+    ("sigmoid_c", np.nan, "sigmoid_c"), ("tolerance", np.inf, "tolerance"),
+    ("max_iterations", True, "max_iterations")]
 
 
 @pytest.mark.parametrize("stream", ["good", "all_rejected"])
