@@ -13,12 +13,12 @@ import numpy as np
 import yaml
 
 from .retarget import CalibrationData, KeypointFrame
-from .schema import (INTEGER, INTEGERS, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING, Kind, check,
-                     entries, list_of, numbers)
+from .schema import (INTEGER, INTEGERS, LOADER, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING, Kind,
+                     check, entries, list_of, numbers)
 from .syncsim import STATUS_NAMES, StreamConfig, StreamSpec
 
 F = "%.17g"
-# Rows per formatted block in the sync writers: formatting whole columns at
+# Rows per formatted block in the line writers: formatting a whole file at
 # once would hold every line of a long run in memory.
 _BLOCK_ROWS = 1024
 
@@ -27,9 +27,17 @@ class FileFormatError(Exception):
     """A data file does not match its expected format."""
 
 
-def _row(values):
-    """``values`` as space-separated %.17g fields; a flag writes as 0 or 1."""
-    return " ".join([F % v for v in values])
+def _blocks(n):
+    """Row slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
+    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
+
+
+def _lines(line, *columns):
+    """The rows made of ``columns`` ((rows,) or (rows, k) arrays) as text, in
+    one C call: each row through the %-template ``line``, where %.17g writes a
+    flag as 0 or 1."""
+    cells = np.column_stack([np.asarray(c, dtype=object) for c in columns])
+    return (line * len(cells)) % tuple(cells.ravel().tolist())
 
 
 def _floats(fields, path, ln):
@@ -57,7 +65,7 @@ def _records(path, n_fields, expected):
 def _yaml(path):
     with open(path, "r", encoding="utf-8") as fh:
         try:
-            return yaml.safe_load(fh)
+            return yaml.load(fh, Loader=LOADER)
         except yaml.YAMLError as e:
             raise FileFormatError(f"{path}: invalid YAML: {e}") from None
 
@@ -78,17 +86,18 @@ def write_keypoint_trajectory(path, frames):
     if not frames:
         raise FileFormatError("refusing to write an empty keypoint trajectory")
     counts = frames[0].counts()
+    if any(frame.counts() != counts for frame in frames):
+        raise FileFormatError("all frames in one trajectory must share a layout")
     slots = _slots(counts)
+    line = " ".join([F] * (1 + 4 * len(slots[0]))) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# keypoint trajectory v1\n")
         fh.write(f"# fingers {len(counts)} keypoints {' '.join(str(c) for c in counts)}\n")
         fh.write("# columns: t then per landmark (wrist, then finger j=1..) x y z valid\n")
-        for frame in frames:
-            if frame.counts() != counts:
-                raise FileFormatError("all frames in one trajectory must share a layout")
-            t = 0.0 if frame.timestamp is None else frame.timestamp
-            landmarks = np.column_stack((frame.w[slots], frame.valid[slots]))
-            fh.write(_row([t] + landmarks.ravel().tolist()) + "\n")
+        for b in _blocks(len(frames)):
+            t = [0.0 if f.timestamp is None else f.timestamp for f in frames[b]]
+            landmarks = [np.column_stack((f.w[slots], f.valid[slots])).ravel() for f in frames[b]]
+            fh.write(_lines(line, t, landmarks))
 
 
 def _layout(path):
@@ -184,12 +193,14 @@ def read_calibration(path):
 # terms (alignment, coupling, smoothness), and a converged flag.
 
 def write_joint_trajectory(path, steps, dof):
+    steps, line = list(steps), " ".join([F] * (dof + 5)) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# joint trajectory v1\n")
         fh.write(f"# columns: t q[{dof}] align couple smooth converged\n")
-        for step in steps:
-            t = 0.0 if step.timestamp is None else step.timestamp
-            fh.write(_row([t, *step.q, *step.residuals, step.converged]) + "\n")
+        for b in _blocks(len(steps)):
+            fh.write(_lines(line, [0.0 if s.timestamp is None else s.timestamp for s in steps[b]],
+                            [s.q for s in steps[b]], [s.residuals for s in steps[b]],
+                            [s.converged for s in steps[b]]))
 
 
 def read_joint_trajectory(path, dof):
@@ -247,41 +258,31 @@ def read_stream_config(path):
     return config, float(doc.get("duration", 10.0))
 
 
-def _blocks(n):
-    """Row slices of at most ``_BLOCK_ROWS`` rows covering ``range(n)``."""
-    return (slice(lo, min(lo + _BLOCK_ROWS, n)) for lo in range(0, n, _BLOCK_ROWS))
-
-
 def write_event_log(path, log):
-    names = log.stream_names
+    names = np.array(log.stream_names, dtype=object)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# sync event log v1\n")
         fh.write("# columns: stream emission delivered payload dropped\n")
         for b in _blocks(len(log)):
-            fh.writelines(
-                f"{names[s]} {F % e} {F % d} {'-' if x else p} {int(x)}\n"
-                for s, e, d, p, x in zip(log.stream_idx[b].tolist(), log.emission[b].tolist(),
-                                         log.delivered[b].tolist(), log.payload[b].tolist(),
-                                         log.dropped[b].tolist()))
+            dropped = log.dropped[b]
+            fh.write(_lines("%s %.17g %.17g %s %d\n", names[log.stream_idx[b]], log.emission[b],
+                            log.delivered[b], np.where(dropped, "-", log.payload[b].astype(object)),
+                            dropped))
 
 
 def write_frames(path, frames):
     names = frames.stream_names
-    prefixes = [name + ":" for name in STATUS_NAMES]
+    prefixes = np.array([name + ":" for name in STATUS_NAMES], dtype=object)
+    line = "%d %.17g %.17g %d" + " %s%.17g" * len(names) + "\n"
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("# synced frames v1\n")
         fh.write("# columns: frame trigger skew complete then per stream status:age\n")
         fh.write(f"# streams: {' '.join(names)}\n")
         for b in _blocks(len(frames)):
-            age = frames.age[b]
-            age = np.where(np.isfinite(age), age, -1.0).tolist()
-            cells = [" ".join(prefixes[st] + F % a for st, a in zip(sts, ages))
-                     for sts, ages in zip(frames.status[b].tolist(), age)]
-            fh.writelines(
-                f"{f} {F % t} {F % k} {int(c)} {m}\n"
-                for f, t, k, c, m in zip(range(b.start, b.stop), frames.triggers[b].tolist(),
-                                         frames.skew[b].tolist(), frames.complete[b].tolist(),
-                                         cells))
+            age = np.where(np.isfinite(frames.age[b]), frames.age[b], -1.0)
+            members = np.stack((prefixes[frames.status[b]], age), 2)
+            fh.write(_lines(line, np.arange(b.start, b.stop), frames.triggers[b], frames.skew[b],
+                            frames.complete[b], members.reshape(len(age), -1)))
 
 
 def write_report(path, report, extra=None):

@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .schema import INTEGER, NUMBERS, STRING, check, entries, numbers
+from .schema import INTEGER, LOADER, NUMBERS, STRING, check, entries, numbers
 
 AXIS_UNIT_TOL = 1e-9
 
@@ -234,7 +234,7 @@ def load_hand_model(document):
             order, keypoint indexing and attachment, taxel grids, rest pose).
     """
     try:
-        raw = yaml.safe_load(document)
+        raw = yaml.load(document, Loader=LOADER)
     except yaml.YAMLError as e:
         raise ModelError(f"document is not valid YAML: {e}") from None
     check(raw, _DOCUMENT, ModelError)

@@ -239,9 +239,10 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     """
     fingers = cal.coupling_fingers
     lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
-    for i, a, b in zip(fingers, lo, hi):
-        if b <= a:
-            raise RetargetConfigError(f"finger {i}: d_max must exceed d_min, got [{a}, {b}]")
+    if np.any(hi <= lo):
+        m = np.argmax(hi <= lo)  # the first coupled finger whose bounds are bad
+        raise RetargetConfigError(f"finger {fingers[m]}: d_max must exceed d_min, "
+                                  f"got [{lo[m]}, {hi[m]}]")
     tips = frame.tips()
     delta = tips[list(fingers)] - tips[0]
     d = np.clip(1.0 - (_norms(delta) - lo) / (hi - lo), 0.0, 1.0)

@@ -1,4 +1,4 @@
-"""One checker for the YAML documents the package reads.
+"""One loader and one checker for the YAML documents the package reads.
 
 A reader declares each entry of its document as a table mapping every key
 to ``(kind, required)``, and ``check`` walks the parsed document against
@@ -12,6 +12,12 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+
+import yaml
+
+# libyaml's scanner and parser when PyYAML was built with them, else PyYAML's own;
+# the constructor and resolver are PyYAML's either way, so both build the same documents
+LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # ``what`` names the kind in messages and ``test`` accepts its values; an entry
 # list also has its entries' ``table`` and the ``label`` key naming an entry.

@@ -1,5 +1,6 @@
 """Round-trips and failure modes for every on-disk format."""
 
+import math
 import re
 from types import SimpleNamespace
 from unittest import mock
@@ -34,6 +35,8 @@ from dexretarget.retarget import CalibrationData, KeypointFrame
 from dexretarget.syncsim import (
     MISSING,
     STATUS_NAMES,
+    EventLog,
+    FrameSet,
     StreamConfig,
     StreamSpec,
     alignment_report,
@@ -645,6 +648,86 @@ def test_sync_writers_round_trip(tmp_path_factory, run, block):
     missing = frames.status == MISSING
     assert np.all(cells[..., 1][missing] == "-1")
     assert _bits(cells[..., 1][~missing].astype(float)) == _bits(frames.age[~missing])
+
+
+# zero of either sign, subnormals, the edges of the normal range and of float
+_EXTREMES = [-0.0, 0.0, 5e-324, -5e-324, 2.225073858507201e-308, 2.2250738585072014e-308,
+             1e308, -1e308, 1.7976931348623157e308, -1.7976931348623157e308]
+
+
+def _ref(*values):
+    """A line formatted one value at a time: %.17g for a number, a string as it is."""
+    return " ".join(v if isinstance(v, str) else "%.17g" % v for v in values)
+
+
+@st.composite
+def extreme_columns(draw):
+    """Writer columns of 0, 1, 1023, 1024, 1025 or 2049 rows (one block, its
+    edges and three blocks) over 1-4 streams: finite floats of every
+    magnitude and the extremes above, NaN ages and dropped events."""
+    n, n_streams = draw(st.sampled_from([0, 1, 1023, 1024, 1025, 2049])), draw(st.integers(1, 4))
+    palette = draw(st.lists(st.floats(allow_nan=False, allow_infinity=False)
+                            | st.sampled_from(_EXTREMES), min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+
+    def floats(*shape):
+        # random bit patterns reach every exponent; the non-finite ones become palette values
+        bits = np.frombuffer(rng.bytes(8 * math.prod(shape)), dtype=float).reshape(shape)
+        picked = rng.choice(palette, shape)
+        return np.where(np.isfinite(bits) & (rng.random(shape) < 0.5), bits, picked)
+
+    config = StreamConfig(tuple(StreamSpec(f"s{k}", 0.04, 0.0) for k in range(n_streams)))
+    log = EventLog(config, 1.0, rng.integers(0, n_streams, n), floats(n), floats(n),
+                   rng.integers(0, 2 ** 62, n), rng.random(n) < 0.3)
+    status = rng.integers(0, len(STATUS_NAMES), (n, n_streams)).astype(np.int8)
+    age = floats(n, n_streams)
+    age[(status == MISSING) | (rng.random(age.shape) < 0.1)] = np.nan
+    frames = FrameSet(log, floats(n), None, status, age, floats(n), rng.random(n) < 0.5,
+                      None, 0.0, 0.0)
+    steps = [SimpleNamespace(timestamp=t, q=q, residuals=r, converged=c) for t, q, r, c in
+             zip(floats(n).tolist(), floats(n, 2), floats(n, 3), (rng.random(n) < 0.5).tolist())]
+    return log, frames, steps
+
+
+@settings(max_examples=30, deadline=None)
+@given(extreme_columns())
+def test_line_writers_match_a_per_value_formatter(tmp_path_factory, run):
+    log, frames, steps = run
+    tmp = tmp_path_factory.mktemp("lines")
+    write_event_log(tmp / "events.txt", log)
+    write_frames(tmp / "frames.txt", frames)
+    write_joint_trajectory(tmp / "q.traj", steps, 2)
+
+    names = log.stream_names
+    rows = _data_rows(tmp / "events.txt")
+    assert [" ".join(r) for r in rows] == [
+        _ref(names[s], e, d, "-" if x else str(p), str(int(x)))
+        for s, e, d, p, x in zip(log.stream_idx.tolist(), log.emission.tolist(),
+                                 log.delivered.tolist(), log.payload.tolist(),
+                                 log.dropped.tolist())]
+    assert _bits([float(r[1]) for r in rows]) == _bits(log.emission)
+    assert _bits([float(r[2]) for r in rows]) == _bits(log.delivered)
+
+    rows = _data_rows(tmp / "frames.txt")
+    assert [" ".join(r) for r in rows] == [
+        _ref(str(f), t, k, str(int(c)),
+             *(STATUS_NAMES[st] + ":" + _ref(a if math.isfinite(a) else -1.0)
+               for st, a in zip(sts, ages)))
+        for f, (t, k, c, sts, ages) in enumerate(zip(
+            frames.triggers.tolist(), frames.skew.tolist(), frames.complete.tolist(),
+            frames.status.tolist(), frames.age.tolist()))]
+    assert _bits([float(r[1]) for r in rows]) == _bits(frames.triggers)
+    assert _bits([float(r[2]) for r in rows]) == _bits(frames.skew)
+    ages = np.array([[float(c.split(":")[1]) for c in r[4:]] for r in rows])
+    ages = ages.reshape(frames.age.shape)
+    known = np.isfinite(frames.age)
+    assert _bits(ages[known]) == _bits(frames.age[known]) and np.all(ages[~known] == -1.0)
+
+    rows = _data_rows(tmp / "q.traj")
+    assert [" ".join(r) for r in rows] == [_ref(s.timestamp, *s.q, *s.residuals, s.converged)
+                                           for s in steps]
+    values = np.array([[float(v) for v in r] for r in rows]).reshape(len(steps), 7)
+    assert _bits(values[:, :6]) == _bits([[s.timestamp, *s.q, *s.residuals] for s in steps])
 
 
 def test_report_writer(tmp_path):

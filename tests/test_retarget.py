@@ -318,6 +318,17 @@ def test_bad_distance_bounds_rejected(calibration):
         coupling_weights(calibration.w_star, broken)
 
 
+def test_equal_distance_bounds_of_one_finger_rejected(calibration):
+    lo = calibration.d_min[3]
+    broken = CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
+                             q0=calibration.q0, d_min=calibration.d_min,
+                             d_max={**calibration.d_max, 3: lo},
+                             coupling_fingers=calibration.coupling_fingers)
+    with pytest.raises(RetargetConfigError,
+                       match=re.escape(f"finger 3: d_max must exceed d_min, got [{lo}, {lo}]")):
+        coupling_weights(calibration.w_star, broken)
+
+
 # --- objective -------------------------------------------------------------------
 
 def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):

@@ -9,10 +9,13 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import conftest
 from conftest import DATA, README_STREAMS
 from dexretarget import fileio, hand_model
+from dexretarget.cli import EXIT_ERROR, main
 from dexretarget.fileio import FileFormatError, read_calibration, read_stream_config, write_calibration
 from dexretarget.hand_model import ModelError, load_hand_model
+from dexretarget.schema import LOADER
 
 # values of every kind but null, which leaves an optional key at its default
 _OTHERS = [True, False, "text", 7, -2, 2.5, [], [1.0], [1, 2], [True], [[1.0, 2.0, 3.0]],
@@ -151,3 +154,54 @@ def test_spoilt_stream_config_key_is_named(scratch, data):
     with pytest.raises(FileFormatError) as err:
         read_stream_config(path)
     assert re.search(pattern, str(err.value)), (pattern, str(err.value))
+
+
+# --- the one loader ------------------------------------------------------------
+
+def test_package_loader_builds_the_pure_python_documents(tmp_path, calibration):
+    assert LOADER is (yaml.CSafeLoader if yaml.__with_libyaml__ else yaml.SafeLoader)
+    assert fileio.LOADER is hand_model.LOADER is LOADER
+    models = [v for k, v in vars(conftest).items()
+              if k.isupper() and isinstance(v, str) and "\nfingers:" in v]
+    assert len(models) == 7
+    write_calibration(tmp_path / "calibration.yaml", calibration)
+    texts = [p.read_text() for p in sorted(DATA.glob("*.yaml"))] + models + [
+        (tmp_path / "calibration.yaml").read_text(), README_STREAMS]
+    for text in texts:
+        pure, package = yaml.load(text, Loader=yaml.SafeLoader), yaml.load(text, Loader=LOADER)
+        assert package == pure and repr(package) == repr(pure)  # repr tells 1 from 1.0
+
+
+@pytest.mark.parametrize("loader", [LOADER, yaml.SafeLoader], ids=["package", "pure_python"])
+def test_invalid_yaml_fails_alike_under_either_loader(tmp_path, capsys, monkeypatch, calibration,
+                                                      loader):
+    class Counted(loader):
+        made = 0
+
+        def __init__(self, stream):
+            Counted.made += 1
+            super().__init__(stream)
+
+    for module in (fileio, hand_model):
+        monkeypatch.setattr(module, "LOADER", Counted)
+    bad = tmp_path / "bad.yaml"
+    bad.write_text("{unbalanced: [\n")
+    for read in (read_calibration, read_stream_config):
+        with pytest.raises(FileFormatError, match="invalid YAML"):
+            read(bad)
+    with pytest.raises(ModelError, match="not valid YAML"):
+        load_hand_model("fingers: [unclosed")
+
+    write_calibration(tmp_path / "calibration.yaml", calibration)
+    model, pinch = DATA / "rapid_hand_20dof.yaml", DATA / "gestures" / "pinch.traj"
+    for n, args in enumerate([
+            ["syncsim", "--config", bad],
+            ["calibrate", "--model", bad, "--keypoints", DATA / "human_calibration.traj"],
+            ["retarget", "--model", model, "--calibration", bad, "--input", pinch],
+            ["retarget", "--model", bad, "--calibration", tmp_path / "calibration.yaml",
+             "--input", pinch]]):
+        out = tmp_path / f"out{n}"
+        assert main([*map(str, args), "--out", str(out)]) == EXIT_ERROR
+        assert "YAML" in capsys.readouterr().err
+        assert not out.exists()
+    assert Counted.made == 8  # the retarget with a bad calibration parses the model first
