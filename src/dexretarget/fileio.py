@@ -131,15 +131,14 @@ def read_keypoint_trajectory(path):
         records.append(vals)
     if not records:
         raise FileFormatError(f"{path}: no data records")
-    # every slot's landmark for the whole file at once; the wrist fills each j = 0
+    # every slot's landmark at once: the wrist fills each j = 0, padding is (0, 0, 0, valid)
     rows = np.zeros((len(counts), max(counts)), dtype=int)
     rows[_slots(counts)] = np.arange(n_landmarks)
     records = np.array(records)
     landmarks = records[:, 1:].reshape(len(records), n_landmarks, 4)[:, rows]
-    w, valid = landmarks[..., :3], landmarks[..., 3] != 0.0
-    return [KeypointFrame([a[:c] for a, c in zip(w[k], counts)],
-                          [v[:c] for v, c in zip(valid[k], counts)], timestamp=t)
-            for k, t in enumerate(records[:, 0].tolist())]
+    landmarks[:, np.arange(max(counts)) >= np.array(counts)[:, None]] = (0.0, 0.0, 0.0, 1.0)
+    w, valid = np.ascontiguousarray(landmarks[..., :3]), landmarks[..., 3] != 0.0
+    return [KeypointFrame(a, counts, v, t) for a, v, t in zip(w, valid, records[:, 0].tolist())]
 
 
 def read_static_keypoints(path):
@@ -176,10 +175,14 @@ _CALIBRATION = {"segment_ratios": (_RATIOS, True), "anchor_offsets": (_OFFSETS, 
 def read_calibration(path):
     doc = _yaml(path)
     check(doc, _CALIBRATION, lambda m: FileFormatError(f"{path}: malformed calibration file: {m}"))
+    counts = tuple(map(len, doc["w_star"]))  # the document's ragged lists, padded onto slots
+    w_star = np.zeros((len(counts), max(counts, default=0), 3))
+    for i, points in enumerate(doc["w_star"]):
+        w_star[i, :len(points)] = np.reshape(points, (-1, 3))
     return CalibrationData(
         r=tuple(np.array(r, dtype=float) for r in doc["segment_ratios"]),
         u=np.array(doc["anchor_offsets"], dtype=float),
-        w_star=KeypointFrame([np.reshape(w, (-1, 3)) for w in doc["w_star"]]),
+        w_star=KeypointFrame(w_star, counts),
         q0=np.array(doc["q0"], dtype=float),
         d_min={i: float(v) for i, v in doc["d_min"].items()},
         d_max={i: float(v) for i, v in doc["d_max"].items()},

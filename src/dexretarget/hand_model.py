@@ -174,7 +174,8 @@ def _build_joint(raw, earlier, where):
         raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
                          f"base to tip, so its parent is the previous joint {prev!r}")
     axis, trans, rpy = _vectors(raw, where, "axis", "origin_translation", "origin_rotation")
-    norm = np.linalg.norm(axis)
+    with np.errstate(over="ignore"):  # a huge axis has norm inf, which the check rejects
+        norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_UNIT_TOL:
         raise ModelError(f"{where}.axis: |axis| = {norm:.12g}, must be 1 within {AXIS_UNIT_TOL}")
     lower, upper = map(float, raw["limits"])
@@ -209,7 +210,10 @@ def _build_taxels(raw, where):
         raise ModelError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
     origin, row_step, col_step = _vectors(raw, where, "origin", "row_step", "col_step")
     r_idx, c_idx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
+    with np.errstate(over="ignore", invalid="ignore"):
+        pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
+    if not np.isfinite(pos).all():
+        raise ModelError(f"{where}: taxel positions must be finite; the grid overflows")
     return TaxelLayout(rows, cols, _freeze(pos))
 
 

@@ -19,7 +19,9 @@ GRAM_DET_EPS = 1e-18   # Gram determinants below this count as singular
 M3_TO_MM3 = 1e9
 DEFAULT_SAMPLES = 100_000
 DEFAULT_VOXEL_MM = 2.0
-SAMPLE_CHUNK = 65_536  # fixed substream size; keeps results worker-independent
+# samples per RNG substream: the chunks fix the draws, so volumes do not
+# depend on how the kinematics batches them (_BATCH_ROWS)
+SAMPLE_CHUNK = 65_536
 _VOXEL_PACK_BITS = 21  # voxel index packing: 3 signed 21-bit lanes in an int64
 
 
@@ -52,12 +54,14 @@ def manipulability_volume(model, q, frame, kind="linear"):
     return float(volume * M3_TO_MM3) if kind == "linear" else float(volume)
 
 
-def _pack_voxels(idx):
-    """Pack integer voxel triples into sortable int64 keys."""
+def _pack_voxels(pts, voxel):
+    """Pack the voxels holding ``pts`` into sortable int64 keys."""
     offset = 1 << (_VOXEL_PACK_BITS - 1)
-    shifted = idx.astype(np.int64) + offset
-    if np.any(shifted < 0) or np.any(shifted >= (1 << _VOXEL_PACK_BITS)):
+    with np.errstate(over="ignore"):  # a point this far out is past the range either way
+        idx = np.floor(pts / voxel)
+    if not (np.all(idx >= -offset) and np.all(idx < offset)):  # nan fails too
         raise VoxelRangeError("workspace extends past the packable voxel range")
+    shifted = idx.astype(np.int64) + offset
     return ((shifted[:, 0] << (2 * _VOXEL_PACK_BITS))
             | (shifted[:, 1] << _VOXEL_PACK_BITS)
             | shifted[:, 2])
@@ -79,7 +83,7 @@ def _workspace_voxels(model, frame, samples, voxel, seed, chain_tag):
         rng = np.random.default_rng([seed, chain_tag, chunk])
         q_batch = rng.uniform(lo, hi, size=(min(SAMPLE_CHUNK, samples - start), lo.size))
         pts = batch_keypoint_positions(model, frame, q_batch)
-        keys.append(_pack_voxels(np.floor(pts / voxel).astype(np.int64)))
+        keys.append(_pack_voxels(pts, voxel))
     return np.unique(np.concatenate(keys))
 
 
@@ -105,10 +109,10 @@ def opposability_volumes(model, thumb_frame, finger_frames, samples=DEFAULT_SAMP
                          voxel_mm=DEFAULT_VOXEL_MM, seed=0):
     """:func:`opposability_volume` of the thumb frame against each of
     ``finger_frames``, sampling the thumb's workspace once."""
-    if samples < 1:
-        raise ValueError("samples must be >= 1")
-    if voxel_mm <= 0.0:
-        raise ValueError("voxel_mm must be positive")
+    if not np.issubdtype(type(samples), np.integer) or samples < 1:
+        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
+    if not 0.0 < voxel_mm < np.inf:
+        raise ValueError(f"voxel_mm must be finite and > 0, got {voxel_mm!r}")
     voxel = voxel_mm * 1e-3
     # substreams keyed by finger index: sampling a chain against itself
     # reuses the same draws, so self-intersection is exactly its workspace

@@ -44,27 +44,24 @@ class RetargetConfigError(Exception):
 
 
 class KeypointFrame:
-    """One captured landmark frame on the hand's (finger, keypoint) slots.
-
-    Built from one (n_i + 1, 3) landmark array per finger, ``w`` is (F, M, 3)
-    and ``valid`` (F, M), M the most keypoints on a finger; the slots past a
-    finger's count are zero and valid.  The j = 0 entry is the wrist root
-    and is shared across fingers in captured data.
+    """One captured landmark frame on the hand's (finger, keypoint) slots:
+    ``w`` (F, M, 3) and ``valid`` (F, M), held as given, not copied.  M is
+    the most of ``counts``, the keypoints on each finger; the slots at or
+    past a finger's count are padding, zero and valid.  The j = 0 entry is
+    the wrist root and is shared across fingers in captured data.
     """
 
     __slots__ = ("w", "valid", "timestamp", "_counts")
 
-    def __init__(self, w, valid=None, timestamp=None):
-        w = [np.asarray(a, dtype=float) for a in w]
-        self._counts = tuple(map(len, w))
-        valid = [np.ones(c, dtype=bool) for c in self._counts] if valid is None else valid
-        self.w = np.zeros((len(w), max(self._counts, default=0), 3))
-        self.valid = np.ones(self.w.shape[:2], dtype=bool)
-        for i, (a, v) in enumerate(zip(w, valid, strict=True)):
-            if a.ndim != 2 or a.shape[1] != 3 or np.shape(v) != (len(a),):
-                raise ValueError("landmark arrays must be (n_i + 1, 3) with matching validity")
-            self.w[i, :len(a)], self.valid[i, :len(a)] = a, v
-        self.timestamp = timestamp
+    def __init__(self, w, counts, valid=None, timestamp=None):
+        self.w, self._counts, self.timestamp = np.asarray(w, dtype=float), tuple(counts), timestamp
+        self.valid = np.ones(self.w.shape[:-1], bool) if valid is None else np.asarray(valid, bool)
+        pad = np.arange(max(self._counts, default=0)) >= np.array(self._counts, dtype=int)[:, None]
+        if self.w.shape != pad.shape + (3,) or self.valid.shape != pad.shape:
+            raise ValueError(f"keypoint counts {self._counts} need w {pad.shape + (3,)} and "
+                             f"valid {pad.shape}, got {self.w.shape} and {self.valid.shape}")
+        if np.count_nonzero(self.w[pad]) or not self.valid[pad].all():
+            raise ValueError("slots past a finger's keypoint count must be zero and valid")
 
     def counts(self):
         return self._counts
@@ -74,8 +71,7 @@ class KeypointFrame:
         return self.w[np.arange(len(self.w)), np.subtract(self._counts, 1)]
 
     def copy(self):
-        return KeypointFrame([a[:c] for a, c in zip(self.w, self._counts)],
-                             [v[:c] for v, c in zip(self.valid, self._counts)], self.timestamp)
+        return KeypointFrame(self.w.copy(), self._counts, self.valid.copy(), self.timestamp)
 
 
 def _norms(a):
@@ -155,7 +151,7 @@ def _usable(length):
 def _check_calibration(model, cal):
     """Raise CalibrationError unless ``cal`` fits ``model``: one vector of
     finite, positive segment ratios per finger, finite ``q0`` and ``u`` of
-    the model's shapes, and existing coupled fingers with d_max > d_min."""
+    the model's shapes, and existing coupled fingers with finite bounds, d_max > d_min."""
     n_fingers = len(model.fingers)
     if len(cal.r) != n_fingers:
         raise CalibrationError(f"calibration has {len(cal.r)} ratio vectors, "
@@ -178,9 +174,9 @@ def _check_calibration(model, cal):
         if not 0 <= i < n_fingers:
             raise CalibrationError(f"coupled finger {i} is not in model {model.name!r}")
         lo, hi = cal.d_min.get(i), cal.d_max.get(i)
-        if lo is None or hi is None or not hi > lo:
+        if lo is None or hi is None or not -np.inf < lo < hi < np.inf:
             raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
-                                   f"got [{lo}, {hi}]")
+                                   f"got [{lo}, {hi}]; both must be finite")
 
 
 def adjust_keypoints(frame, cal):
@@ -239,10 +235,11 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     """
     fingers = cal.coupling_fingers
     lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
-    if np.any(hi <= lo):
-        m = np.argmax(hi <= lo)  # the first coupled finger whose bounds are bad
+    bad = ~((-np.inf < lo) & (lo < hi) & (hi < np.inf))
+    if np.any(bad):
+        m = np.argmax(bad)  # the first coupled finger whose bounds are bad
         raise RetargetConfigError(f"finger {fingers[m]}: d_max must exceed d_min, "
-                                  f"got [{lo[m]}, {hi[m]}]")
+                                  f"got [{lo[m]}, {hi[m]}]; both must be finite")
     tips = frame.tips()
     delta = tips[list(fingers)] - tips[0]
     d = np.clip(1.0 - (_norms(delta) - lo) / (hi - lo), 0.0, 1.0)
@@ -495,7 +492,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     fingers, index = prob.slots[:len(prob.pairs)].T
     # the newest valid value of each landmark, and the frames since it was
     # valid; one never valid is rejected before its zero is read
-    held = KeypointFrame([np.zeros((c, 3)) for c in model.keypoint_counts()])
+    held = KeypointFrame(np.zeros(model.chains.offset.shape), model.keypoint_counts())
     ages = np.full(held.valid.shape, MAX_HOLD_FRAMES)
     steps = []
     for idx, frame in enumerate(frames):

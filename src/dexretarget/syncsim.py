@@ -20,6 +20,12 @@ STATUS_NAMES = ("fresh", "held", "missing")  # indexed by the codes above
 ROLE_DROPPED, ROLE_MEMBER, ROLE_SUPERSEDED, ROLE_UNALIGNED = 0, 1, 2, 3
 
 _EPS = 1e-9
+# every time of a run, in seconds, is at most this (about 11.6 days): past it
+# the float spacing of a time nears the 1 ns tolerance _EPS
+MAX_SECONDS = 1e6
+# a run holds at most this many events and this many frames: each is kept in
+# memory several times over and written as one line
+MAX_ROWS = 1 << 22
 
 
 class SyncConfigError(Exception):
@@ -56,10 +62,12 @@ class StreamConfig:
         for s in self.streams:
             if s.name.split() != [s.name] or ":" in s.name:  # written as one field
                 raise SyncConfigError(f"stream {s.name!r}: name must be one word without ':'")
-            if not 0.0 < s.period < np.inf:
-                raise SyncConfigError(f"stream {s.name!r}: period must be positive and finite")
-            if not 0.0 <= s.latency_bound < np.inf:
-                raise SyncConfigError(f"stream {s.name!r}: latency_bound must be finite and >= 0")
+            if not 0.0 < s.period <= MAX_SECONDS:
+                raise SyncConfigError(
+                    f"stream {s.name!r}: period must be positive and at most {MAX_SECONDS:g} s")
+            if not 0.0 <= s.latency_bound <= MAX_SECONDS:
+                raise SyncConfigError(
+                    f"stream {s.name!r}: latency_bound must be >= 0 and at most {MAX_SECONDS:g} s")
             if s.jitter not in ("uniform", "gauss"):
                 raise SyncConfigError(f"stream {s.name!r}: unknown jitter {s.jitter!r}")
             if not 0.0 <= s.dropout <= 1.0:
@@ -69,9 +77,9 @@ class StreamConfig:
         if self.mode not in ("hard", "soft"):
             raise SyncConfigError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
         lo, hi = self.soft_latency
-        if not 0.0 <= lo <= hi < np.inf:
-            raise SyncConfigError(
-                f"soft_latency must satisfy 0 <= lo <= hi < inf, got {self.soft_latency}")
+        if not 0.0 <= lo <= hi <= MAX_SECONDS:
+            raise SyncConfigError(f"soft_latency must satisfy 0 <= lo <= hi <= {MAX_SECONDS:g}, "
+                                  f"got {self.soft_latency}")
         if self.seed < 0:
             raise SyncConfigError(f"seed must be >= 0, got {self.seed}")
 
@@ -120,7 +128,9 @@ class EventLog:
 
 
 def _count_in(duration, period, phase=0.0):
-    return max(int(np.ceil((duration - phase) / period - _EPS)), 0)
+    """Ticks of a clock in [phase, duration), capped at MAX_ROWS + 1 so that a
+    count past the float range is still an integer."""
+    return int(np.clip(np.ceil((duration - phase) / period - _EPS), 0, MAX_ROWS + 1))
 
 
 def _latency(rng, spec, n):
@@ -139,19 +149,21 @@ def simulate(config, duration):
         EventLog covering emissions in [0, duration).  Identical config and
         duration always reproduce the same log.
     """
-    if not 0.0 < duration < np.inf:
-        raise SyncConfigError("duration must be positive and finite")
+    if not 0.0 < duration <= MAX_SECONDS:
+        raise SyncConfigError(f"duration must be positive and at most {MAX_SECONDS:g} s")
     rng = np.random.default_rng(config.seed)
     cols = {"stream": [], "emission": [], "delivered": [], "payload": [], "dropped": []}
+    events = 0
     for s_idx, spec in enumerate(config.streams):
+        phase = 0.0 if config.mode == "hard" else rng.uniform(0.0, spec.period)
+        n = _count_in(duration, spec.period, phase)
+        events += n
+        if events > MAX_ROWS:
+            raise SyncConfigError(f"the run would emit more than {MAX_ROWS} events")
+        emission = phase + np.arange(n) * spec.period + _latency(rng, spec, n)
         if config.mode == "hard":
-            n = _count_in(duration, spec.period)
-            emission = np.arange(n) * spec.period + _latency(rng, spec, n)
             delivered = emission.copy()
         else:
-            phase = rng.uniform(0.0, spec.period)
-            n = _count_in(duration, spec.period, phase)
-            emission = phase + np.arange(n) * spec.period + _latency(rng, spec, n)
             lo, hi = config.soft_latency
             delivered = emission + rng.uniform(lo, hi, n)
         dropped = rng.random(n) < spec.dropout
@@ -219,6 +231,8 @@ def assemble_frames(log, window=None, max_hold_age=None):
     n_frames = _count_in(log.duration, period)
     if n_frames == 0:
         raise SyncConfigError("duration too short for a single frame")
+    if n_frames > MAX_ROWS:
+        raise SyncConfigError(f"the run would hold more than {MAX_ROWS} frames")
     triggers = np.arange(n_frames) * period
     n_streams = len(log.config.streams)
 
@@ -233,7 +247,9 @@ def assemble_frames(log, window=None, max_hold_age=None):
         if live.size == 0:
             continue
         em = log.emission[live]  # ascending: the log is emission-ordered
-        nearest = np.clip(np.rint(em * rate).astype(np.int64), 0, n_frames - 1)
+        # an emission past the run's end has the last frame nearest either way
+        nearest = np.clip(np.rint(np.minimum(em, log.duration) * rate).astype(np.int64),
+                          0, n_frames - 1)
         aligned = np.abs(em - triggers[nearest]) <= window + _EPS
         cand = np.nonzero(aligned)[0]
         if cand.size:

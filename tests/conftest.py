@@ -175,10 +175,21 @@ def gesture_frames():
             for g in GESTURES}
 
 
+def ragged_frame(w, valid=None, timestamp=None):
+    """A KeypointFrame from one (n_i + 1, 3) landmark array (and validity
+    vector) per finger, padded onto the (finger, keypoint) slots."""
+    counts = [len(a) for a in w]
+    slots = np.zeros((len(w), max(counts), 3))
+    ok = np.ones(slots.shape[:2], dtype=bool)
+    for i, c in enumerate(counts):
+        slots[i, :c] = w[i]
+        ok[i, :c] = True if valid is None else valid[i]
+    return KeypointFrame(slots, counts, ok, timestamp)
+
+
 def random_frame(counts, rng, scale=0.15):
     """A fully valid random landmark frame with the given per-finger counts."""
-    w = [rng.uniform(-scale, scale, (c, 3)) for c in counts]
-    return KeypointFrame(w, [np.ones(c, dtype=bool) for c in counts])
+    return ragged_frame([rng.uniform(-scale, scale, (c, 3)) for c in counts])
 
 
 def identity_frame(model, q=None):
@@ -186,7 +197,4 @@ def identity_frame(model, q=None):
     from dexretarget.kinematics import forward_kinematics
 
     q = model.rest_pose if q is None else q
-    fk = forward_kinematics(model, q)
-    counts = model.keypoint_counts()
-    w = [np.array([fk[(i, j)] for j in range(c)]) for i, c in enumerate(counts)]
-    return KeypointFrame(w, [np.ones(c, dtype=bool) for c in counts])
+    return KeypointFrame(forward_kinematics(model, q), model.keypoint_counts())

@@ -1,0 +1,75 @@
+"""Spoilt inputs through the command line: one numeric or YAML token of the
+model, the calibration, a 14-line capture or the stream config is replaced
+by a bad value, and the run must end in exit 0, 1 or 2 without an escaping
+exception, and write no non-finite number at exit 0."""
+
+import math
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import DATA, README_STREAMS
+from dexretarget.cli import main
+from dexretarget.fileio import write_calibration
+
+# PyYAML reads 1e308 as a string and 1.0e+308 as a float: both spellings are here,
+# so that huge and tiny finite numbers reach the model, calibration and config checks
+_VALUES = ["nan", "-nan", "inf", "-inf", ".nan", ".inf", "-.inf", "0", "-0", "-1", "1.5", "3",
+           "1e6", "1.0e+6", "-1e308", "1e308", "1.0e+308", "-1.0e+308", "1e-6", "1e-308",
+           "1.0e-308", "1e999", "true", "null", "~", "[]", "{}", "''", "x"]
+_YAML_TOKEN = re.compile(r"[^\s\[\]{},:#]+")
+# leading fields of an output line that are names (of a stream, of a finger), not numbers
+_NAMES = {"events.txt": 1, "metrics.txt": 1}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory, calibration):
+    """Each input's text and the (start, end) spans of its tokens."""
+    path = tmp_path_factory.mktemp("calibration") / "calibration.yaml"
+    write_calibration(path, calibration)
+    capture = "".join((DATA / "gestures" / "pinch.traj").read_text().splitlines(True)[:14])
+    texts = {"model": (DATA / "rapid_hand_20dof.yaml").read_text(), "calibration": path.read_text(),
+             "capture": capture, "config": README_STREAMS}
+    return {name: (text, [m.span() for m in (re.finditer(r"\S+", text) if name == "capture"
+                                             else _YAML_TOKEN.finditer(text))])
+            for name, text in texts.items()}
+
+
+def _non_finite(out):
+    """(file, line) of each output line holding a number that is not finite."""
+    for path in sorted(out.iterdir()):
+        for line in path.read_text().splitlines():
+            if line.startswith("#"):
+                continue
+            for field in re.split(r'[\s:,"]+', line.split(None, _NAMES.get(path.name, 0))[-1]):
+                try:
+                    if not math.isfinite(float(field)):
+                        yield path.name, line
+                except ValueError:
+                    pass
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data):
+    spoilt = data.draw(st.sampled_from(sorted(inputs)), label="input")
+    text, spans = inputs[spoilt]
+    start, end = data.draw(st.sampled_from(spans), label="token")
+    value = data.draw(st.sampled_from(_VALUES), label="value")
+    run = tmp_path_factory.mktemp("spoilt")
+    paths = {name: run / name for name in inputs}
+    for name, path in paths.items():
+        path.write_text(text[:start] + value + text[end:] if name == spoilt else inputs[name][0])
+    if spoilt == "config":
+        argv = ["syncsim", "--config", paths["config"]]
+    elif spoilt == "model" and data.draw(st.booleans(), label="metrics"):
+        argv = ["metrics", "--model", paths["model"], "--metric", "opposability", "--samples", "64"]
+    else:
+        argv = ["retarget", "--model", paths["model"], "--calibration", paths["calibration"],
+                "--input", paths["capture"]]
+    code = main([str(a) for a in argv] + ["--out", str(run / "out")])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert list(_non_finite(run / "out")) == []

@@ -33,14 +33,12 @@ def planar_capture(path, model, qs, scale=1.0, invalid=()):
     counts = model.keypoint_counts()
     frames = []
     for k, q in enumerate(qs):
-        fk = forward_kinematics(model, np.asarray(q, dtype=float))
-        w = [scale * np.array([fk[(i, j)] for j in range(c)])
-             for i, c in enumerate(counts)]
-        valid = [np.ones(c, dtype=bool) for c in counts]
+        valid = np.ones((len(counts), max(counts)), dtype=bool)
         for (fr, i, j) in invalid:
             if fr == k:
-                valid[i][j] = False
-        frames.append(KeypointFrame(w, valid, timestamp=k / 25.0))
+                valid[i, j] = False
+        frames.append(KeypointFrame(scale * forward_kinematics(model, q), counts, valid,
+                                    timestamp=k / 25.0))
     write_keypoint_trajectory(path, frames)
 
 
@@ -123,9 +121,8 @@ def test_calibrate_half_scale_capture(tmp_path, planar):
 def test_calibrate_zero_segment_fails(tmp_path, planar, capsys):
     capture = tmp_path / "bad.traj"
     fk = forward_kinematics(planar, planar.rest_pose)
-    w = [np.array([fk[(0, j)] for j in range(3)])]
-    w[0][1] = w[0][0]  # collapse the first segment
-    write_keypoint_trajectory(capture, [KeypointFrame(w)])
+    fk[0, 1] = fk[0, 0]  # collapse the first segment
+    write_keypoint_trajectory(capture, [KeypointFrame(fk, planar.keypoint_counts())])
     code = main(["calibrate", "--model", PLANAR, "--keypoints", str(capture),
                  "--out", str(tmp_path / "out")])
     assert code == EXIT_ERROR
@@ -247,8 +244,13 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
     (lambda c: {"u": c.u[:, :2]}, "anchor offsets has shape (5, 2)"),
     (lambda c: {"coupling_fingers": c.coupling_fingers + (7,)}, "coupled finger 7 is not"),
     (lambda c: {"d_max": {**c.d_max, 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
+    (lambda c: {"d_max": {**c.d_max, 1: np.inf}},
+     "coupled finger 1: needs d_max > d_min, got [0.0, inf]; both must be finite"),
+    (lambda c: {"d_min": {**c.d_min, 2: -np.inf}}, "coupled finger 2: needs d_max > d_min, "
+     "got [-inf, "),
 ], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
-        "u_shape", "unknown_coupled_finger", "empty_distance_range"])
+        "u_shape", "unknown_coupled_finger", "empty_distance_range", "infinite_d_max",
+        "infinite_d_min"])
 def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
                                                         change, needle):
     cal = tmp_path / "calibration.yaml"
@@ -479,7 +481,11 @@ def test_syncsim_bad_config_exits_2(tmp_path, capsys):
             ("streams:\n  - {name: cam, period: 0.04, latency_bound: .nan, jitter: gauss}\n"
              "mode: soft\nduration: 2.0\n", "latency_bound"),
             ("streams:\n  - {name: cam, period: 0.04}\nseed: 1.5\n", "seed"),
-            ('streams:\n  - {name: "cam 1", period: 0.04}\n', "'cam 1': name")]:
+            ('streams:\n  - {name: "cam 1", period: 0.04}\n', "'cam 1': name"),
+            ("streams:\n  - {name: cam, period: 0.04, latency_bound: 1.0e+308}\n", "latency_bound"),
+            ("streams:\n  - {name: cam, period: 1.0e-308}\n", "more than 4194304 events"),
+            ("streams:\n  - {name: cam, period: 0.04}\nrate_hz: 1.0e+308\n", "more than 4194304 frames"),
+            ("streams:\n  - {name: cam, period: 0.04}\nduration: 1.0e+308\n", "duration")]:
         config.write_text(text)
         code = main(["syncsim", "--config", str(config), "--out", str(out)])
         assert code == EXIT_ERROR

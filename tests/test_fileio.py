@@ -11,7 +11,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import DATA, README_STREAMS
+from conftest import DATA, README_STREAMS, ragged_frame
 from dexretarget import fileio
 from dexretarget.cli import EXIT_ERROR, main
 from dexretarget.fileio import (
@@ -31,7 +31,7 @@ from dexretarget.fileio import (
     write_manifest,
     write_report,
 )
-from dexretarget.retarget import CalibrationData, KeypointFrame
+from dexretarget.retarget import CalibrationData
 from dexretarget.syncsim import (
     MISSING,
     STATUS_NAMES,
@@ -60,7 +60,7 @@ def landmark_frames(counts, n, seed=0):
             ok[0] = True
             w.append(pts)
             valid.append(ok)
-        frames.append(KeypointFrame(w, valid, timestamp=k / 25.0))
+        frames.append(ragged_frame(w, valid, timestamp=k / 25.0))
     return frames
 
 
@@ -110,7 +110,7 @@ def keypoint_clips(draw):
             w.append(pts)
             valid.append([wrist_ok] + draw(st.lists(st.booleans(), min_size=c - 1,
                                                     max_size=c - 1)))
-        frames.append(KeypointFrame(w, valid, timestamp=draw(_FINITE)))
+        frames.append(ragged_frame(w, valid, timestamp=draw(_FINITE)))
     return frames
 
 
@@ -125,6 +125,14 @@ def test_keypoint_trajectory_round_trip_property(tmp_path_factory, frames):
         assert b.timestamp == a.timestamp and b.counts() == a.counts()
         assert all(_same_bits(wa, wb) for wa, wb in zip(a.w, b.w))
         assert all(np.array_equal(va, vb) for va, vb in zip(a.valid, b.valid))
+
+
+def test_capture_frames_are_views_of_the_readers_arrays():
+    frames = read_keypoint_trajectory(DATA / "gestures" / "pinch.traj")
+    for name in ("w", "valid"):
+        first, last = getattr(frames[0], name), getattr(frames[-1], name)
+        assert first.base is not None and last.base is first.base
+        assert np.shares_memory(first.base, last)
 
 
 def test_keypoint_rewrite_is_byte_identical(tmp_path):
@@ -214,7 +222,7 @@ def calibrations(draw):
     return CalibrationData(
         r=tuple(_arrays(draw, (n,), st.floats(1e-300, 1e300)) for n in segments),
         u=_arrays(draw, (fingers, 3)),
-        w_star=KeypointFrame([_arrays(draw, (n + 1, 3)) for n in segments]),
+        w_star=ragged_frame([_arrays(draw, (n + 1, 3)) for n in segments]),
         q0=_arrays(draw, (draw(st.integers(1, 20)),)),
         d_min={i: draw(_FINITE) for i in coupled},
         d_max={i: draw(_FINITE) for i in coupled},

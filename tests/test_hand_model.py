@@ -228,6 +228,27 @@ def test_value_of_the_wrong_kind_rejected(tmp_path, capsys, old, new, needle):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("old, new, needle", [
+    ("axis: [0.0, 0.0, 1.0]", "axis: [0.0, 1.0e+308, 1.0e+308]",
+     "fingers[arm].joints[0].axis: |axis| = inf, must be 1"),
+    ("rows: 2, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [0.001",
+     "rows: 3, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [1.0e+308",
+     "taxel_layouts[0]: taxel positions must be finite"),
+    ("col_step: [0.0, 0.001, 0.0]", "col_step: [0.0, -1.0e+308, 0.0]",
+     "taxel_layouts[0]: taxel positions must be finite"),
+], ids=["axis", "row_step", "col_step"])
+def test_finite_number_that_overflows_rejected(tmp_path, capsys, old, new, needle):
+    # finite numbers, but the axis norm or the taxel grid overflows the float range
+    doc = WITH_TAXELS.replace(old, new, 1)
+    _expect_error(doc, needle)
+    path, out = tmp_path / "model.yaml", tmp_path / "out"
+    path.write_text(doc)
+    assert main(["metrics", "--model", str(path), "--metric", "opposability", "--samples", "10",
+                 "--out", str(out)]) == EXIT_ERROR
+    assert needle in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_duplicate_joint_name_rejected():
     doc = MINIMAL.replace("{name: j2, axis", "{name: j1, axis").replace("attached_to: j2", "attached_to: j1")
     _expect_error(doc, "fingers[arm].joints[1]: joint 'j1' repeats an earlier joint's name")
@@ -265,3 +286,16 @@ def test_taxel_layout_validation():
 def test_not_yaml_rejected():
     _expect_error("fingers: [unclosed", "YAML")
     _expect_error("- just\n- a list\n", "mapping")
+
+
+@pytest.mark.parametrize("doc, needle", [
+    ("name: empty\nfingers: []\n", "fingers: needs at least one finger"),
+    (MINIMAL[:MINIMAL.index("    joints:")] + "    joints: []\n"
+     + MINIMAL[MINIMAL.index("    keypoints:"):], "fingers[arm].joints: needs at least one joint"),
+    (MINIMAL.replace("offset: [1.0, 0.0, 0.0]", "offset: [.nan, 0.0, 0.0]"),
+     "fingers[arm].keypoints[1].offset: expected a finite 3-vector, got [nan, 0.0, 0.0]"),
+    (WITH_TAXELS.replace("row_step: [0.001", "row_step: [.inf"),
+     "taxel_layouts[0].row_step: expected a finite 3-vector, got [inf, 0.0, 0.0]"),
+], ids=["no_fingers", "no_joints", "nan_offset", "inf_row_step"])
+def test_document_without_a_hand_rejected(doc, needle):
+    _expect_error(doc, needle)

@@ -434,3 +434,18 @@ def test_cloud_validates_reading_keys(robot):
     bad[1] = np.zeros((8, 12))
     with pytest.raises(ValueError, match="shape"):
         taxel_point_cloud(robot, q, bad)
+
+
+@pytest.mark.parametrize("call, needle", [
+    (lambda m: forward_kinematics(m, np.zeros(19)),
+     "q has shape (19,), model 'rapid_hand_20dof' expects (20,)"),
+    (lambda m: jacobian(m, np.zeros((1, 20)), (1, 4)),
+     "q has shape (1, 20), model 'rapid_hand_20dof' expects (20,)"),
+    (lambda m: batch_keypoint_positions(m, (1, 4), np.zeros((3, 5))),
+     "q_batch must be (B, 4), got (3, 5)"),
+    (lambda m: batch_keypoint_positions(m, (1, 4), np.zeros(4)), "q_batch must be (B, 4), got (4,)"),
+], ids=["fk_q", "jacobian_q", "batch_width", "batch_vector"])
+def test_joint_vectors_of_the_wrong_shape_rejected(robot, call, needle):
+    with pytest.raises(ValueError) as err:
+        call(robot)
+    assert str(err.value) == needle

@@ -1,5 +1,7 @@
 """Dexterity metrics against hand-computed geometric oracles."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -7,12 +9,13 @@ from dexretarget import metrics
 from dexretarget.hand_model import load_hand_model
 from dexretarget.metrics import (
     DEFAULT_VOXEL_MM,
+    VoxelRangeError,
     manipulability_volume,
     opposability_volume,
     opposability_volumes,
 )
 
-from conftest import ANNULI_PAIR, ARC_PAIR, DISJOINT_PAIR, TOY_3DOF_X2
+from conftest import ANNULI_PAIR, ARC_PAIR, DISJOINT_PAIR, TOY_3DOF, TOY_3DOF_X2
 
 
 # --- manipulability -----------------------------------------------------------
@@ -188,3 +191,22 @@ def test_opposability_validation(robot):
     with pytest.raises(ValueError, match="voxel"):
         opposability_volume(robot, (0, 4), (1, 4), voxel_mm=0.0)
     assert DEFAULT_VOXEL_MM > 0.0
+
+
+@pytest.mark.parametrize("option, needle", [
+    ({"samples": 1.5}, "samples must be an integer >= 1, got 1.5"),
+    ({"samples": True}, "samples must be an integer >= 1, got True"),
+    ({"voxel_mm": -2.0}, "voxel_mm must be finite and > 0, got -2.0"),
+    ({"voxel_mm": np.inf}, "voxel_mm must be finite and > 0, got inf"),
+    ({"voxel_mm": np.nan}, "voxel_mm must be finite and > 0, got nan"),
+], ids=["samples_fraction", "samples_bool", "voxel_negative", "voxel_inf", "voxel_nan"])
+def test_opposability_rejects_bad_arguments(robot, option, needle):
+    with pytest.raises(ValueError, match=re.escape(needle)):
+        opposability_volumes(robot, (0, 4), [(1, 4)], **option)
+
+
+def test_workspace_past_the_float_range_is_past_the_voxel_range():
+    # a finite tip 1e308 m out: position / voxel overflows before any voxel index
+    far = load_hand_model(TOY_3DOF.replace("offset: [0.0, 1.0, 1.0]", "offset: [0.0, 1.0e+308, 1.0]"))
+    with pytest.raises(VoxelRangeError, match="packable voxel range"):
+        opposability_volume(far, (0, 1), (0, 1), samples=10)

@@ -16,7 +16,7 @@ from dexretarget.retarget import (CalibrationData, CalibrationError, CouplingSta
                                   coupling_weights, default_pairs, objective,
                                   objective_gradient, retarget_stream, solve_retarget)
 
-from conftest import identity_frame, random_frame
+from conftest import identity_frame, ragged_frame, random_frame
 
 
 # --- calibration --------------------------------------------------------------
@@ -39,7 +39,7 @@ def test_half_scale_calibration(robot):
         for j in range(2, pts.shape[0]):
             h[j] = h[j - 1] + 0.5 * (pts[j] - pts[j - 1])
         w.append(h)
-    cal = calibrate(robot, robot.rest_pose, KeypointFrame(w))
+    cal = calibrate(robot, robot.rest_pose, ragged_frame(w))
     for r in cal.r:
         np.testing.assert_allclose(r, 2.0, atol=1e-12)
     np.testing.assert_allclose(cal.u, 0.0, atol=1e-12)
@@ -91,9 +91,53 @@ def test_calibration_rejects_non_finite_landmarks(robot):
 
 def test_calibration_rejects_layout_mismatch(robot):
     frame = identity_frame(robot)
-    short = KeypointFrame([w[:4] for w in frame.w])
+    short = ragged_frame([w[:4] for w in frame.w])
     with pytest.raises(CalibrationError):
         calibrate(robot, robot.rest_pose, short)
+
+
+def test_calibration_rejects_wrong_q0_shape(robot):
+    with pytest.raises(CalibrationError, match=re.escape("q0 has shape (19,), expected (20,)")):
+        calibrate(robot, robot.rest_pose[:-1], identity_frame(robot))
+
+
+def test_calibration_rejects_zero_tip_to_thumb_span(robot):
+    frame = identity_frame(robot)
+    frame.w[2, -1] = frame.w[0, -1]  # middle fingertip on the thumb tip
+    with pytest.raises(CalibrationError, match="finger 2: tip-to-thumb span at the calibration "
+                                               "pose is 0; it must be finite and > 0"):
+        calibrate(robot, robot.rest_pose, frame)
+
+
+# --- landmark frames -------------------------------------------------------------
+
+def test_frame_holds_the_arrays_it_is_given():
+    w, valid = np.zeros((2, 3, 3)), np.ones((2, 3), dtype=bool)
+    w[:, 0] = 0.5  # the wrist fills finger 1's j = 0: a keypoint, not padding
+    valid[0, 1] = False
+    frame = KeypointFrame(w, (3, 2), valid, timestamp=0.25)
+    assert frame.w is w and frame.valid is valid
+    assert frame.counts() == (3, 2) and frame.timestamp == 0.25
+    copy = frame.copy()
+    assert not np.shares_memory(copy.w, w) and not np.shares_memory(copy.valid, valid)
+    assert copy.w.tobytes() == w.tobytes() and np.array_equal(copy.valid, valid)
+    assert copy.counts() == (3, 2) and copy.timestamp == 0.25
+
+
+@pytest.mark.parametrize("w_shape, valid_shape, pad_w, pad_valid, needle", [
+    ((2, 2, 3), (2, 3), 0.0, True,
+     "keypoint counts (3, 2) need w (2, 3, 3) and valid (2, 3), got (2, 2, 3) and (2, 3)"),
+    ((2, 3, 3), (3, 2), 0.0, True,
+     "keypoint counts (3, 2) need w (2, 3, 3) and valid (2, 3), got (2, 3, 3) and (3, 2)"),
+    ((2, 3, 3), (2, 3), -1e-300, True, "slots past a finger's keypoint count must be zero and valid"),
+    ((2, 3, 3), (2, 3), 0.0, False, "slots past a finger's keypoint count must be zero and valid"),
+], ids=["w_shape", "valid_shape", "padding_not_zero", "padding_not_valid"])
+def test_frame_rejects_arrays_not_fitting_counts(w_shape, valid_shape, pad_w, pad_valid, needle):
+    w, valid = np.zeros(w_shape), np.ones(valid_shape, dtype=bool)
+    w[1, 2:], valid[1, 2:] = pad_w, pad_valid  # slot (1, 2): finger 1 has 2 keypoints
+    with pytest.raises(ValueError) as err:
+        KeypointFrame(w, (3, 2), valid)
+    assert str(err.value) == needle
 
 
 # --- conformal adjustment -------------------------------------------------------
@@ -110,7 +154,7 @@ def test_identity_adjustment_is_bitwise(robot):
 
 def test_double_scale_straight_finger():
     w = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
-    frame = KeypointFrame([w])
+    frame = ragged_frame([w])
     cal = CalibrationData(r=(np.array([2.0, 2.0, 2.0]),), u=np.zeros((1, 3)),
                           w_star=frame, q0=np.zeros(2), d_min={}, d_max={},
                           coupling_fingers=())
@@ -146,7 +190,7 @@ def segment_case(draw):
         ratio = st.just(1.0) if identity else st.one_of(st.just(1.0), st.floats(0.25, 4.0))
         r.append(np.array(draw(st.lists(ratio, min_size=count - 1, max_size=count - 1))))
         u.append((0.0, 0.0, 0.0) if identity else draw(_landmark))
-    frame = KeypointFrame(w)
+    frame = ragged_frame(w)
     return frame, CalibrationData(r=tuple(r), u=np.array(u), w_star=frame, q0=np.zeros(1),
                                   d_min={}, d_max={}, coupling_fingers=())
 
@@ -297,7 +341,7 @@ def _coupling_loop(w, cal, k, c):
 def test_coupling_matches_finger_loop_property(seed, counts, k, c):
     rng = np.random.default_rng(seed)
     w = [rng.uniform(-0.15, 0.15, (n, 3)) for n in counts]
-    frame = KeypointFrame(w)
+    frame = ragged_frame(w)
     fingers = tuple(range(1, len(counts)))
     d_min = {i: float(rng.uniform(0.0, 0.1)) for i in fingers}
     d_max = {i: d_min[i] + float(rng.uniform(0.01, 0.4)) for i in fingers}
@@ -641,9 +685,7 @@ def test_stream_recovers_smooth_trajectory(robot, calibration):
     for k in range(15):
         tau = k / 14.0
         q = (1 - tau) * q_a + tau * q_b
-        fk = forward_kinematics(robot, q)
-        w = [np.array([fk[(i, j)] for j in range(c)]) for i, c in enumerate(counts)]
-        frames.append(KeypointFrame(w, timestamp=k / 25.0))
+        frames.append(KeypointFrame(forward_kinematics(robot, q), counts, timestamp=k / 25.0))
         truth.append(q)
     cal = calibrate(robot, robot.rest_pose, identity_frame(robot))
     # All four keypoints per finger: with pip + tip alone the nearly straight

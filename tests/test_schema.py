@@ -3,6 +3,8 @@ fails its reader naming that key."""
 
 import copy
 import re
+from functools import reduce
+from operator import getitem
 
 import pytest
 import yaml
@@ -154,6 +156,29 @@ def test_spoilt_stream_config_key_is_named(scratch, data):
     with pytest.raises(FileFormatError) as err:
         read_stream_config(path)
     assert re.search(pattern, str(err.value)), (pattern, str(err.value))
+
+
+def test_optional_key_given_null_takes_its_default(scratch):
+    """Every optional key of the model and the stream config, given as null,
+    reads as if it were left out."""
+    def config(doc):
+        (scratch / "streams.yaml").write_text(yaml.safe_dump(doc))
+        return read_stream_config(scratch / "streams.yaml")
+
+    def model(doc):
+        m = load_hand_model(yaml.safe_dump(doc))
+        return (m.rest_pose.tolist(), [a.tolist() for a in m.chains],
+                [f.taxels and f.taxels.positions.tolist() for f in m.fingers])
+
+    for doc, table, read in ((_MODEL, hand_model._DOCUMENT, model),
+                             (_STREAMS, fileio._CONFIG, config)):
+        optional = [location for location, _, required in _locations(doc, table) if not required]
+        assert optional
+        for *steps, key in optional:
+            null, absent = copy.deepcopy(doc), copy.deepcopy(doc)
+            reduce(getitem, steps, null)[key] = None
+            del reduce(getitem, steps, absent)[key]
+            assert read(null) == read(absent), (*steps, key)
 
 
 # --- the one loader ------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 from dexretarget.syncsim import (
     FRESH,
     HELD,
+    MAX_SECONDS,
     MISSING,
     ROLE_DROPPED,
     ROLE_MEMBER,
@@ -125,6 +126,16 @@ def test_dropped_event_is_held_for_one_period():
     assert report.missing_slots == 0
 
 
+def test_stream_with_every_event_dropped_is_missing_in_every_frame():
+    period = 1.0 / 25.0
+    cfg = StreamConfig((StreamSpec("cam", period, 0.0), StreamSpec("lost", period, 0.0, dropout=1.0)))
+    log = simulate(cfg, 1.0)
+    assert log.dropped[log.stream_idx == 1].all()
+    frames = assemble_frames(log)
+    assert np.all(frames.status[:, 0] == FRESH) and np.all(frames.status[:, 1] == MISSING)
+    assert not frames.complete.any()
+
+
 def test_every_event_gets_exactly_one_role():
     log = simulate(reference_soft_config(dropout=0.1, seed=3), 30.0)
     frames = assemble_frames(log)
@@ -215,6 +226,11 @@ def test_config_validation_errors():
         (lambda: StreamConfig((good,), soft_latency=(0.015, float("inf"))), "soft_latency"),
         (lambda: StreamConfig((good,), soft_latency=(float("nan"), 0.1)), "soft_latency"),
         (lambda: StreamConfig((good,), soft_latency=(0.015, float("nan"))), "soft_latency"),
+        (lambda: StreamConfig((StreamSpec("cam", 2 * MAX_SECONDS, 0.002),)),
+         "period must be positive and at most"),
+        (lambda: StreamConfig((StreamSpec("cam", period, 1e308),)),
+         "latency_bound must be >= 0 and at most"),
+        (lambda: StreamConfig((good,), soft_latency=(0.015, 2 * MAX_SECONDS)), "soft_latency"),
     ] + [(lambda name=name: StreamConfig((StreamSpec(name, period, 0.002),)), "name must be one word")
          for name in ("", "cam 1", " cam", "cam\t", "t:x")]
     for build, needle in cases:
@@ -224,10 +240,32 @@ def test_config_validation_errors():
 
 def test_runtime_validation_errors():
     cfg = ideal_config()
-    for duration in (0.0, float("nan"), float("inf")):
+    for duration in (0.0, float("nan"), float("inf"), 2 * MAX_SECONDS):
         with pytest.raises(SyncConfigError, match="duration"):
             simulate(cfg, duration)
     log = simulate(cfg, 1.0)
     with pytest.raises(SyncConfigError, match="window"):
         assemble_frames(log, window=0.0)
+    with pytest.raises(SyncConfigError, match="duration too short for a single frame"):
+        assemble_frames(simulate(cfg, 1e-12))  # ends before the first trigger
+    # 10 s runs past MAX_ROWS: a count past the float range, 3 x 1e7 events, 1e7 frames
+    for period, rate, needle in [(1e-308, 25.0, "emit more than 4194304 events"),
+                                 (1e-6, 25.0, "emit more than 4194304 events"),
+                                 (0.04, 1e308, "hold more than 4194304 frames"),
+                                 (0.04, 1e6, "hold more than 4194304 frames")]:
+        big = StreamConfig(tuple(StreamSpec(f"s{k}", period, 0.0) for k in range(3)), rate_hz=rate)
+        with pytest.raises(SyncConfigError, match=needle):
+            assemble_frames(simulate(big, 10.0))
+
+
+def test_emission_far_past_the_run_end_is_unaligned():
+    # 1e6 frames of 1e-14 s; the one event is emitted up to 1e6 s later, so
+    # emission * rate passes the int64 range
+    cfg = StreamConfig((StreamSpec("cam", 1e-8, MAX_SECONDS),), rate_hz=1e14, seed=2)
+    log = simulate(cfg, 1e-8)
+    assert len(log) == 1 and log.emission[0] * cfg.rate_hz > 2.0 ** 63
+    frames = assemble_frames(log)
+    assert len(frames) == 1_000_000
+    assert frames.event_role.tolist() == [ROLE_UNALIGNED]
+    assert np.all(frames.status == MISSING)
 

@@ -41,7 +41,7 @@ def pose(model, **per_finger):
 def capture_frame(model, q, t):
     fk = forward_kinematics(model, q)
     fk[:, 0] = 0.0  # wrist landmark: hand-frame origin, shared j=0 slot
-    return KeypointFrame([fk[i, :c] for i, c in enumerate(model.keypoint_counts())], timestamp=t)
+    return KeypointFrame(fk, model.keypoint_counts(), timestamp=t)
 
 
 def gesture_clip(model, q_target):
