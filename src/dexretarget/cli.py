@@ -104,7 +104,7 @@ def cmd_calibrate(args):
     out = _out_dir(args)
     write_calibration(out / "calibration.yaml", cal)
     _write_manifest(out, args, ["calibration.yaml"])
-    ratios = np.concatenate(cal.r)
+    ratios = cal.r[cal.w_star.segments()]
     print(f"calibrated {model.name}: {ratios.size} segment ratios in "
           f"[{ratios.min():.4f}, {ratios.max():.4f}], "
           f"{len(cal.coupling_fingers)} coupled fingers")

@@ -150,7 +150,7 @@ def read_static_keypoints(path):
 
 def write_calibration(path, cal):
     doc = {
-        "segment_ratios": [[float(x) for x in r] for r in cal.r],
+        "segment_ratios": [r[:c - 1].tolist() for r, c in zip(cal.r, cal.w_star.counts())],
         "anchor_offsets": [[float(x) for x in row] for row in cal.u],
         "q0": [float(x) for x in cal.q0],
         "coupling_fingers": [int(i) for i in cal.coupling_fingers],
@@ -176,18 +176,16 @@ def read_calibration(path):
     doc = _yaml(path)
     check(doc, _CALIBRATION, lambda m: FileFormatError(f"{path}: malformed calibration file: {m}"))
     counts = tuple(map(len, doc["w_star"]))  # the document's ragged lists, padded onto slots
+    lengths, need = [len(r) for r in doc["segment_ratios"]], [c - 1 for c in counts]
+    if lengths != need:
+        raise FileFormatError(f"{path}: malformed calibration file: segment_ratios: expected "
+                              f"one ratio per w_star segment, {need} per finger, got {lengths}")
     w_star = np.zeros((len(counts), max(counts, default=0), 3))
-    for i, points in enumerate(doc["w_star"]):
-        w_star[i, :len(points)] = np.reshape(points, (-1, 3))
-    return CalibrationData(
-        r=tuple(np.array(r, dtype=float) for r in doc["segment_ratios"]),
-        u=np.array(doc["anchor_offsets"], dtype=float),
-        w_star=KeypointFrame(w_star, counts),
-        q0=np.array(doc["q0"], dtype=float),
-        d_min={i: float(v) for i, v in doc["d_min"].items()},
-        d_max={i: float(v) for i, v in doc["d_max"].items()},
-        coupling_fingers=tuple(doc["coupling_fingers"]),
-    )
+    r = np.ones((len(counts), max(counts, default=1) - 1))  # 1.0 past each finger's segments
+    for i, (points, ratios) in enumerate(zip(doc["w_star"], doc["segment_ratios"])):
+        w_star[i, :len(points)], r[i, :len(ratios)] = np.reshape(points, (-1, 3)), ratios
+    return CalibrationData(r, doc["anchor_offsets"], KeypointFrame(w_star, counts), doc["q0"],
+                           doc["d_min"], doc["d_max"], tuple(doc["coupling_fingers"]))
 
 
 # --- joint trajectories ----------------------------------------------------

@@ -22,6 +22,8 @@ import yaml
 from .schema import INTEGER, LOADER, NUMBERS, STRING, check, entries, numbers
 
 AXIS_UNIT_TOL = 1e-9
+MAX_LENGTH_M = 10.0  # bound on every length coordinate: a hand, even on an arm, sits within it
+MAX_TAXELS = 65_536  # cells in one taxel grid
 
 BASE_LINK = "base"
 
@@ -31,17 +33,21 @@ class ModelError(Exception):
 
 
 def _freeze(a, dtype=float):
-    a = np.ascontiguousarray(a, dtype=dtype)
+    a = np.array(a, dtype=dtype, order="C")  # a copy: the caller's array stays its own
     a.flags.writeable = False
     return a
 
 
-def _vectors(raw, where, *keys):
-    """Entry ``raw``'s finite 3-vectors under ``keys``, zero for an absent optional one."""
+def _vectors(raw, where, *keys, bound=np.inf):
+    """Entry ``raw``'s finite 3-vectors under ``keys``, each coordinate at most
+    ``bound`` in magnitude, zero for an absent optional one."""
     vs = [np.array(raw.get(key, (0.0, 0.0, 0.0)), dtype=float) for key in keys]
     for key, v in zip(keys, vs):
         if not np.all(np.isfinite(v)):
             raise ModelError(f"{where}.{key}: expected a finite 3-vector, got {raw[key]!r}")
+        if not np.all(np.abs(v) <= bound):
+            raise ModelError(f"{where}.{key}: coordinates must be at most {bound:g} m in "
+                             f"magnitude, got {raw[key]!r}")
     return vs
 
 
@@ -173,14 +179,16 @@ def _build_joint(raw, earlier, where):
     if parent != prev:
         raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
                          f"base to tip, so its parent is the previous joint {prev!r}")
-    axis, trans, rpy = _vectors(raw, where, "axis", "origin_translation", "origin_rotation")
+    axis, rpy = _vectors(raw, where, "axis", "origin_rotation")
+    trans, = _vectors(raw, where, "origin_translation", bound=MAX_LENGTH_M)
     with np.errstate(over="ignore"):  # a huge axis has norm inf, which the check rejects
         norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_UNIT_TOL:
         raise ModelError(f"{where}.axis: |axis| = {norm:.12g}, must be 1 within {AXIS_UNIT_TOL}")
     lower, upper = map(float, raw["limits"])
-    if not (math.isfinite(lower) and math.isfinite(upper) and lower < upper):
-        raise ModelError(f"{where}.limits: lower must be < upper, got [{lower}, {upper}]")
+    if not 0.0 < upper - lower < math.inf:  # so both are finite too
+        raise ModelError(f"{where}.limits: lower must be < upper, a finite span apart, "
+                         f"got [{lower}, {upper}]")
     return name, axis, trans, rpy_matrix(*rpy), (lower, upper)
 
 
@@ -194,7 +202,8 @@ def _build_keypoints(raw_list, joint_names, finger_name):
         if raw["attached_to"] not in depth_of:
             raise ModelError(f"{where}: attached_to {raw['attached_to']!r} names no joint of the "
                              f"finger or 'base'")
-        kps.append((depth_of[raw["attached_to"]], *_vectors(raw, where, "offset")))
+        offset, = _vectors(raw, where, "offset", bound=MAX_LENGTH_M)
+        kps.append((depth_of[raw["attached_to"]], offset))
     indices = [raw["index"] for raw in raw_list]
     if indices != list(range(len(kps))):
         raise ModelError(f"finger {finger_name!r}: keypoints must be listed by index, "
@@ -208,12 +217,12 @@ def _build_taxels(raw, where):
     rows, cols = raw["rows"], raw["cols"]
     if rows <= 0 or cols <= 0:
         raise ModelError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
-    origin, row_step, col_step = _vectors(raw, where, "origin", "row_step", "col_step")
+    if rows * cols > MAX_TAXELS:
+        raise ModelError(f"{where}: rows and cols give {rows}x{cols} cells, at most {MAX_TAXELS}")
+    origin, row_step, col_step = _vectors(raw, where, "origin", "row_step", "col_step",
+                                          bound=MAX_LENGTH_M)
     r_idx, c_idx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
-    with np.errstate(over="ignore", invalid="ignore"):
-        pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
-    if not np.isfinite(pos).all():
-        raise ModelError(f"{where}: taxel positions must be finite; the grid overflows")
+    pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
     return TaxelLayout(rows, cols, _freeze(pos))
 
 
@@ -234,8 +243,9 @@ def load_hand_model(document):
             is not a mapping, an unknown or missing key, or a value of the
             wrong kind (a boolean is never a number, a fraction never an
             integer), naming the entry and the key; and on any failed check
-            of meaning (limits, axis norms, finite vectors, joint names and
-            order, keypoint indexing and attachment, taxel grids, rest pose).
+            of meaning (limits and their span, axis norms, finite vectors and
+            length bounds, joint names and order, keypoint indexing and
+            attachment, taxel grid sizes, rest pose).
     """
     try:
         raw = yaml.load(document, Loader=LOADER)

@@ -18,11 +18,12 @@ from __future__ import annotations
 import contextlib
 from collections import namedtuple
 from dataclasses import dataclass, field
+from types import MappingProxyType
 
 import numpy as np
 
 from . import kinematics
-from .hand_model import HandModel
+from .hand_model import HandModel, _freeze
 from .kinematics import _chain_state, _gather, linear_jacobian_block
 
 DEFAULT_SIGMOID_K = 10.0
@@ -66,6 +67,10 @@ class KeypointFrame:
     def counts(self):
         return self._counts
 
+    def segments(self):
+        """(F, M - 1) mask of the real segment slots; segment j joins keypoints j and j + 1."""
+        return np.arange(self.w.shape[1] - 1) < np.subtract(self._counts, 1)[:, None]
+
     def tips(self):
         """(F, 3) fingertip landmarks: each finger's last keypoint."""
         return self.w[np.arange(len(self.w)), np.subtract(self._counts, 1)]
@@ -81,16 +86,43 @@ def _norms(a):
 
 @dataclass(frozen=True)
 class CalibrationData:
-    """Per-segment scale ratios and per-finger offsets tying one human hand
-    to one robot hand, plus the coupling distance bounds."""
+    """Segment ratios, anchor offsets and coupling bounds tying one human hand to one robot
+    hand, checked when built and held as read-only copies of the arrays and the bounds."""
 
-    r: tuple[np.ndarray, ...]       # per finger, (n_i,) segment ratios
+    r: np.ndarray                   # (F, M - 1) on w_star's segment slots, padding 1.0
     u: np.ndarray                   # (F, 3) knuckle-anchor translations
     w_star: KeypointFrame           # calibration landmarks, extended pose
     q0: np.ndarray                  # robot reference configuration
-    d_min: dict[int, float]         # per coupled finger, meters
-    d_max: dict[int, float]
+    d_min: MappingProxyType[int, float]  # per coupled finger, meters
+    d_max: MappingProxyType[int, float]
     coupling_fingers: tuple[int, ...]
+
+    def __post_init__(self):
+        r, u, q0 = map(_freeze, (self.r, self.u, self.q0))
+        d_min, d_max = (MappingProxyType({i: float(v) for i, v in b.items()})
+                        for b in (self.d_min, self.d_max))
+        real = self.w_star.segments()
+        if r.shape != real.shape:
+            raise CalibrationError(f"segment ratios have shape {r.shape}, expected {real.shape}")
+        for i in np.flatnonzero(~np.all(_usable(r) | ~real, axis=1)):
+            raise CalibrationError(f"finger {i}: segment ratios must be finite and > 0, "
+                                   f"got {r[i][real[i]].tolist()}")
+        for i in np.flatnonzero(~np.all((r == 1.0) | real, axis=1)):
+            raise CalibrationError(f"finger {i}: ratio slots past its segments must hold 1.0")
+        for name, value, shape in (("q0", q0, (q0.size,)), ("anchor offsets", u, (len(real), 3))):
+            if value.shape != shape:
+                raise CalibrationError(f"{name} has shape {value.shape}, expected {shape}")
+            if not np.all(np.isfinite(value)):
+                raise CalibrationError(f"{name} has a non-finite entry")
+        for i in self.coupling_fingers:
+            if not 0 <= i < len(real):
+                raise CalibrationError(f"coupled finger {i} is not a finger of w_star")
+            lo, hi = d_min.get(i), d_max.get(i)
+            if lo is None or hi is None or not -np.inf < lo < hi < np.inf:
+                raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
+                                       f"got [{lo}, {hi}]; both must be finite")
+        for name, value in zip(("r", "u", "q0", "d_min", "d_max"), (r, u, q0, d_min, d_max)):
+            object.__setattr__(self, name, value)
 
 
 def calibrate(model, q0, w_star):
@@ -124,7 +156,7 @@ def calibrate(model, q0, w_star):
     with np.errstate(over="ignore"):  # a huge landmark's length overflows to inf, rejected below
         human_seg, robot_seg = (_norms(np.diff(p, axis=1)) for p in (w_star.w, robot))
         spans = _norms(tips[1:] - tips[0])
-    real = np.arange(robot.shape[1] - 1) < np.subtract(w_star.counts(), 1)[:, None]
+    real = w_star.segments()
     for i, j in zip(*np.nonzero(real & ~(_usable(human_seg) & (robot_seg > 0.0)))):
         side, length = ("robot", robot_seg[i, j]) if _usable(human_seg[i, j]) \
             else ("human", human_seg[i, j])
@@ -133,14 +165,11 @@ def calibrate(model, q0, w_star):
     for i in np.flatnonzero(~_usable(spans)) + 1:
         raise CalibrationError(f"finger {i}: tip-to-thumb span at the calibration pose is "
                                f"{spans[i - 1]:g}; it must be finite and > 0")
-    ratios = np.split(robot_seg[real] / human_seg[real], np.cumsum(real.sum(axis=1))[:-1])
+    ratios = np.divide(robot_seg, human_seg, out=np.ones_like(robot_seg), where=real)
     offsets = robot[:, ANCHOR_INDEX] - w_star.w[:, ANCHOR_INDEX]
     coupling_fingers = tuple(range(1, len(model.fingers)))
     d_min, d_max = dict.fromkeys(coupling_fingers, 0.0), dict(zip(coupling_fingers, spans.tolist()))
-    cal = CalibrationData(tuple(ratios), offsets, w_star.copy(), q0.copy(),
-                          d_min, d_max, coupling_fingers)
-    _check_calibration(model, cal)
-    return cal
+    return CalibrationData(ratios, offsets, w_star.copy(), q0, d_min, d_max, coupling_fingers)
 
 
 def _usable(length):
@@ -149,34 +178,12 @@ def _usable(length):
 
 
 def _check_calibration(model, cal):
-    """Raise CalibrationError unless ``cal`` fits ``model``: one vector of
-    finite, positive segment ratios per finger, finite ``q0`` and ``u`` of
-    the model's shapes, and existing coupled fingers with finite bounds, d_max > d_min."""
-    n_fingers = len(model.fingers)
-    if len(cal.r) != n_fingers:
-        raise CalibrationError(f"calibration has {len(cal.r)} ratio vectors, "
-                               f"model {model.name!r} has {n_fingers} fingers")
-    for i, (r_i, count) in enumerate(zip(cal.r, model.keypoint_counts())):
-        r_i = np.asarray(r_i)
-        if r_i.shape != (count - 1,):
-            raise CalibrationError(f"finger {i}: {r_i.size} segment ratios, "
-                                   f"model has {count - 1} segments")
-        if not np.all(np.isfinite(r_i) & (r_i > 0.0)):
-            raise CalibrationError(f"finger {i}: segment ratios must be finite and > 0, "
-                                   f"got {r_i.tolist()}")
-    for name, value, shape in (("q0", cal.q0, (model.total_dof,)),
-                               ("anchor offsets", cal.u, (n_fingers, 3))):
-        if np.shape(value) != shape:
-            raise CalibrationError(f"{name} has shape {np.shape(value)}, expected {shape}")
-        if not np.all(np.isfinite(value)):
-            raise CalibrationError(f"{name} has a non-finite entry")
-    for i in cal.coupling_fingers:
-        if not 0 <= i < n_fingers:
-            raise CalibrationError(f"coupled finger {i} is not in model {model.name!r}")
-        lo, hi = cal.d_min.get(i), cal.d_max.get(i)
-        if lo is None or hi is None or not -np.inf < lo < hi < np.inf:
-            raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
-                                   f"got [{lo}, {hi}]; both must be finite")
+    """Raise CalibrationError unless ``cal`` has ``model``'s keypoint layout and joint count."""
+    if cal.w_star.counts() != model.keypoint_counts():
+        raise CalibrationError(f"calibration frame layout {cal.w_star.counts()} does not match "
+                               f"model layout {model.keypoint_counts()}")
+    if cal.q0.shape != (model.total_dof,):
+        raise CalibrationError(f"q0 has shape {cal.q0.shape}, expected ({model.total_dof},)")
 
 
 def adjust_keypoints(frame, cal):
@@ -189,17 +196,14 @@ def adjust_keypoints(frame, cal):
         (F, M, 3) adjusted targets on the frame's slots; the rows past a
         finger's count are padding and hold no target.
     """
-    if frame.counts() != tuple(r.shape[0] + 1 for r in cal.r):
+    if frame.counts() != cal.w_star.counts():
         raise RetargetConfigError("frame layout does not match calibration layout")
     w = frame.w
-    n_seg = w.shape[1] - 1
-    ratios = np.ones((len(w), n_seg))  # segment ratios on the slots, 1 past each finger's count
-    ratios[np.arange(n_seg) < np.subtract(frame.counts(), 1)[:, None]] = np.concatenate(cal.r)
     # equivalent cumulative form v_j = w_j + c_j, c_0 = 0, c_j = c_{j-1} +
     # (r_{j-1} - 1)(w_j - w_{j-1}); degenerates to v = w exactly when
     # every r = 1 and u = 0 instead of re-rounding each segment
     steps = np.zeros_like(w)
-    steps[:, 1:] = (ratios - 1.0)[..., None] * np.diff(w, axis=1)
+    steps[:, 1:] = (cal.r - 1.0)[..., None] * np.diff(w, axis=1)
     steps[:, 1] += cal.u
     corr = np.cumsum(steps, axis=1)
     return np.where(corr == 0.0, w, w + corr)
@@ -235,11 +239,6 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     """
     fingers = cal.coupling_fingers
     lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
-    bad = ~((-np.inf < lo) & (lo < hi) & (hi < np.inf))
-    if np.any(bad):
-        m = np.argmax(bad)  # the first coupled finger whose bounds are bad
-        raise RetargetConfigError(f"finger {fingers[m]}: d_max must exceed d_min, "
-                                  f"got [{lo[m]}, {hi[m]}]; both must be finite")
     tips = frame.tips()
     delta = tips[list(fingers)] - tips[0]
     d = np.clip(1.0 - (_norms(delta) - lo) / (hi - lo), 0.0, 1.0)

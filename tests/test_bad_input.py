@@ -15,10 +15,11 @@ from dexretarget.cli import main
 from dexretarget.fileio import write_calibration
 
 # PyYAML reads 1e308 as a string and 1.0e+308 as a float: both spellings are here,
-# so that huge and tiny finite numbers reach the model, calibration and config checks
+# so that huge and tiny finite numbers reach the model, calibration and config checks;
+# 100000000000 is a huge integer for the integer keys (taxel rows, indices, finger ids, seed)
 _VALUES = ["nan", "-nan", "inf", "-inf", ".nan", ".inf", "-.inf", "0", "-0", "-1", "1.5", "3",
            "1e6", "1.0e+6", "-1e308", "1e308", "1.0e+308", "-1.0e+308", "1e-6", "1e-308",
-           "1.0e-308", "1e999", "true", "null", "~", "[]", "{}", "''", "x"]
+           "1.0e-308", "1e999", "100000000000", "true", "null", "~", "[]", "{}", "''", "x"]
 _YAML_TOKEN = re.compile(r"[^\s\[\]{},:#]+")
 # leading fields of an output line that are names (of a stream, of a finger), not numbers
 _NAMES = {"events.txt": 1, "metrics.txt": 1}
@@ -65,7 +66,9 @@ def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data):
     if spoilt == "config":
         argv = ["syncsim", "--config", paths["config"]]
     elif spoilt == "model" and data.draw(st.booleans(), label="metrics"):
-        argv = ["metrics", "--model", paths["model"], "--metric", "opposability", "--samples", "64"]
+        (run / "poses.txt").write_text("rest" + " 0" * 20 + "\n")  # the rest pose
+        argv = ["metrics", "--model", paths["model"], "--poses", run / "poses.txt",
+                "--metric", "all", "--samples", "64"]
     else:
         argv = ["retarget", "--model", paths["model"], "--calibration", paths["calibration"],
                 "--input", paths["capture"]]

@@ -1,6 +1,5 @@
 """End-to-end command-line runs: exit codes, outputs, determinism."""
 
-import dataclasses
 import os
 import subprocess
 import sys
@@ -236,30 +235,40 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
 
 
 @pytest.mark.parametrize("change, needle", [
-    (lambda c: {"r": (-c.r[0],) + c.r[1:]}, "finger 0: segment ratios must be finite and > 0"),
-    (lambda c: {"r": c.r[:-1]}, "4 ratio vectors"),
-    (lambda c: {"r": (c.r[0][:-1],) + c.r[1:]}, "finger 0: 3 segment ratios"),
-    (lambda c: {"q0": c.q0[:-1]}, "q0 has shape (19,), expected (20,)"),
-    (lambda c: {"q0": np.where(np.arange(20) == 3, np.nan, c.q0)}, "q0 has a non-finite"),
-    (lambda c: {"u": c.u[:, :2]}, "anchor offsets has shape (5, 2)"),
-    (lambda c: {"coupling_fingers": c.coupling_fingers + (7,)}, "coupled finger 7 is not"),
-    (lambda c: {"d_max": {**c.d_max, 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
-    (lambda c: {"d_max": {**c.d_max, 1: np.inf}},
+    (lambda d: {"segment_ratios": [[-r for r in d["segment_ratios"][0]]] + d["segment_ratios"][1:]},
+     "finger 0: segment ratios must be finite and > 0"),
+    (lambda d: {"segment_ratios": d["segment_ratios"][:-1]},
+     "segment_ratios: expected one ratio per w_star segment, [4, 4, 4, 4, 4] per finger, "
+     "got [4, 4, 4, 4]"),
+    (lambda d: {"segment_ratios": [d["segment_ratios"][0][:-1]] + d["segment_ratios"][1:]},
+     "segment_ratios: expected one ratio per w_star segment, [4, 4, 4, 4, 4] per finger, "
+     "got [3, 4, 4, 4, 4]"),
+    (lambda d: {"q0": d["q0"][:-1]}, "q0 has shape (19,), expected (20,)"),
+    (lambda d: {"q0": d["q0"][:3] + [float("nan")] + d["q0"][4:]}, "q0 has a non-finite"),
+    (lambda d: {"anchor_offsets": [row[:2] for row in d["anchor_offsets"]]},
+     "anchor offsets has shape (5, 2)"),
+    (lambda d: {"coupling_fingers": d["coupling_fingers"] + [7]}, "coupled finger 7 is not"),
+    (lambda d: {"d_max": {**d["d_max"], 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
+    (lambda d: {"d_max": {**d["d_max"], 1: float("inf")}},
      "coupled finger 1: needs d_max > d_min, got [0.0, inf]; both must be finite"),
-    (lambda c: {"d_min": {**c.d_min, 2: -np.inf}}, "coupled finger 2: needs d_max > d_min, "
-     "got [-inf, "),
+    (lambda d: {"d_min": {**d["d_min"], 2: float("-inf")}},
+     "coupled finger 2: needs d_max > d_min, got [-inf, "),
 ], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
         "u_shape", "unknown_coupled_finger", "empty_distance_range", "infinite_d_max",
         "infinite_d_min"])
 def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
                                                         change, needle):
     cal = tmp_path / "calibration.yaml"
-    write_calibration(cal, dataclasses.replace(calibration, **change(calibration)))
+    write_calibration(cal, calibration)
+    doc = yaml.safe_load(cal.read_text())
+    cal.write_text(yaml.safe_dump({**doc, **change(doc)}))
+    out = tmp_path / "out"
     code = main(["retarget", "--model", str(DATA / "rapid_hand_20dof.yaml"),
                  "--calibration", str(cal), "--input", str(DATA / "gestures" / "pinch.traj"),
-                 "--out", str(tmp_path / "out")])
+                 "--out", str(out)])
     assert code == EXIT_ERROR
     assert needle in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flag, value", [
@@ -425,6 +434,28 @@ def test_metrics_rejects_non_finite_pose(tmp_path, capsys):
                  "--metric", "manipulability", "--out", str(out)])
     assert code == EXIT_ERROR
     assert "poses.txt:2: angle nan is not finite" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("old, new, metric, needle", [
+    ("rows: 12", "rows: 100000000000", "opposability",
+     "taxel_layouts[0]: rows and cols give 100000000000x8 cells, at most 65536"),
+    ("limits: [-0.8, 0.5]", "limits: [-1.0e+308, 1.0e+308]", "opposability",
+     "fingers[thumb].joints[0].limits: lower must be < upper, a finite span apart"),
+    ("origin_translation: [0.005,", "origin_translation: [1.0e+308,", "manipulability",
+     "fingers[thumb].joints[0].origin_translation: coordinates must be at most 10 m"),
+    ("origin_translation: [0.005,", "origin_translation: [1.0e+308,", "opposability",
+     "fingers[thumb].joints[0].origin_translation: coordinates must be at most 10 m"),
+], ids=["taxel_rows", "limits_span", "translation_manipulability", "translation_opposability"])
+def test_model_number_past_its_bound_exits_2(tmp_path, capsys, old, new, metric, needle):
+    # within the float range, yet a grid too large to allocate, a joint range
+    # too wide to draw from, or a length whose differences lose every digit
+    model, poses, out = tmp_path / "model.yaml", tmp_path / "poses.txt", tmp_path / "out"
+    model.write_text((DATA / "rapid_hand_20dof.yaml").read_text().replace(old, new, 1))
+    poses.write_text("rest" + " 0" * 20 + "\n")
+    assert main(["metrics", "--model", str(model), "--poses", str(poses), "--metric", metric,
+                 "--samples", "64", "--out", str(out)]) == EXIT_ERROR
+    assert needle in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -219,13 +219,17 @@ def calibrations(draw):
     segments = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     fingers = len(segments)
     coupled = tuple(sorted(draw(st.sets(st.integers(0, fingers - 1)))))
+    r = np.ones((fingers, max(segments)))  # the ratios on w_star's segment slots
+    for i, n in enumerate(segments):
+        r[i, :n] = _arrays(draw, (n,), st.floats(1e-300, 1e300))
+    bounds = {i: sorted(draw(st.sets(_FINITE, min_size=2, max_size=2))) for i in coupled}
     return CalibrationData(
-        r=tuple(_arrays(draw, (n,), st.floats(1e-300, 1e300)) for n in segments),
+        r=r,
         u=_arrays(draw, (fingers, 3)),
         w_star=ragged_frame([_arrays(draw, (n + 1, 3)) for n in segments]),
         q0=_arrays(draw, (draw(st.integers(1, 20)),)),
-        d_min={i: draw(_FINITE) for i in coupled},
-        d_max={i: draw(_FINITE) for i in coupled},
+        d_min={i: lo for i, (lo, _) in bounds.items()},
+        d_max={i: hi for i, (_, hi) in bounds.items()},
         coupling_fingers=coupled)
 
 
@@ -235,7 +239,7 @@ def test_calibration_round_trip_property(tmp_path_factory, cal):
     path = tmp_path_factory.mktemp("cal") / "cal.yaml"
     write_calibration(path, cal)
     back = read_calibration(path)
-    assert [r.tobytes() for r in back.r] == [r.tobytes() for r in cal.r]
+    assert back.r.tobytes() == cal.r.tobytes()
     assert back.u.tobytes() == cal.u.tobytes()
     assert back.q0.tobytes() == cal.q0.tobytes()
     assert [w.tobytes() for w in back.w_star.w] == [w.tobytes() for w in cal.w_star.w]
@@ -258,7 +262,12 @@ def test_calibration_read_errors(tmp_path):
     ("d_min", [0.0], "d_min: expected a mapping from integers to numbers, got [0.0]"),
     ("d_max", 5, "d_max: expected a mapping from integers to numbers, got 5"),
     ("coupling_fingers", {1: 2}, "coupling_fingers: expected a list of integers, got {1: 2}"),
-], ids=["d_min_list", "d_max_number", "coupling_fingers_mapping"])
+    ("segment_ratios", [[1.0] * 4] * 4, "segment_ratios: expected one ratio per w_star segment, "
+     "[4, 4, 4, 4, 4] per finger, got [4, 4, 4, 4]"),
+    ("segment_ratios", [[1.0] * 5] + [[1.0] * 4] * 4, "segment_ratios: expected one ratio per "
+     "w_star segment, [4, 4, 4, 4, 4] per finger, got [5, 4, 4, 4, 4]"),
+], ids=["d_min_list", "d_max_number", "coupling_fingers_mapping", "ratio_lists_short",
+        "ratio_list_long"])
 def test_calibration_field_of_wrong_shape_rejected(tmp_path, calibration, key, value, needle):
     path = tmp_path / "calibration.yaml"
     write_calibration(path, calibration)

@@ -233,12 +233,25 @@ def test_value_of_the_wrong_kind_rejected(tmp_path, capsys, old, new, needle):
      "fingers[arm].joints[0].axis: |axis| = inf, must be 1"),
     ("rows: 2, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [0.001",
      "rows: 3, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [1.0e+308",
-     "taxel_layouts[0]: taxel positions must be finite"),
+     "taxel_layouts[0].row_step: coordinates must be at most 10 m in magnitude"),
     ("col_step: [0.0, 0.001, 0.0]", "col_step: [0.0, -1.0e+308, 0.0]",
-     "taxel_layouts[0]: taxel positions must be finite"),
-], ids=["axis", "row_step", "col_step"])
+     "taxel_layouts[0].col_step: coordinates must be at most 10 m in magnitude"),
+    ("origin_translation: [1.0, 0.0, 0.0]", "origin_translation: [10.000000000000002, 0.0, 0.0]",
+     "fingers[arm].joints[1].origin_translation: coordinates must be at most 10 m in magnitude"),
+    ("offset: [1.0, 0.0, 0.0]", "offset: [0.0, -11.0, 0.0]",
+     "fingers[arm].keypoints[1].offset: coordinates must be at most 10 m in magnitude"),
+    ("origin: [0.0, 0.0, 0.0]", "origin: [0.0, 0.0, 1.0e+300]",
+     "taxel_layouts[0].origin: coordinates must be at most 10 m in magnitude"),
+    ("limits: [-1.0, 1.0]", "limits: [-1.0e+308, 1.0e+308]",
+     "fingers[arm].joints[0].limits: lower must be < upper, a finite span apart, "
+     "got [-1e+308, 1e+308]"),
+    ("rows: 2, cols: 3", "rows: 257, cols: 256",
+     "taxel_layouts[0]: rows and cols give 257x256 cells, at most 65536"),
+], ids=["axis", "row_step", "col_step", "translation", "offset", "taxel_origin", "limits_span",
+        "taxel_cells"])
 def test_finite_number_that_overflows_rejected(tmp_path, capsys, old, new, needle):
-    # finite numbers, but the axis norm or the taxel grid overflows the float range
+    # finite numbers whose axis norm overflows, or past a bound that keeps every
+    # position, joint range and taxel grid far inside the float range
     doc = WITH_TAXELS.replace(old, new, 1)
     _expect_error(doc, needle)
     path, out = tmp_path / "model.yaml", tmp_path / "out"
@@ -247,6 +260,16 @@ def test_finite_number_that_overflows_rejected(tmp_path, capsys, old, new, needl
                  "--out", str(out)]) == EXIT_ERROR
     assert needle in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_numbers_at_their_model_bounds_load():
+    doc = WITH_TAXELS.replace("origin_translation: [1.0, 0.0, 0.0]",
+                              "origin_translation: [10.0, -10.0, 0.0]", 1) \
+        .replace("limits: [-1.0, 1.0]", "limits: [-8.0e+307, 8.0e+307]", 1) \
+        .replace("rows: 2, cols: 3", "rows: 256, cols: 256", 1)
+    model = load_hand_model(doc)
+    assert model.fingers[0].taxels.positions.shape == (65536, 3)
+    assert model.chains.translation[0, 1].tolist() == [10.0, -10.0, 0.0]
 
 
 def test_duplicate_joint_name_rejected():

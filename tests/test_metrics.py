@@ -206,7 +206,7 @@ def test_opposability_rejects_bad_arguments(robot, option, needle):
 
 
 def test_workspace_past_the_float_range_is_past_the_voxel_range():
-    # a finite tip 1e308 m out: position / voxel overflows before any voxel index
-    far = load_hand_model(TOY_3DOF.replace("offset: [0.0, 1.0, 1.0]", "offset: [0.0, 1.0e+308, 1.0]"))
+    # a tip metres out over a subnormal voxel: position / voxel overflows before any voxel index
+    toy = load_hand_model(TOY_3DOF)
     with pytest.raises(VoxelRangeError, match="packable voxel range"):
-        opposability_volume(far, (0, 1), (0, 1), samples=10)
+        opposability_volume(toy, (0, 1), (0, 1), samples=10, voxel_mm=1e-320)

@@ -109,6 +109,59 @@ def test_calibration_rejects_zero_tip_to_thumb_span(robot):
         calibrate(robot, robot.rest_pose, frame)
 
 
+def _small_calibration(**change):
+    """A sound calibration of two fingers with 3 and 2 keypoints, fields
+    replaced by ``change``: finger 1's second ratio slot is padding."""
+    frame = ragged_frame([np.arange(9.0).reshape(3, 3), np.arange(6.0).reshape(2, 3)])
+    fields = dict(r=np.array([[2.0, 0.5], [3.0, 1.0]]), u=np.zeros((2, 3)), w_star=frame,
+                  q0=np.zeros(4), d_min={1: 0.0}, d_max={1: 0.1}, coupling_fingers=(1,))
+    return CalibrationData(**{**fields, **change})
+
+
+@pytest.mark.parametrize("change, needle", [
+    ({"r": np.ones((2, 3))}, "segment ratios have shape (2, 3), expected (2, 2)"),
+    ({"r": np.array([[2.0, 0.0], [np.nan, 1.0]])},
+     "finger 0: segment ratios must be finite and > 0, got [2.0, 0.0]"),
+    ({"r": np.array([[2.0, 0.5], [-np.inf, 1.0]])},
+     "finger 1: segment ratios must be finite and > 0, got [-inf]"),
+    ({"r": np.array([[2.0, 0.5], [3.0, 2.0]])},
+     "finger 1: ratio slots past its segments must hold 1.0"),
+    ({"u": np.zeros((2, 2))}, "anchor offsets has shape (2, 2), expected (2, 3)"),
+    ({"u": np.array([[0.0, 0.0, 0.0], [0.0, np.nan, 0.0]])},
+     "anchor offsets has a non-finite entry"),
+    ({"q0": np.zeros((2, 2))}, "q0 has shape (2, 2), expected (4,)"),
+    ({"q0": np.array([0.0, np.inf])}, "q0 has a non-finite entry"),
+    ({"coupling_fingers": (1, 2)}, "coupled finger 2 is not a finger of w_star"),
+    ({"coupling_fingers": (-1,)}, "coupled finger -1 is not a finger of w_star"),
+    ({"d_max": {}}, "coupled finger 1: needs d_max > d_min, got [0.0, None]; both must be finite"),
+    ({"d_max": {1: 0.0}},
+     "coupled finger 1: needs d_max > d_min, got [0.0, 0.0]; both must be finite"),
+    ({"d_min": {1: -np.inf}},
+     "coupled finger 1: needs d_max > d_min, got [-inf, 0.1]; both must be finite"),
+], ids=["r_shape", "r_zero", "r_infinite", "r_padding", "u_shape", "u_nan", "q0_not_a_vector",
+        "q0_inf", "coupled_finger_past_w_star", "coupled_finger_negative", "d_max_missing",
+        "empty_distance_range", "d_min_infinite"])
+def test_calibration_checks_its_values_when_built(change, needle):
+    _small_calibration()
+    with pytest.raises(CalibrationError) as err:
+        _small_calibration(**change)
+    assert str(err.value) == needle
+
+
+def test_calibration_holds_read_only_copies():
+    r, q0, d_max = np.array([[2.0, 0.5], [3.0, 1.0]]), np.zeros(4), {1: 0.1}
+    cal = _small_calibration(r=r, q0=q0, d_max=d_max)
+    r[0, 0], q0[0], d_max[1] = -1.0, np.nan, -1.0  # the caller's own, changed after
+    assert cal.r[0, 0] == 2.0 and cal.q0[0] == 0.0 and cal.d_max[1] == 0.1
+    for a in (cal.r, cal.u, cal.q0):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 7.0
+    with pytest.raises(TypeError):
+        cal.d_max[1] = 0.0
+    with pytest.raises(TypeError):
+        cal.d_min[1] = 0.0
+
+
 # --- landmark frames -------------------------------------------------------------
 
 def test_frame_holds_the_arrays_it_is_given():
@@ -155,7 +208,7 @@ def test_identity_adjustment_is_bitwise(robot):
 def test_double_scale_straight_finger():
     w = np.array([[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [2.0, 0.0, 0.0], [3.0, 0.0, 0.0]])
     frame = ragged_frame([w])
-    cal = CalibrationData(r=(np.array([2.0, 2.0, 2.0]),), u=np.zeros((1, 3)),
+    cal = CalibrationData(r=np.array([[2.0, 2.0, 2.0]]), u=np.zeros((1, 3)),
                           w_star=frame, q0=np.zeros(2), d_min={}, d_max={},
                           coupling_fingers=())
     v = adjust_keypoints(frame, cal)[0]
@@ -183,15 +236,16 @@ _landmark = st.tuples(*[st.floats(-1.0, 1.0)] * 3)
 def segment_case(draw):
     """1-3 fingers of 2-6 random landmarks, each finger with ratios in
     [0.25, 4] (1 included) and an anchor offset, or else r = 1 and u = 0."""
-    w, r, u = [], [], []
-    for count in draw(st.lists(st.integers(2, 6), min_size=1, max_size=3)):
+    counts = draw(st.lists(st.integers(2, 6), min_size=1, max_size=3))
+    w, r, u = [], np.ones((len(counts), max(counts) - 1)), []
+    for i, count in enumerate(counts):
         w.append(np.array(draw(st.lists(_landmark, min_size=count, max_size=count))))
         identity = draw(st.booleans())
         ratio = st.just(1.0) if identity else st.one_of(st.just(1.0), st.floats(0.25, 4.0))
-        r.append(np.array(draw(st.lists(ratio, min_size=count - 1, max_size=count - 1))))
+        r[i, :count - 1] = draw(st.lists(ratio, min_size=count - 1, max_size=count - 1))
         u.append((0.0, 0.0, 0.0) if identity else draw(_landmark))
     frame = ragged_frame(w)
-    return frame, CalibrationData(r=tuple(r), u=np.array(u), w_star=frame, q0=np.zeros(1),
+    return frame, CalibrationData(r=r, u=np.array(u), w_star=frame, q0=np.zeros(1),
                                   d_min={}, d_max={}, coupling_fingers=())
 
 
@@ -212,7 +266,7 @@ def test_segment_law_property(case):
     frame, cal = case
     for w, v, r, u, c in zip(frame.w, adjust_keypoints(frame, cal), cal.r, cal.u,
                              frame.counts()):
-        w, v = w[:c], v[:c]
+        w, v, r = w[:c], v[:c], r[:c - 1]
         assert v.tobytes() == _segment_loop(w, r, u).tobytes()
         if np.all(r == 1.0) and not np.any(u):
             assert v.tobytes() == w.tobytes()
@@ -345,7 +399,7 @@ def test_coupling_matches_finger_loop_property(seed, counts, k, c):
     fingers = tuple(range(1, len(counts)))
     d_min = {i: float(rng.uniform(0.0, 0.1)) for i in fingers}
     d_max = {i: d_min[i] + float(rng.uniform(0.01, 0.4)) for i in fingers}
-    cal = CalibrationData(r=tuple(np.ones(n - 1) for n in counts), u=np.zeros((len(counts), 3)),
+    cal = CalibrationData(r=np.ones((len(counts), max(counts) - 1)), u=np.zeros((len(counts), 3)),
                           w_star=frame, q0=np.zeros(1), d_min=d_min, d_max=d_max,
                           coupling_fingers=fingers)
     state = coupling_weights(frame, cal, k, c)
@@ -354,23 +408,21 @@ def test_coupling_matches_finger_loop_property(seed, counts, k, c):
 
 
 def test_bad_distance_bounds_rejected(calibration):
-    broken = CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
-                             q0=calibration.q0, d_min={i: 1.0 for i in (1, 2, 3, 4)},
-                             d_max={i: 0.5 for i in (1, 2, 3, 4)},
-                             coupling_fingers=calibration.coupling_fingers)
-    with pytest.raises(RetargetConfigError, match="d_max"):
-        coupling_weights(calibration.w_star, broken)
+    with pytest.raises(CalibrationError, match="coupled finger 1: needs d_max > d_min"):
+        CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
+                        q0=calibration.q0, d_min={i: 1.0 for i in (1, 2, 3, 4)},
+                        d_max={i: 0.5 for i in (1, 2, 3, 4)},
+                        coupling_fingers=calibration.coupling_fingers)
 
 
 def test_equal_distance_bounds_of_one_finger_rejected(calibration):
     lo = calibration.d_min[3]
-    broken = CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
-                             q0=calibration.q0, d_min=calibration.d_min,
-                             d_max={**calibration.d_max, 3: lo},
-                             coupling_fingers=calibration.coupling_fingers)
-    with pytest.raises(RetargetConfigError,
-                       match=re.escape(f"finger 3: d_max must exceed d_min, got [{lo}, {lo}]")):
-        coupling_weights(calibration.w_star, broken)
+    with pytest.raises(CalibrationError, match=re.escape(
+            f"coupled finger 3: needs d_max > d_min, got [{lo}, {lo}]; both must be finite")):
+        CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
+                        q0=calibration.q0, d_min=calibration.d_min,
+                        d_max={**calibration.d_max, 3: lo},
+                        coupling_fingers=calibration.coupling_fingers)
 
 
 # --- objective -------------------------------------------------------------------
