@@ -268,11 +268,14 @@ def build_parser():
     return parser
 
 
+# built once per process; each cmd_* looks its helpers up at call time
+_PARSER = build_parser()
+
+
 def main(argv=None):
     _configure_logging()
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _PARSER.parse_args(argv)
     except SystemExit as e:
         return int(e.code) if e.code else 0
     try:

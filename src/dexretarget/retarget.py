@@ -84,6 +84,18 @@ def _norms(a):
     return np.sqrt((a[..., None, :] @ a[..., :, None])[..., 0, 0])
 
 
+def _coupling_faults(fingers, n, hand):
+    """The faults of coupling ``fingers`` on ``hand``'s ``n`` fingers: each must be a
+    finger after the thumb (finger 0), listed once."""
+    for k, i in enumerate(fingers):
+        if not 0 <= i < n:
+            yield f"coupled finger {i} is not a finger of {hand}"
+        elif i == 0:
+            yield "coupled finger 0 is the thumb"
+        elif i in fingers[:k]:
+            yield f"coupled finger {i} is listed twice"
+
+
 @dataclass(frozen=True)
 class CalibrationData:
     """Segment ratios, anchor offsets and coupling bounds tying one human hand to one robot
@@ -114,9 +126,9 @@ class CalibrationData:
                 raise CalibrationError(f"{name} has shape {value.shape}, expected {shape}")
             if not np.all(np.isfinite(value)):
                 raise CalibrationError(f"{name} has a non-finite entry")
+        for fault in _coupling_faults(self.coupling_fingers, len(real), "w_star"):
+            raise CalibrationError(fault)
         for i in self.coupling_fingers:
-            if not 0 <= i < len(real):
-                raise CalibrationError(f"coupled finger {i} is not a finger of w_star")
             lo, hi = d_min.get(i), d_max.get(i)
             if lo is None or hi is None or not -np.inf < lo < hi < np.inf:
                 raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
@@ -286,9 +298,9 @@ class RetargetProblem:
             raise RetargetConfigError(f"max_iterations must be an integer >= 1, got "
                                       f"{self.max_iterations!r}")
         coupled = () if self.coupling is None else tuple(self.coupling.fingers)
-        for i in (i for i in coupled if not 0 <= i < len(self.model.fingers)):
-            raise RetargetConfigError(f"coupled finger {i} is not a finger of model "
-                                      f"{self.model.name!r}")
+        for fault in _coupling_faults(coupled, len(self.model.fingers),
+                                      f"model {self.model.name!r}"):
+            raise RetargetConfigError(fault)
         tips = [(i, self.model.fingers[i].tip_index) for i in (0,) + coupled] if coupled else []
         self.slots = np.array(self.pairs + tuple(tips), dtype=int).reshape(-1, 2)
         self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled),

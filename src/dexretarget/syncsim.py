@@ -18,6 +18,9 @@ FRESH, HELD, MISSING = 0, 1, 2
 STATUS_NAMES = ("fresh", "held", "missing")  # indexed by the codes above
 # per-event roles after assembly, for conservation accounting
 ROLE_DROPPED, ROLE_MEMBER, ROLE_SUPERSEDED, ROLE_UNALIGNED = 0, 1, 2, 3
+# frame assembly, in frame periods: an event is a frame's candidate within
+# WINDOW_PERIODS of its trigger, and a frame holds an event at most HOLD_PERIODS old
+WINDOW_PERIODS, HOLD_PERIODS = 0.5, 2.0
 
 _EPS = 1e-9
 # every time of a run, in seconds, is at most this (about 11.6 days): past it
@@ -152,7 +155,7 @@ def simulate(config, duration):
     if not 0.0 < duration <= MAX_SECONDS:
         raise SyncConfigError(f"duration must be positive and at most {MAX_SECONDS:g} s")
     rng = np.random.default_rng(config.seed)
-    cols = {"stream": [], "emission": [], "delivered": [], "payload": [], "dropped": []}
+    cols = []  # per stream: stream index, emission, delivery, payload, dropped
     events = 0
     for s_idx, spec in enumerate(config.streams):
         phase = 0.0 if config.mode == "hard" else rng.uniform(0.0, spec.period)
@@ -167,35 +170,24 @@ def simulate(config, duration):
             lo, hi = config.soft_latency
             delivered = emission + rng.uniform(lo, hi, n)
         dropped = rng.random(n) < spec.dropout
-        cols["stream"].append(np.full(n, s_idx, dtype=np.int32))
-        cols["emission"].append(emission)
-        cols["delivered"].append(delivered)
-        cols["payload"].append(np.arange(n, dtype=np.int64))
-        cols["dropped"].append(dropped)
-    return EventLog(config, duration,
-                    np.concatenate(cols["stream"]),
-                    np.concatenate(cols["emission"]),
-                    np.concatenate(cols["delivered"]),
-                    np.concatenate(cols["payload"]),
-                    np.concatenate(cols["dropped"]))
+        cols.append((np.full(n, s_idx, dtype=np.int32), emission, delivered,
+                     np.arange(n, dtype=np.int64), dropped))
+    return EventLog(config, duration, *map(np.concatenate, zip(*cols)))
 
 
+@dataclass
 class FrameSet:
     """Assembled frames in columnar form: one row per frame, one column per
     stream, with member status coded FRESH/HELD/MISSING."""
 
-    def __init__(self, log, triggers, member_emission, status, age,
-                 skew, complete, event_role, window, max_hold_age):
-        self.log = log
-        self.triggers = triggers
-        self.member_emission = member_emission
-        self.status = status                  # (F, S) int8
-        self.age = age                        # (F, S) seconds, nan when missing
-        self.skew = skew                      # (F,) seconds
-        self.complete = complete              # (F,) bool
-        self.event_role = event_role          # (N,) int8 over the log
-        self.window = window
-        self.max_hold_age = max_hold_age
+    log: EventLog
+    triggers: np.ndarray            # (F,) seconds
+    member_emission: np.ndarray     # (F, S) seconds, nan when missing
+    status: np.ndarray              # (F, S) int8
+    age: np.ndarray                 # (F, S) seconds, nan when missing
+    skew: np.ndarray                # (F,) seconds
+    complete: np.ndarray            # (F,) bool
+    event_role: np.ndarray          # (N,) int8 over the log
 
     def __len__(self):
         return self.triggers.size
@@ -205,16 +197,17 @@ class FrameSet:
         return self.log.stream_names
 
 
-def assemble_frames(log, window=None, max_hold_age=None):
+def assemble_frames(log):
     """Group events into frames on the consumer's frame clock.
 
-    An event is the fresh member of the frame nearest its emission when it
-    falls within ``window`` of that trigger (default: half a frame period);
-    when several qualify the newest wins and the rest are superseded.
-    Frames missing a fresh member reuse the stream's last earlier event up
-    to ``max_hold_age`` (default: two periods), else the slot is missing.
-    Frame skew is max minus min emission over fresh members only; staleness
-    of held members is tracked separately as age.
+    A live event is a candidate for the frame whose trigger is nearest its
+    emission when it lies within ``WINDOW_PERIODS`` frame periods of that
+    trigger; the newest candidate is the frame's fresh member and the rest
+    are superseded.  A frame without a fresh member from a stream holds the
+    stream's newest earlier live event if it is at most ``HOLD_PERIODS``
+    periods old, else the member is missing.  Frame skew is max minus min
+    emission over fresh members only; staleness of held members is tracked
+    separately as age.
 
     Returns:
         FrameSet; every non-dropped event is a member of exactly one frame
@@ -222,12 +215,6 @@ def assemble_frames(log, window=None, max_hold_age=None):
     """
     rate = log.config.rate_hz
     period = 1.0 / rate
-    if window is None:
-        window = 0.5 * period
-    if max_hold_age is None:
-        max_hold_age = 2.0 * period
-    if window <= 0.0 or max_hold_age < 0.0:
-        raise SyncConfigError("window must be > 0 and max_hold_age >= 0")
     n_frames = _count_in(log.duration, period)
     if n_frames == 0:
         raise SyncConfigError("duration too short for a single frame")
@@ -250,40 +237,35 @@ def assemble_frames(log, window=None, max_hold_age=None):
         # an emission past the run's end has the last frame nearest either way
         nearest = np.clip(np.rint(np.minimum(em, log.duration) * rate).astype(np.int64),
                           0, n_frames - 1)
-        aligned = np.abs(em - triggers[nearest]) <= window + _EPS
-        cand = np.nonzero(aligned)[0]
+        cand = np.flatnonzero(np.abs(em - triggers[nearest]) <= WINDOW_PERIODS * period + _EPS)
         if cand.size:
-            # newest candidate per frame wins: scan reversed, keep first hit
-            rev = cand[::-1]
-            frames_rev = nearest[rev]
-            uniq, first = np.unique(frames_rev, return_index=True)
-            winners = rev[first]
-            member_emission[uniq, s] = em[winners]
-            status[uniq, s] = FRESH
-            age[uniq, s] = 0.0
+            # em ascends, and so does its nearest frame: the newest candidate
+            # of a frame is the last of its run of equal nearest frames
+            frames_c = nearest[cand]
+            last = np.append(frames_c[1:] != frames_c[:-1], True)
+            winners, won = cand[last], frames_c[last]
+            member_emission[won, s] = em[winners]
+            status[won, s] = FRESH
+            age[won, s] = 0.0
             event_role[live[cand]] = ROLE_SUPERSEDED
             event_role[live[winners]] = ROLE_MEMBER
         # hold-last fill for frames without a fresh member
-        open_frames = np.nonzero(status[:, s] != FRESH)[0]
-        if open_frames.size:
-            pos = np.searchsorted(em, triggers[open_frames] + _EPS, side="right") - 1
-            has_prev = pos >= 0
-            rows = open_frames[has_prev]
-            prev = pos[has_prev]
-            hold_age = triggers[rows] - em[prev]
-            ok = hold_age <= max_hold_age + _EPS
-            rows, prev, hold_age = rows[ok], prev[ok], hold_age[ok]
-            member_emission[rows, s] = em[prev]
-            status[rows, s] = HELD
-            age[rows, s] = hold_age
+        open_frames = np.flatnonzero(status[:, s] != FRESH)
+        pos = np.searchsorted(em, triggers[open_frames] + _EPS, side="right") - 1
+        rows, prev = open_frames[pos >= 0], pos[pos >= 0]
+        hold_age = triggers[rows] - em[prev]
+        ok = hold_age <= HOLD_PERIODS * period + _EPS
+        rows, prev, hold_age = rows[ok], prev[ok], hold_age[ok]
+        member_emission[rows, s] = em[prev]
+        status[rows, s] = HELD
+        age[rows, s] = hold_age
 
     fresh = status == FRESH
     lo = np.where(fresh, member_emission, np.inf).min(axis=1)
     hi = np.where(fresh, member_emission, -np.inf).max(axis=1)
     skew = np.where(fresh.sum(axis=1) >= 2, hi - lo, 0.0)
     complete = ~np.any(status == MISSING, axis=1)
-    return FrameSet(log, triggers, member_emission, status, age,
-                    skew, complete, event_role, window, max_hold_age)
+    return FrameSet(log, triggers, member_emission, status, age, skew, complete, event_role)
 
 
 @dataclass(frozen=True)

@@ -248,13 +248,18 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
     (lambda d: {"anchor_offsets": [row[:2] for row in d["anchor_offsets"]]},
      "anchor offsets has shape (5, 2)"),
     (lambda d: {"coupling_fingers": d["coupling_fingers"] + [7]}, "coupled finger 7 is not"),
+    (lambda d: {"coupling_fingers": d["coupling_fingers"][:1] + d["coupling_fingers"]},
+     "coupled finger 1 is listed twice"),
+    (lambda d: {"coupling_fingers": d["coupling_fingers"] + [0], "d_min": {**d["d_min"], 0: 0.0},
+                "d_max": {**d["d_max"], 0: 0.05}}, "coupled finger 0 is the thumb"),
     (lambda d: {"d_max": {**d["d_max"], 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
     (lambda d: {"d_max": {**d["d_max"], 1: float("inf")}},
      "coupled finger 1: needs d_max > d_min, got [0.0, inf]; both must be finite"),
     (lambda d: {"d_min": {**d["d_min"], 2: float("-inf")}},
      "coupled finger 2: needs d_max > d_min, got [-inf, "),
 ], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
-        "u_shape", "unknown_coupled_finger", "empty_distance_range", "infinite_d_max",
+        "u_shape", "unknown_coupled_finger", "repeated_coupled_finger", "coupled_thumb",
+        "empty_distance_range", "infinite_d_max",
         "infinite_d_min"])
 def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
                                                         change, needle):

@@ -215,10 +215,11 @@ def test_calibration_roundtrip(tmp_path, calibration):
 
 @st.composite
 def calibrations(draw):
-    """Any calibration the writer can be handed: 1-5 fingers of 1-4 segments."""
+    """Any calibration the writer can be handed: 1-5 fingers of 1-4 segments,
+    coupling distinct fingers after the thumb."""
     segments = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     fingers = len(segments)
-    coupled = tuple(sorted(draw(st.sets(st.integers(0, fingers - 1)))))
+    coupled = tuple(sorted(draw(st.sets(st.integers(1, fingers - 1))))) if fingers > 1 else ()
     r = np.ones((fingers, max(segments)))  # the ratios on w_star's segment slots
     for i, n in enumerate(segments):
         r[i, :n] = _arrays(draw, (n,), st.floats(1e-300, 1e300))
@@ -699,8 +700,7 @@ def extreme_columns(draw):
     status = rng.integers(0, len(STATUS_NAMES), (n, n_streams)).astype(np.int8)
     age = floats(n, n_streams)
     age[(status == MISSING) | (rng.random(age.shape) < 0.1)] = np.nan
-    frames = FrameSet(log, floats(n), None, status, age, floats(n), rng.random(n) < 0.5,
-                      None, 0.0, 0.0)
+    frames = FrameSet(log, floats(n), None, status, age, floats(n), rng.random(n) < 0.5, None)
     steps = [SimpleNamespace(timestamp=t, q=q, residuals=r, converged=c) for t, q, r, c in
              zip(floats(n).tolist(), floats(n, 2), floats(n, 3), (rng.random(n) < 0.5).tolist())]
     return log, frames, steps

@@ -133,13 +133,17 @@ def _small_calibration(**change):
     ({"q0": np.array([0.0, np.inf])}, "q0 has a non-finite entry"),
     ({"coupling_fingers": (1, 2)}, "coupled finger 2 is not a finger of w_star"),
     ({"coupling_fingers": (-1,)}, "coupled finger -1 is not a finger of w_star"),
+    ({"coupling_fingers": (1, 1)}, "coupled finger 1 is listed twice"),
+    ({"coupling_fingers": (1, 0), "d_min": {0: 0.0, 1: 0.0}, "d_max": {0: 0.1, 1: 0.1}},
+     "coupled finger 0 is the thumb"),
     ({"d_max": {}}, "coupled finger 1: needs d_max > d_min, got [0.0, None]; both must be finite"),
     ({"d_max": {1: 0.0}},
      "coupled finger 1: needs d_max > d_min, got [0.0, 0.0]; both must be finite"),
     ({"d_min": {1: -np.inf}},
      "coupled finger 1: needs d_max > d_min, got [-inf, 0.1]; both must be finite"),
 ], ids=["r_shape", "r_zero", "r_infinite", "r_padding", "u_shape", "u_nan", "q0_not_a_vector",
-        "q0_inf", "coupled_finger_past_w_star", "coupled_finger_negative", "d_max_missing",
+        "q0_inf", "coupled_finger_past_w_star", "coupled_finger_negative",
+        "coupled_finger_repeated", "coupled_thumb", "d_max_missing",
         "empty_distance_range", "d_min_infinite"])
 def test_calibration_checks_its_values_when_built(change, needle):
     _small_calibration()
@@ -481,7 +485,11 @@ def make_problem(model, cal, rng, lambdas=(1.0, 1.0, 1.0), coupling=True):
      r"coupling of fingers \(\), the layout's are \(1, 2, 3, 4\)"),
     ({"layout": (), "coupling": CouplingState((1,), np.zeros((1, 3)), np.zeros(1), np.ones(1))},
      r"coupling of fingers \(1,\), the layout's are \(\)"),
-    ({"tolerance": np.inf}, "tolerance"), ({"max_iterations": True}, "max_iterations")])
+    ({"tolerance": np.inf}, "tolerance"), ({"max_iterations": True}, "max_iterations"),
+    ({"coupling": CouplingState((1, 1), np.zeros((2, 3)), np.zeros(2), np.ones(2))},
+     "coupled finger 1 is listed twice"),
+    ({"coupling": CouplingState((1, 0), np.zeros((2, 3)), np.zeros(2), np.ones(2))},
+     "coupled finger 0 is the thumb")])
 def test_problem_rejects_bad_weights_and_tolerance(robot, calibration, options, needle):
     # A case with a "layout" is a fault in one frame's targets, coupling or
     # warm start: RetargetProblem.at rejects it on a sound problem coupling
