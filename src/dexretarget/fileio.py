@@ -15,7 +15,7 @@ import yaml
 from .retarget import CalibrationData, KeypointFrame
 from .schema import (INTEGER, INTEGERS, LOADER, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING, Kind,
                      check, entries, list_of, numbers)
-from .syncsim import STATUS_NAMES, StreamConfig, StreamSpec
+from .syncsim import DEFAULT_DURATION, STATUS_NAMES, StreamConfig, StreamSpec
 
 F = "%.17g"
 # Rows per formatted block in the line writers: formatting a whole file at
@@ -245,18 +245,13 @@ _CONFIG = {"streams": (entries(_STREAM, "a list of stream entries"), True),
 
 
 def read_stream_config(path):
-    """Load a StreamConfig plus simulation duration from YAML."""
+    """Load a StreamConfig plus simulation duration from YAML; a key left out
+    takes the default of StreamSpec, StreamConfig or DEFAULT_DURATION."""
     doc = _yaml(path)
     check(doc, _CONFIG, lambda m: FileFormatError(f"{path}: {m}"))
-    streams = tuple(StreamSpec(name=s["name"], period=float(s["period"]),
-                               latency_bound=float(s.get("latency_bound", 0.0)),
-                               jitter=s.get("jitter", "uniform"), dropout=float(s.get("dropout", 0.0)))
-                    for s in doc["streams"])
-    config = StreamConfig(streams=streams, rate_hz=float(doc.get("rate_hz", 25.0)),
-                          mode=doc.get("mode", "hard"),
-                          soft_latency=tuple(map(float, doc.get("soft_latency", (0.015, 0.100)))),
-                          seed=doc.get("seed", 0))
-    return config, float(doc.get("duration", 10.0))
+    duration = float(doc.pop("duration", DEFAULT_DURATION))
+    streams = tuple(StreamSpec(**s) for s in doc.pop("streams"))
+    return StreamConfig(streams, **doc), duration
 
 
 def write_event_log(path, log):

@@ -40,15 +40,16 @@ def manipulability_volume(model, q, frame, kind="linear"):
 
     Returns:
         (4 pi / 3) sqrt(det(J_b J_b^T)); exactly 0.0 when the Gram
-        determinant falls below GRAM_DET_EPS.
+        determinant falls below GRAM_DET_EPS or is nan.
     """
     if kind not in ("linear", "angular"):
         raise ValueError(f"kind must be 'linear' or 'angular', got {kind!r}")
     jac = jacobian(model, q, frame)
     block = jac[:3] if kind == "linear" else jac[3:]
     gram = block @ block.T
-    det = float(np.linalg.det(gram))
-    if det < GRAM_DET_EPS:
+    with np.errstate(divide="ignore", invalid="ignore"):  # LU of a subnormal entry divides by 0
+        det = float(np.linalg.det(gram))
+    if not det >= GRAM_DET_EPS:
         return 0.0
     volume = (4.0 * np.pi / 3.0) * np.sqrt(det)
     return float(volume * M3_TO_MM3) if kind == "linear" else float(volume)
@@ -67,11 +68,11 @@ def _pack_voxels(pts, voxel):
             | shifted[:, 2])
 
 
-def _workspace_voxels(model, frame, samples, voxel, seed, chain_tag):
+def _workspace_voxels(model, frame, samples, voxel, seed):
     """Unique voxel keys reached by one tip frame under uniform joint sampling.
 
     Sampling is split into fixed-size chunks, each drawn from a substream
-    keyed by (seed, chain_tag, chunk); unions are order-independent, so the
+    keyed by (seed, finger, chunk); unions are order-independent, so the
     result does not depend on how chunks are scheduled.
     """
     i, _ = frame
@@ -80,7 +81,7 @@ def _workspace_voxels(model, frame, samples, voxel, seed, chain_tag):
     hi = model.upper_limits[sl]
     keys = []
     for chunk, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
-        rng = np.random.default_rng([seed, chain_tag, chunk])
+        rng = np.random.default_rng([seed, i, chunk])
         q_batch = rng.uniform(lo, hi, size=(min(SAMPLE_CHUNK, samples - start), lo.size))
         pts = batch_keypoint_positions(model, frame, q_batch)
         keys.append(_pack_voxels(pts, voxel))
@@ -116,11 +117,11 @@ def opposability_volumes(model, thumb_frame, finger_frames, samples=DEFAULT_SAMP
     voxel = voxel_mm * 1e-3
     # substreams keyed by finger index: sampling a chain against itself
     # reuses the same draws, so self-intersection is exactly its workspace
-    thumb = _workspace_voxels(model, thumb_frame, samples, voxel, seed, chain_tag=thumb_frame[0])
+    thumb = _workspace_voxels(model, thumb_frame, samples, voxel, seed)
     volumes = []
     for frame in finger_frames:
         other = thumb if tuple(frame) == tuple(thumb_frame) else \
-            _workspace_voxels(model, frame, samples, voxel, seed, chain_tag=frame[0])
+            _workspace_voxels(model, frame, samples, voxel, seed)
         shared = np.intersect1d(thumb, other, assume_unique=True)
         volumes.append(float(shared.size) * voxel_mm ** 3)
     return volumes

@@ -16,6 +16,7 @@ knuckle anchor, ascending to the tip.
 from __future__ import annotations
 
 import contextlib
+import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -130,9 +131,9 @@ class CalibrationData:
             raise CalibrationError(fault)
         for i in self.coupling_fingers:
             lo, hi = d_min.get(i), d_max.get(i)
-            if lo is None or hi is None or not -np.inf < lo < hi < np.inf:
+            if lo is None or hi is None or not 0.0 < hi - lo < np.inf:  # so both are finite
                 raise CalibrationError(f"coupled finger {i}: needs d_max > d_min, "
-                                       f"got [{lo}, {hi}]; both must be finite")
+                                       f"a finite span apart, got [{lo}, {hi}]")
         for name, value in zip(("r", "u", "q0", "d_min", "d_max"), (r, u, q0, d_min, d_max)):
             object.__setattr__(self, name, value)
 
@@ -153,11 +154,7 @@ def calibrate(model, q0, w_star):
         to it.
     """
     q0 = np.asarray(q0, dtype=float)
-    if q0.shape != (model.total_dof,):
-        raise CalibrationError(f"q0 has shape {q0.shape}, expected ({model.total_dof},)")
-    if w_star.counts() != model.keypoint_counts():
-        raise CalibrationError(f"calibration frame layout {w_star.counts()} does not match "
-                               f"model layout {model.keypoint_counts()}")
+    _check_calibration(model, w_star, q0)
     if not w_star.valid.all():
         raise CalibrationError("calibration frame must have every landmark valid")
     if not np.isfinite(w_star.w).all():
@@ -189,13 +186,13 @@ def _usable(length):
     return (length > 0.0) & (length < np.inf)
 
 
-def _check_calibration(model, cal):
-    """Raise CalibrationError unless ``cal`` has ``model``'s keypoint layout and joint count."""
-    if cal.w_star.counts() != model.keypoint_counts():
-        raise CalibrationError(f"calibration frame layout {cal.w_star.counts()} does not match "
+def _check_calibration(model, w_star, q0):
+    """Raise CalibrationError unless ``w_star`` and ``q0`` fit ``model``'s layout and joints."""
+    if w_star.counts() != model.keypoint_counts():
+        raise CalibrationError(f"calibration frame layout {w_star.counts()} does not match "
                                f"model layout {model.keypoint_counts()}")
-    if cal.q0.shape != (model.total_dof,):
-        raise CalibrationError(f"q0 has shape {cal.q0.shape}, expected ({model.total_dof},)")
+    if q0.shape != (model.total_dof,):
+        raise CalibrationError(f"q0 has shape {q0.shape}, expected ({model.total_dof},)")
 
 
 def adjust_keypoints(frame, cal):
@@ -247,8 +244,11 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     """Distance-gated coupling terms from raw human landmarks.
 
     d_i = clamp(1 - (|D_i| - d_min) / (d_max - d_min), 0, 1) rises as the
-    finger approaches the thumb; omega_i = sigmoid(k (d_i - c)).
+    finger approaches the thumb; omega_i = sigmoid(k (d_i - c)) for finite k and c.
     """
+    for name, value in (("sigmoid_k", k), ("sigmoid_c", c)):
+        if not math.isfinite(value):
+            raise RetargetConfigError(f"{name} must be finite, got {value}")
     fingers = cal.coupling_fingers
     lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
     tips = frame.tips()
@@ -487,24 +487,22 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     Returns:
         list of StreamStep, one per input frame.
     """
-    _check_calibration(model, cal)
-    for name, value in (("sigmoid_k", sigmoid_k), ("sigmoid_c", sigmoid_c)):
-        if not np.isfinite(value):
-            raise RetargetConfigError(f"{name} must be finite, got {value}")
-    if scaling_alpha is not None and not 0.0 < scaling_alpha < np.inf:
-        raise RetargetConfigError(f"scaling_alpha must be finite and > 0, got {scaling_alpha}")
-    pairs = default_pairs(model) if pairs is None else tuple(pairs)
-    lambdas, m = tuple(lambdas), len(cal.coupling_fingers)
-    coupling = CouplingState(cal.coupling_fingers, np.zeros((m, 3)), *np.zeros((2, m))) \
-        if len(lambdas) == 3 and lambdas[1] > 0.0 else None  # bad lambdas fail in the problem
-    q_prev, residuals = np.clip(cal.q0, model.lower_limits, model.upper_limits), np.zeros(3)
-    prob = RetargetProblem(model, pairs, np.zeros((len(pairs), 3)), coupling, q_prev,
-                           lambdas=lambdas, tolerance=tolerance, max_iterations=max_iterations)
-    fingers, index = prob.slots[:len(prob.pairs)].T
+    _check_calibration(model, cal.w_star, cal.q0)
     # the newest valid value of each landmark, and the frames since it was
     # valid; one never valid is rejected before its zero is read
     held = KeypointFrame(np.zeros(model.chains.offset.shape), model.keypoint_counts())
     ages = np.full(held.valid.shape, MAX_HOLD_FRAMES)
+    coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c)  # checks k and c
+    if scaling_alpha is not None and not 0.0 < scaling_alpha < np.inf:
+        raise RetargetConfigError(f"scaling_alpha must be finite and > 0, got {scaling_alpha}")
+    pairs = default_pairs(model) if pairs is None else tuple(pairs)
+    lambdas = tuple(lambdas)
+    if not (len(lambdas) == 3 and lambdas[1] > 0.0):  # bad lambdas fail in the problem
+        coupling = None
+    q_prev, residuals = np.clip(cal.q0, model.lower_limits, model.upper_limits), np.zeros(3)
+    prob = RetargetProblem(model, pairs, np.zeros((len(pairs), 3)), coupling, q_prev,
+                           lambdas=lambdas, tolerance=tolerance, max_iterations=max_iterations)
+    fingers, index = prob.slots[:len(prob.pairs)].T
     steps = []
     for idx, frame in enumerate(frames):
         if frame.counts() != model.keypoint_counts():

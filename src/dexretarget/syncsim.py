@@ -21,6 +21,7 @@ ROLE_DROPPED, ROLE_MEMBER, ROLE_SUPERSEDED, ROLE_UNALIGNED = 0, 1, 2, 3
 # frame assembly, in frame periods: an event is a frame's candidate within
 # WINDOW_PERIODS of its trigger, and a frame holds an event at most HOLD_PERIODS old
 WINDOW_PERIODS, HOLD_PERIODS = 0.5, 2.0
+DEFAULT_DURATION = 10.0  # seconds a run simulates when its config names no duration
 
 _EPS = 1e-9
 # every time of a run, in seconds, is at most this (about 11.6 days): past it
@@ -41,8 +42,8 @@ class StreamSpec:
 
     name: str
     period: float
-    latency_bound: float
-    jitter: str = "uniform"   # "uniform" or "gauss" (truncated at the bound)
+    latency_bound: float = 0.0
+    jitter: str = "uniform"   # or "gauss": normal(bound/2, s.d. bound/4) clipped to [0, bound]
     dropout: float = 0.0
 
 
@@ -57,6 +58,8 @@ class StreamConfig:
     seed: int = 0
 
     def __post_init__(self):
+        object.__setattr__(self, "rate_hz", float(self.rate_hz))
+        object.__setattr__(self, "soft_latency", tuple(map(float, self.soft_latency)))
         if not self.streams:
             raise SyncConfigError("at least one stream is required")
         names = [s.name for s in self.streams]
@@ -203,11 +206,13 @@ def assemble_frames(log):
     A live event is a candidate for the frame whose trigger is nearest its
     emission when it lies within ``WINDOW_PERIODS`` frame periods of that
     trigger; the newest candidate is the frame's fresh member and the rest
-    are superseded.  A frame without a fresh member from a stream holds the
-    stream's newest earlier live event if it is at most ``HOLD_PERIODS``
-    periods old, else the member is missing.  Frame skew is max minus min
-    emission over fresh members only; staleness of held members is tracked
-    separately as age.
+    are superseded.  An emission exactly halfway between two triggers joins
+    the frame ``np.rint(emission * rate_hz)`` picks, rounding half to even on
+    the product as computed.  A frame without a fresh member from a stream
+    holds the stream's newest earlier live event if it is at most
+    ``HOLD_PERIODS`` periods old, else the member is missing.  Frame skew is
+    max minus min emission over fresh members only; staleness of held
+    members is tracked separately as age.
 
     Returns:
         FrameSet; every non-dropped event is a member of exactly one frame

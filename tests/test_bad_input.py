@@ -76,3 +76,18 @@ def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data):
     assert code in (0, 1, 2)
     if code == 0:
         assert list(_non_finite(run / "out")) == []
+
+
+def test_subnormal_thumb_yaw_gives_finite_metrics(tmp_path):
+    # the thumb's angular Gram matrix then holds a subnormal entry, on which
+    # numpy's det divides by zero
+    text = (DATA / "rapid_hand_20dof.yaml").read_text()
+    spoilt = text.replace(", 1.5707963267948966]", ", 1.0e-308]")
+    assert spoilt != text
+    (tmp_path / "model.yaml").write_text(spoilt)
+    (tmp_path / "poses.txt").write_text("rest" + " 0" * 20 + "\n")
+    code = main(["metrics", "--model", str(tmp_path / "model.yaml"), "--poses",
+                 str(tmp_path / "poses.txt"), "--metric", "all", "--samples", "64",
+                 "--out", str(tmp_path / "out")])
+    assert code == 0
+    assert list(_non_finite(tmp_path / "out")) == []

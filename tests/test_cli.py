@@ -254,13 +254,15 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
                 "d_max": {**d["d_max"], 0: 0.05}}, "coupled finger 0 is the thumb"),
     (lambda d: {"d_max": {**d["d_max"], 2: 0.0}}, "coupled finger 2: needs d_max > d_min"),
     (lambda d: {"d_max": {**d["d_max"], 1: float("inf")}},
-     "coupled finger 1: needs d_max > d_min, got [0.0, inf]; both must be finite"),
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [0.0, inf]"),
     (lambda d: {"d_min": {**d["d_min"], 2: float("-inf")}},
-     "coupled finger 2: needs d_max > d_min, got [-inf, "),
+     "coupled finger 2: needs d_max > d_min, a finite span apart, got [-inf, "),
+    (lambda d: {"d_min": {**d["d_min"], 1: -1.0e308}, "d_max": {**d["d_max"], 1: 1.0e308}},
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [-1e+308, 1e+308]"),
 ], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
         "u_shape", "unknown_coupled_finger", "repeated_coupled_finger", "coupled_thumb",
         "empty_distance_range", "infinite_d_max",
-        "infinite_d_min"])
+        "infinite_d_min", "overflowing_distance_span"])
 def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
                                                         change, needle):
     cal = tmp_path / "calibration.yaml"

@@ -33,6 +33,7 @@ from dexretarget.fileio import (
 )
 from dexretarget.retarget import CalibrationData
 from dexretarget.syncsim import (
+    DEFAULT_DURATION,
     MISSING,
     STATUS_NAMES,
     EventLog,
@@ -510,12 +511,23 @@ def test_stream_config_defaults(tmp_path):
     path = tmp_path / "minimal.yaml"
     path.write_text("streams:\n  - {name: cam, period: 0.04}\n")
     config, duration = read_stream_config(path)
+    assert config == StreamConfig((StreamSpec("cam", 0.04),))
     assert config.streams[0].latency_bound == 0.0
     assert config.streams[0].jitter == "uniform"
     assert config.rate_hz == 25.0
     assert config.mode == "hard"
     assert config.seed == 0
-    assert duration == 10.0
+    assert duration == DEFAULT_DURATION == 10.0
+
+
+def test_stream_config_holds_integers_as_floats(tmp_path):
+    path = tmp_path / "integers.yaml"
+    path.write_text("streams:\n  - {name: cam, period: 1}\nrate_hz: 25\nsoft_latency: [0, 1]\n")
+    built = StreamConfig((StreamSpec("cam", 1),), rate_hz=25, soft_latency=[0, 1])
+    for config in (read_stream_config(path)[0], built):
+        assert type(config.rate_hz) is float and config.rate_hz == 25.0
+        assert type(config.soft_latency) is tuple and config.soft_latency == (0.0, 1.0)
+        assert all(type(bound) is float for bound in config.soft_latency)
 
 
 def test_stream_config_errors(tmp_path):

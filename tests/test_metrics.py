@@ -1,6 +1,7 @@
 """Dexterity metrics against hand-computed geometric oracles."""
 
 import re
+import warnings
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from dexretarget.metrics import (
     opposability_volumes,
 )
 
-from conftest import ANNULI_PAIR, ARC_PAIR, DISJOINT_PAIR, TOY_3DOF, TOY_3DOF_X2
+from conftest import ANNULI_PAIR, ARC_PAIR, DATA, DISJOINT_PAIR, TOY_3DOF, TOY_3DOF_X2
 
 
 # --- manipulability -----------------------------------------------------------
@@ -64,6 +65,23 @@ def test_manipulability_zero_at_straight_finger(robot):
     for i in range(len(robot.fingers)):
         tip = robot.keypoint_counts()[i] - 1
         assert manipulability_volume(robot, robot.rest_pose, (i, tip)) == 0.0
+
+
+@pytest.mark.parametrize("kind, old, new", [
+    ("angular", "axis: [0.0, 1.0, 0.0]\n        origin_translation: [0.045,",
+     "axis: [1.0e-308, 1.0, 0.0]\n        origin_translation: [0.045,"),
+    ("linear", "origin_translation: [0.045, 0.0, 0.0]",
+     "origin_translation: [0.045, 0.0, 1.0e-308]"),
+], ids=["index_pip_axis", "index_pip_origin"])
+def test_manipulability_of_a_subnormal_coordinate_is_zero_without_a_warning(kind, old, new):
+    # the index Gram matrix at rest holds a subnormal entry, and numpy's det
+    # divides by zero in its LU factorization
+    text = (DATA / "rapid_hand_20dof.yaml").read_text()
+    assert old in text
+    model = load_hand_model(text.replace(old, new, 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert manipulability_volume(model, model.rest_pose, (1, 4), kind) == 0.0
 
 
 def test_manipulability_positive_when_flexed(robot):

@@ -136,15 +136,18 @@ def _small_calibration(**change):
     ({"coupling_fingers": (1, 1)}, "coupled finger 1 is listed twice"),
     ({"coupling_fingers": (1, 0), "d_min": {0: 0.0, 1: 0.0}, "d_max": {0: 0.1, 1: 0.1}},
      "coupled finger 0 is the thumb"),
-    ({"d_max": {}}, "coupled finger 1: needs d_max > d_min, got [0.0, None]; both must be finite"),
+    ({"d_max": {}},
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [0.0, None]"),
     ({"d_max": {1: 0.0}},
-     "coupled finger 1: needs d_max > d_min, got [0.0, 0.0]; both must be finite"),
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [0.0, 0.0]"),
     ({"d_min": {1: -np.inf}},
-     "coupled finger 1: needs d_max > d_min, got [-inf, 0.1]; both must be finite"),
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [-inf, 0.1]"),
+    ({"d_min": {1: -1.0e308}, "d_max": {1: 1.0e308}},
+     "coupled finger 1: needs d_max > d_min, a finite span apart, got [-1e+308, 1e+308]"),
 ], ids=["r_shape", "r_zero", "r_infinite", "r_padding", "u_shape", "u_nan", "q0_not_a_vector",
         "q0_inf", "coupled_finger_past_w_star", "coupled_finger_negative",
         "coupled_finger_repeated", "coupled_thumb", "d_max_missing",
-        "empty_distance_range", "d_min_infinite"])
+        "empty_distance_range", "d_min_infinite", "distance_span_overflowing"])
 def test_calibration_checks_its_values_when_built(change, needle):
     _small_calibration()
     with pytest.raises(CalibrationError) as err:
@@ -370,6 +373,19 @@ def test_omega_strictly_decreasing_in_gap(calibration):
     assert np.all(np.diff(omegas) <= 0.0)
 
 
+@pytest.mark.parametrize("k, c, needle", [
+    (np.nan, 0.5, "sigmoid_k must be finite, got nan"),
+    (np.inf, 0.5, "sigmoid_k must be finite, got inf"),
+    (-np.inf, 0.5, "sigmoid_k must be finite, got -inf"),
+    (10.0, np.nan, "sigmoid_c must be finite, got nan"),
+    (10.0, np.inf, "sigmoid_c must be finite, got inf"),
+    (10.0, -np.inf, "sigmoid_c must be finite, got -inf"),
+])
+def test_coupling_weights_reject_a_non_finite_gate(calibration, k, c, needle):
+    with pytest.raises(RetargetConfigError, match=f"^{needle}$"):
+        coupling_weights(calibration.w_star, calibration, k, c)
+
+
 def test_steep_gate_is_a_step_without_warnings(calibration, gesture_frames):
     # exp(-k (d - c)) overflows to inf below the midpoint, which gives omega = 0
     frames = gesture_frames["pinch"]
@@ -422,7 +438,7 @@ def test_bad_distance_bounds_rejected(calibration):
 def test_equal_distance_bounds_of_one_finger_rejected(calibration):
     lo = calibration.d_min[3]
     with pytest.raises(CalibrationError, match=re.escape(
-            f"coupled finger 3: needs d_max > d_min, got [{lo}, {lo}]; both must be finite")):
+            f"coupled finger 3: needs d_max > d_min, a finite span apart, got [{lo}, {lo}]")):
         CalibrationData(r=calibration.r, u=calibration.u, w_star=calibration.w_star,
                         q0=calibration.q0, d_min=calibration.d_min,
                         d_max={**calibration.d_max, 3: lo},
