@@ -71,9 +71,12 @@ def _chain_state(model, finger, q, depth=None):
         r = _compose(r, c.rotation[finger, k])
         frames.append(r)
         # r (I + sin K + (1 - cos) K K) as two products, flat in a one-finger
-        # batch; every path takes the same steps, so they agree bit for bit
-        r = (r + sin[..., k, None, None] * _compose(r, c.skew[finger, k])
-             + vers[..., k, None, None] * _compose(r, c.skew_sq[finger, k]))
+        # batch, summed in place (sin rK + r has the bits of r + sin rK);
+        # every path takes the same steps, so they agree bit for bit
+        step = sin[..., k, None, None] * _compose(r, c.skew[finger, k])
+        step += r
+        step += vers[..., k, None, None] * _compose(r, c.skew_sq[finger, k])
+        r = step
         rots.append(r)
         trans.append(t)
     return rots, trans, frames

@@ -69,7 +69,8 @@ def _pack_voxels(pts, voxel):
 
 
 def _workspace_voxels(model, frame, samples, voxel, seed):
-    """Unique voxel keys reached by one tip frame under uniform joint sampling.
+    """Sorted unique voxel keys reached by one tip frame under uniform
+    joint sampling.
 
     Sampling is split into fixed-size chunks, each drawn from a substream
     keyed by (seed, finger, chunk); unions are order-independent, so the
@@ -85,7 +86,10 @@ def _workspace_voxels(model, frame, samples, voxel, seed):
         q_batch = rng.uniform(lo, hi, size=(min(SAMPLE_CHUNK, samples - start), lo.size))
         pts = batch_keypoint_positions(model, frame, q_batch)
         keys.append(_pack_voxels(pts, voxel))
-    return np.unique(np.concatenate(keys))
+    # one sort and a neighbour comparison: numpy 2.4's np.unique hashes the
+    # keys, about ten times slower on a 10,000-sample workspace
+    keys = np.sort(np.concatenate(keys))
+    return keys[np.append(True, keys[1:] != keys[:-1])]
 
 
 def opposability_volume(model, thumb_frame, finger_frame, samples=DEFAULT_SAMPLES,
@@ -114,6 +118,8 @@ def opposability_volumes(model, thumb_frame, finger_frames, samples=DEFAULT_SAMP
         raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
     if not 0.0 < voxel_mm < np.inf:
         raise ValueError(f"voxel_mm must be finite and > 0, got {voxel_mm!r}")
+    if not np.issubdtype(type(seed), np.integer) or seed < 0:
+        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
     voxel = voxel_mm * 1e-3
     # substreams keyed by finger index: sampling a chain against itself
     # reuses the same draws, so self-intersection is exactly its workspace

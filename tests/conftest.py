@@ -4,6 +4,8 @@ import pathlib
 
 import numpy as np
 import pytest
+import yaml
+from hypothesis import strategies as st
 
 from dexretarget.fileio import read_keypoint_trajectory, read_static_keypoints
 from dexretarget.hand_model import load_hand_model, load_hand_model_file
@@ -198,3 +200,39 @@ def identity_frame(model, q=None):
 
     q = model.rest_pose if q is None else q
     return KeypointFrame(forward_kinematics(model, q), model.keypoint_counts())
+
+
+# --- random serial chains ----------------------------------------------------
+
+_coord = st.floats(-0.1, 0.1, allow_nan=False)
+_angle = st.floats(-np.pi, np.pi, allow_nan=False)
+_vec = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
+_unit = _vec.filter(lambda v: np.linalg.norm(v) > 0.1).map(
+    lambda v: [float(x) for x in np.asarray(v) / np.linalg.norm(v)])
+random_joint = st.fixed_dictionaries({
+    "axis": _unit,
+    "origin_translation": st.lists(_coord, min_size=3, max_size=3),
+    "origin_rotation": st.lists(_angle, min_size=3, max_size=3),
+    "offset": st.lists(_coord, min_size=3, max_size=3),
+})
+
+
+@st.composite
+def serial_chain(draw, max_joints=5):
+    """A one-finger model of 1 to ``max_joints`` random joints, one keypoint
+    per link, and a batch of 1-4 rows of joint angles inside its limits."""
+    joints = draw(st.lists(random_joint, min_size=1, max_size=max_joints))
+    doc = {"name": "random_chain", "fingers": [{
+        "name": "chain",
+        "joints": [{"name": f"j{k}", "axis": j["axis"],
+                    "origin_translation": j["origin_translation"],
+                    "origin_rotation": j["origin_rotation"], "limits": [-2.0, 2.0]}
+                   for k, j in enumerate(joints)],
+        "keypoints": [{"index": 0, "attached_to": "base"}]
+        + [{"index": k + 1, "attached_to": f"j{k}", "offset": j["offset"]}
+           for k, j in enumerate(joints)],
+    }]}
+    model = load_hand_model(yaml.safe_dump(doc))
+    angles = st.lists(st.floats(-2.0, 2.0), min_size=len(joints), max_size=len(joints))
+    q_batch = np.array(draw(st.lists(angles, min_size=1, max_size=4)))
+    return model, q_batch

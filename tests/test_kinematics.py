@@ -13,7 +13,7 @@ from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather,
                                     motor_to_joint, taxel_point_cloud)
 from dexretarget.retarget import CouplingState, RetargetProblem, objective, objective_gradient
 
-from conftest import RIGID_PAIR, TOY_3DOF
+from conftest import RIGID_PAIR, TOY_3DOF, random_joint, serial_chain
 
 
 def random_q(model, rng):
@@ -179,40 +179,6 @@ def test_jacobian_matches_finite_differences(robot, planar, toy_3dof, seed):
 
 # --- properties over random serial chains -----------------------------------
 
-_coord = st.floats(-0.1, 0.1, allow_nan=False)
-_angle = st.floats(-np.pi, np.pi, allow_nan=False)
-_vec = st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0), st.floats(-1.0, 1.0))
-_unit = _vec.filter(lambda v: np.linalg.norm(v) > 0.1).map(
-    lambda v: [float(x) for x in np.asarray(v) / np.linalg.norm(v)])
-_joint = st.fixed_dictionaries({
-    "axis": _unit,
-    "origin_translation": st.lists(_coord, min_size=3, max_size=3),
-    "origin_rotation": st.lists(_angle, min_size=3, max_size=3),
-    "offset": st.lists(_coord, min_size=3, max_size=3),
-})
-
-
-@st.composite
-def serial_chain(draw):
-    """A one-finger model of 1-5 random joints, one keypoint per link, and
-    joint angles inside its limits."""
-    joints = draw(st.lists(_joint, min_size=1, max_size=5))
-    doc = {"name": "random_chain", "fingers": [{
-        "name": "chain",
-        "joints": [{"name": f"j{k}", "axis": j["axis"],
-                    "origin_translation": j["origin_translation"],
-                    "origin_rotation": j["origin_rotation"], "limits": [-2.0, 2.0]}
-                   for k, j in enumerate(joints)],
-        "keypoints": [{"index": 0, "attached_to": "base"}]
-        + [{"index": k + 1, "attached_to": f"j{k}", "offset": j["offset"]}
-           for k, j in enumerate(joints)],
-    }]}
-    model = load_hand_model(yaml.safe_dump(doc))
-    angles = st.lists(st.floats(-2.0, 2.0), min_size=len(joints), max_size=len(joints))
-    q_batch = np.array(draw(st.lists(angles, min_size=1, max_size=4)))
-    return model, q_batch
-
-
 @settings(max_examples=60, deadline=None)
 @given(serial_chain())
 def test_random_chain_jacobian_matches_central_differences(chain):
@@ -280,6 +246,27 @@ def test_joint_step_matches_rodrigues_product_over_a_slice(robot):
         _assert_steps_match_rodrigues(robot, i, q)
 
 
+@pytest.mark.parametrize("finger", [None, 2], ids=["whole_hand", "one_finger_batch"])
+def test_chain_walk_arrays_do_not_alias(robot, finger):
+    # the joint step sums in place: each link array must be its walk's own
+    rng = np.random.default_rng(5)
+    if finger is None:
+        qs = [random_q(robot, rng) for _ in range(2)]
+    else:
+        sl = robot.finger_slice(finger)
+        shape = (64, robot.fingers[finger].dof)
+        qs = [rng.uniform(robot.lower_limits[sl], robot.upper_limits[sl], shape) for _ in range(2)]
+    first = [a for part in _chain_state(robot, finger, qs[0]) for a in part]
+    kept = [a.copy() for a in first]
+    for k, a in enumerate(first):
+        for b in first[k + 1:]:
+            assert not np.shares_memory(a, b)
+    _chain_state(robot, finger, qs[1])
+    for a, copy in zip(first, kept):
+        assert a.tobytes() == copy.tobytes()
+    assert not any(a.flags.writeable for a in robot.chains)
+
+
 def _finger_doc(name, joints):
     return {"name": name,
             "joints": [{"name": f"{name}{k}", "axis": j["axis"],
@@ -296,7 +283,7 @@ def ragged_hand(draw):
     """A model of 2-3 fingers with 1-5 random joints each, so shorter
     fingers are padded, plus the one-finger model of each finger and a
     joint vector inside the limits."""
-    fingers = [_finger_doc(f"f{i}", draw(st.lists(_joint, min_size=1, max_size=5)))
+    fingers = [_finger_doc(f"f{i}", draw(st.lists(random_joint, min_size=1, max_size=5)))
                for i in range(draw(st.integers(2, 3)))]
     hand = load_hand_model(yaml.safe_dump({"name": "ragged", "fingers": fingers}))
     alone = [load_hand_model(yaml.safe_dump({"name": "one", "fingers": [f]})) for f in fingers]

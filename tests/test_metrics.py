@@ -5,18 +5,22 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dexretarget import metrics
-from dexretarget.hand_model import load_hand_model
+from dexretarget.hand_model import load_hand_model, load_hand_model_file
 from dexretarget.metrics import (
     DEFAULT_VOXEL_MM,
+    SAMPLE_CHUNK,
     VoxelRangeError,
     manipulability_volume,
     opposability_volume,
     opposability_volumes,
 )
 
-from conftest import ANNULI_PAIR, ARC_PAIR, DATA, DISJOINT_PAIR, TOY_3DOF, TOY_3DOF_X2
+from conftest import (ANNULI_PAIR, ARC_PAIR, DATA, DISJOINT_PAIR, TOY_3DOF, TOY_3DOF_X2,
+                      serial_chain)
 
 
 # --- manipulability -----------------------------------------------------------
@@ -217,10 +221,47 @@ def test_opposability_validation(robot):
     ({"voxel_mm": -2.0}, "voxel_mm must be finite and > 0, got -2.0"),
     ({"voxel_mm": np.inf}, "voxel_mm must be finite and > 0, got inf"),
     ({"voxel_mm": np.nan}, "voxel_mm must be finite and > 0, got nan"),
-], ids=["samples_fraction", "samples_bool", "voxel_negative", "voxel_inf", "voxel_nan"])
+    ({"seed": -1}, "seed must be an integer >= 0, got -1"),
+    ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
+    ({"seed": True}, "seed must be an integer >= 0, got True"),
+], ids=["samples_fraction", "samples_bool", "voxel_negative", "voxel_inf", "voxel_nan",
+        "seed_negative", "seed_fraction", "seed_bool"])
 def test_opposability_rejects_bad_arguments(robot, option, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
         opposability_volumes(robot, (0, 4), [(1, 4)], **option)
+
+
+@pytest.mark.parametrize("name, volumes", [
+    ("rapid_hand_20dof.yaml", [5280.0, 3544.0, 2368.0, 288.0]),
+    ("human_hand_20dof.yaml", [4376.0, 3144.0, 1048.0, 0.0]),
+])
+def test_bundled_opposability_volumes_are_pinned(name, volumes):
+    # a sampler or walk change that moves one voxel moves one of these
+    model = load_hand_model_file(DATA / name)
+    thumb, *tips = [(i, f.tip_index) for i, f in enumerate(model.fingers)]
+    assert opposability_volumes(model, thumb, tips, samples=20_000, seed=0) == volumes
+
+
+@pytest.mark.parametrize("samples", [1, 2, SAMPLE_CHUNK, SAMPLE_CHUNK + 1])
+@settings(max_examples=15, deadline=None)
+@given(chain=serial_chain(max_joints=3), voxel_mm=st.sampled_from([0.5, 2.0, 10.0]),
+       seed=st.integers(0, 2 ** 32 - 1))
+def test_workspace_voxels_are_the_sorted_unique_packed_keys(samples, chain, voxel_mm, seed):
+    # np.unique over the keys of the same draws is the oracle of the dedupe
+    model, _ = chain
+    packed, pack = [], metrics._pack_voxels
+
+    def recorded(pts, voxel):
+        packed.append(pack(pts, voxel))
+        return packed[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metrics, "_pack_voxels", recorded)
+        keys = metrics._workspace_voxels(model, (0, model.fingers[0].tip_index), samples,
+                                         voxel_mm * 1e-3, seed)
+    assert keys.dtype == np.int64
+    assert np.all(keys[1:] > keys[:-1])
+    assert keys.tobytes() == np.unique(np.concatenate(packed)).tobytes()
 
 
 def test_workspace_past_the_float_range_is_past_the_voxel_range():
