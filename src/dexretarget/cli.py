@@ -12,6 +12,7 @@ configuration errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import logging
 import os
@@ -31,7 +32,8 @@ from .metrics import (DEFAULT_SAMPLES, DEFAULT_VOXEL_MM, VoxelRangeError,
 from .retarget import (DEFAULT_LAMBDAS, DEFAULT_MAX_ITERATIONS, DEFAULT_SIGMOID_C,
                        DEFAULT_SIGMOID_K, DEFAULT_TOLERANCE, CalibrationError,
                        RetargetConfigError, calibrate, retarget_stream)
-from .syncsim import SyncConfigError, alignment_report, assemble_frames, simulate
+from .schema import COUNT, FINITE, POSITIVE, SEED, WEIGHT, Kind
+from .syncsim import SECONDS, SyncConfigError, alignment_report, assemble_frames, simulate
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -49,16 +51,14 @@ def _configure_logging():
     logging.basicConfig(level=level, format="%(name)s %(levelname)s: %(message)s")
 
 
-def _checked(parse, check, wants):
-    """argparse type: the value ``parse`` makes of the text, if ``check`` of it holds."""
+def _flag(kind, parse=float):
+    """argparse type: the value ``parse`` makes of the text, if it is of the library's ``kind``."""
     def convert(text):
-        try:
+        with contextlib.suppress(ValueError):
             value = parse(text)
-            if check(value):
+            if kind.test(value):
                 return value
-        except ValueError:
-            pass
-        raise argparse.ArgumentTypeError(f"expected {wants}, got {text!r}")
+        raise argparse.ArgumentTypeError(f"must be {kind.what}, got {text!r}")
     return convert
 
 
@@ -66,11 +66,6 @@ def _floats(text):
     return np.array([float(x) for x in text.split(",")])
 
 
-_SEED = _checked(int, lambda n: n >= 0, "an integer >= 0")
-_COUNT = _checked(int, lambda n: n >= 1, "an integer >= 1")
-_FINITE = _checked(float, np.isfinite, "a finite number")
-_WEIGHT = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite number >= 0")
-_POSITIVE = _checked(float, lambda v: 0.0 < v < np.inf, "a finite number > 0")
 # flags naming input files; manifest.json lists them apart from the options
 _INPUT_FLAGS = ("model", "keypoints", "calibration", "input", "poses", "config")
 
@@ -187,10 +182,8 @@ def cmd_metrics(args):
 
 def cmd_syncsim(args):
     config, duration = read_stream_config(args.config)
-    if args.duration is not None:
-        duration = args.duration
-    if args.seed is not None:
-        config = dataclasses.replace(config, seed=args.seed)
+    duration = duration if args.duration is None else args.duration
+    config = config if args.seed is None else dataclasses.replace(config, seed=args.seed)
     log.info("simulating %s-sync for %.3f s at %.1f Hz", config.mode, duration, config.rate_hz)
     events = simulate(config, duration)
     frames = assemble_frames(events)
@@ -223,8 +216,8 @@ def build_parser():
     p.add_argument("--model", required=True, help="hand model document")
     p.add_argument("--keypoints", required=True, help="extended-pose keypoint capture")
     p.add_argument("--rest-pose", default=None, help="comma-separated robot reference pose",
-                   type=_checked(str, lambda t: np.isfinite(_floats(t)).all(),
-                                 "comma-separated finite numbers"))
+                   type=_flag(Kind("comma-separated finite numbers",
+                                   lambda t: np.isfinite(_floats(t)).all()), parse=str))
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(func=cmd_calibrate)
 
@@ -232,18 +225,18 @@ def build_parser():
     p.add_argument("--model", required=True)
     p.add_argument("--calibration", required=True)
     p.add_argument("--input", required=True, help="keypoint trajectory file")
-    p.add_argument("--lambda1", type=_WEIGHT, default=DEFAULT_LAMBDAS[0])
-    p.add_argument("--lambda2", type=_WEIGHT, default=DEFAULT_LAMBDAS[1])
-    p.add_argument("--lambda3", type=_WEIGHT, default=DEFAULT_LAMBDAS[2])
-    p.add_argument("--k", type=_FINITE, default=DEFAULT_SIGMOID_K, help="coupling gate steepness")
-    p.add_argument("--c", type=_FINITE, default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
-    p.add_argument("--baseline", type=_POSITIVE, default=None, metavar="ALPHA",
+    p.add_argument("--lambda1", type=_flag(WEIGHT), default=DEFAULT_LAMBDAS[0])
+    p.add_argument("--lambda2", type=_flag(WEIGHT), default=DEFAULT_LAMBDAS[1])
+    p.add_argument("--lambda3", type=_flag(WEIGHT), default=DEFAULT_LAMBDAS[2])
+    p.add_argument("--k", type=_flag(FINITE), default=DEFAULT_SIGMOID_K, help="coupling gate steepness")
+    p.add_argument("--c", type=_flag(FINITE), default=DEFAULT_SIGMOID_C, help="coupling gate midpoint")
+    p.add_argument("--baseline", type=_flag(POSITIVE), default=None, metavar="ALPHA",
                    help="also retarget with uniform scaling by ALPHA and compare")
-    p.add_argument("--tolerance", type=_POSITIVE, default=DEFAULT_TOLERANCE, help=(
+    p.add_argument("--tolerance", type=_flag(POSITIVE), default=DEFAULT_TOLERANCE, help=(
         "a frame converges once a step lowers the objective by at most TOLERANCE times "
         "its value or moves no joint by over 1e-13 rad, the gradient projected onto "
         "the joint box is zero, or no damped step lowers the objective"))
-    p.add_argument("--max-iterations", type=_COUNT, default=DEFAULT_MAX_ITERATIONS,
+    p.add_argument("--max-iterations", type=_flag(COUNT, int), default=DEFAULT_MAX_ITERATIONS,
                    help="per-frame budget; a frame that uses it up is written converged 0")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_retarget)
@@ -253,16 +246,16 @@ def build_parser():
     p.add_argument("--poses", default=None, help="poses file (required for manipulability)")
     p.add_argument("--metric", choices=["manipulability", "opposability", "all"],
                    default="all")
-    p.add_argument("--samples", type=_COUNT, default=DEFAULT_SAMPLES)
-    p.add_argument("--voxel-mm", type=_POSITIVE, default=DEFAULT_VOXEL_MM)
-    p.add_argument("--seed", type=_SEED, default=0)
+    p.add_argument("--samples", type=_flag(COUNT, int), default=DEFAULT_SAMPLES)
+    p.add_argument("--voxel-mm", type=_flag(POSITIVE), default=DEFAULT_VOXEL_MM)
+    p.add_argument("--seed", type=_flag(SEED, int), default=0)
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_metrics)
 
     p = sub.add_parser("syncsim", help="simulate multi-sensor acquisition timing")
     p.add_argument("--config", required=True, help="stream config YAML")
-    p.add_argument("--duration", type=_POSITIVE, default=None, help="override config duration (s)")
-    p.add_argument("--seed", type=_SEED, default=None, help="override config seed")
+    p.add_argument("--duration", type=_flag(SECONDS), default=None, help="override config duration (s)")
+    p.add_argument("--seed", type=_flag(SEED, int), default=None, help="override config seed")
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_syncsim)
     return parser

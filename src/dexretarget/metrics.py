@@ -14,6 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .kinematics import batch_keypoint_positions, jacobian
+from .schema import COUNT, POSITIVE, SEED, require
 
 GRAM_DET_EPS = 1e-18   # Gram determinants below this count as singular
 M3_TO_MM3 = 1e9
@@ -114,12 +115,9 @@ def opposability_volumes(model, thumb_frame, finger_frames, samples=DEFAULT_SAMP
                          voxel_mm=DEFAULT_VOXEL_MM, seed=0):
     """:func:`opposability_volume` of the thumb frame against each of
     ``finger_frames``, sampling the thumb's workspace once."""
-    if not np.issubdtype(type(samples), np.integer) or samples < 1:
-        raise ValueError(f"samples must be an integer >= 1, got {samples!r}")
-    if not 0.0 < voxel_mm < np.inf:
-        raise ValueError(f"voxel_mm must be finite and > 0, got {voxel_mm!r}")
-    if not np.issubdtype(type(seed), np.integer) or seed < 0:
-        raise ValueError(f"seed must be an integer >= 0, got {seed!r}")
+    require(COUNT, "samples", samples, ValueError)
+    require(POSITIVE, "voxel_mm", voxel_mm, ValueError)
+    require(SEED, "seed", seed, ValueError)
     voxel = voxel_mm * 1e-3
     # substreams keyed by finger index: sampling a chain against itself
     # reuses the same draws, so self-intersection is exactly its workspace

@@ -16,7 +16,6 @@ knuckle anchor, ascending to the tip.
 from __future__ import annotations
 
 import contextlib
-import math
 from collections import namedtuple
 from dataclasses import dataclass, field
 from types import MappingProxyType
@@ -26,10 +25,13 @@ import numpy as np
 from . import kinematics
 from .hand_model import HandModel, _freeze
 from .kinematics import _chain_state, _gather, linear_jacobian_block
+from .schema import COUNT, FINITE, POSITIVE, WEIGHT, Kind, require
 
 DEFAULT_SIGMOID_K = 10.0
 DEFAULT_SIGMOID_C = 0.5
 DEFAULT_LAMBDAS = (1.0, 1.0, 1.0)
+_LAMBDAS = Kind(f"3 weights, each {WEIGHT.what}",
+                lambda v: len(v) == 3 and all(map(WEIGHT.test, v)))
 DEFAULT_TOLERANCE = 1e-6
 DEFAULT_MAX_ITERATIONS = 100
 MAX_HOLD_FRAMES = 3  # consecutive frames a missing landmark may be filled
@@ -224,8 +226,7 @@ def baseline_uniform_scaling(frame, alpha):
     The naive fixed-ratio alternative to :func:`adjust_keypoints`, with the
     same (F, M, 3) result; feeds the same solver for side-by-side comparisons.
     """
-    if not 0.0 < alpha < np.inf:
-        raise RetargetConfigError(f"alpha must be finite and > 0, got {alpha}")
+    require(POSITIVE, "alpha", alpha, RetargetConfigError)
     corr = (alpha - 1.0) * (frame.w - frame.w[0, 0])  # alpha = 1 stays exactly w
     return np.where(corr == 0.0, frame.w, frame.w + corr)
 
@@ -246,9 +247,8 @@ def coupling_weights(frame, cal, k=DEFAULT_SIGMOID_K, c=DEFAULT_SIGMOID_C):
     d_i = clamp(1 - (|D_i| - d_min) / (d_max - d_min), 0, 1) rises as the
     finger approaches the thumb; omega_i = sigmoid(k (d_i - c)) for finite k and c.
     """
-    for name, value in (("sigmoid_k", k), ("sigmoid_c", c)):
-        if not math.isfinite(value):
-            raise RetargetConfigError(f"{name} must be finite, got {value}")
+    require(FINITE, "sigmoid_k", k, RetargetConfigError)
+    require(FINITE, "sigmoid_c", c, RetargetConfigError)
     fingers = cal.coupling_fingers
     lo, hi = (np.array([b[i] for i in fingers], dtype=float) for b in (cal.d_min, cal.d_max))
     tips = frame.tips()
@@ -290,13 +290,9 @@ class RetargetProblem:
             except KeyError:
                 raise RetargetConfigError(f"alignment pair ({i}, {j}) names no keypoint "
                                           f"of model {self.model.name!r}") from None
-        if len(self.lambdas) != 3 or not all(0.0 <= l < np.inf for l in self.lambdas):
-            raise RetargetConfigError(f"lambdas must be 3 finite weights >= 0, got {self.lambdas}")
-        if not 0.0 < self.tolerance < np.inf:
-            raise RetargetConfigError(f"tolerance must be finite and > 0, got {self.tolerance}")
-        if not np.issubdtype(type(self.max_iterations), np.integer) or self.max_iterations < 1:
-            raise RetargetConfigError(f"max_iterations must be an integer >= 1, got "
-                                      f"{self.max_iterations!r}")
+        require(_LAMBDAS, "lambdas", self.lambdas, RetargetConfigError)
+        require(POSITIVE, "tolerance", self.tolerance, RetargetConfigError)
+        require(COUNT, "max_iterations", self.max_iterations, RetargetConfigError)
         coupled = () if self.coupling is None else tuple(self.coupling.fingers)
         for fault in _coupling_faults(coupled, len(self.model.fingers),
                                       f"model {self.model.name!r}"):
@@ -493,8 +489,8 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     held = KeypointFrame(np.zeros(model.chains.offset.shape), model.keypoint_counts())
     ages = np.full(held.valid.shape, MAX_HOLD_FRAMES)
     coupling = coupling_weights(held, cal, sigmoid_k, sigmoid_c)  # checks k and c
-    if scaling_alpha is not None and not 0.0 < scaling_alpha < np.inf:
-        raise RetargetConfigError(f"scaling_alpha must be finite and > 0, got {scaling_alpha}")
+    if scaling_alpha is not None:
+        require(POSITIVE, "scaling_alpha", scaling_alpha, RetargetConfigError)
     pairs = default_pairs(model) if pairs is None else tuple(pairs)
     lambdas = tuple(lambdas)
     if not (len(lambdas) == 3 and lambdas[1] > 0.0):  # bad lambdas fail in the problem

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import sys
 from collections import namedtuple
+from numbers import Integral
 
 import yaml
 
@@ -23,11 +24,25 @@ LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 # list also has its entries' ``table`` and the ``label`` key naming an entry.
 Kind = namedtuple("Kind", "what test table label", defaults=(None, None))
 
-INTEGER = Kind("an integer", lambda v: isinstance(v, int) and not isinstance(v, bool))
+INTEGER = Kind("an integer", lambda v: isinstance(v, Integral) and not isinstance(v, bool))
 # an integer past the float range is no number: converting it overflows
 NUMBER = Kind("a number", lambda v: isinstance(v, float)
               or INTEGER.test(v) and abs(v) <= sys.float_info.max)
 STRING = Kind("a string", lambda v: isinstance(v, str))
+# each numeric setting's rule, numpy's scalars included: the library checks the
+# argument by ``require`` and the command line parses the flag by the same kind
+SEED = Kind("an integer >= 0", lambda v: INTEGER.test(v) and v >= 0)
+COUNT = Kind("an integer >= 1", lambda v: INTEGER.test(v) and v >= 1)
+# finite is within the float range, which an integer too large to convert is not
+FINITE = Kind("finite", lambda v: -sys.float_info.max <= v <= sys.float_info.max)
+WEIGHT = Kind("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
+POSITIVE = Kind("finite and > 0", lambda v: 0.0 < v <= sys.float_info.max)
+
+
+def require(kind, name, value, error):
+    """Raise ``error`` unless ``value``, the setting ``name``, is of ``kind``."""
+    if not kind.test(value):
+        raise error(f"{name} must be {kind.what}, got {value!r}")
 
 
 def list_of(kind, what):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .schema import POSITIVE, SEED, Kind, require
+
 FRESH, HELD, MISSING = 0, 1, 2
 STATUS_NAMES = ("fresh", "held", "missing")  # indexed by the codes above
 # per-event roles after assembly, for conservation accounting
@@ -27,6 +29,8 @@ _EPS = 1e-9
 # every time of a run, in seconds, is at most this (about 11.6 days): past it
 # the float spacing of a time nears the 1 ns tolerance _EPS
 MAX_SECONDS = 1e6
+SECONDS = Kind(f"in (0, {MAX_SECONDS:g}] s", lambda v: 0.0 < v <= MAX_SECONDS)
+_LATENCY = Kind(f"in [0, {MAX_SECONDS:g}] s", lambda v: 0.0 <= v <= MAX_SECONDS)
 # a run holds at most this many events and this many frames: each is kept in
 # memory several times over and written as one line
 MAX_ROWS = 1 << 22
@@ -68,26 +72,20 @@ class StreamConfig:
         for s in self.streams:
             if s.name.split() != [s.name] or ":" in s.name:  # written as one field
                 raise SyncConfigError(f"stream {s.name!r}: name must be one word without ':'")
-            if not 0.0 < s.period <= MAX_SECONDS:
-                raise SyncConfigError(
-                    f"stream {s.name!r}: period must be positive and at most {MAX_SECONDS:g} s")
-            if not 0.0 <= s.latency_bound <= MAX_SECONDS:
-                raise SyncConfigError(
-                    f"stream {s.name!r}: latency_bound must be >= 0 and at most {MAX_SECONDS:g} s")
+            require(SECONDS, f"stream {s.name!r}: period", s.period, SyncConfigError)
+            require(_LATENCY, f"stream {s.name!r}: latency_bound", s.latency_bound, SyncConfigError)
             if s.jitter not in ("uniform", "gauss"):
                 raise SyncConfigError(f"stream {s.name!r}: unknown jitter {s.jitter!r}")
             if not 0.0 <= s.dropout <= 1.0:
                 raise SyncConfigError(f"stream {s.name!r}: dropout must be in [0, 1]")
-        if not 0.0 < self.rate_hz < np.inf:
-            raise SyncConfigError("rate_hz must be positive and finite")
+        require(POSITIVE, "rate_hz", self.rate_hz, SyncConfigError)
         if self.mode not in ("hard", "soft"):
             raise SyncConfigError(f"mode must be 'hard' or 'soft', got {self.mode!r}")
         lo, hi = self.soft_latency
-        if not 0.0 <= lo <= hi <= MAX_SECONDS:
-            raise SyncConfigError(f"soft_latency must satisfy 0 <= lo <= hi <= {MAX_SECONDS:g}, "
+        if not (_LATENCY.test(lo) and _LATENCY.test(hi) and lo <= hi):
+            raise SyncConfigError(f"soft_latency must be lo <= hi, each {_LATENCY.what}, "
                                   f"got {self.soft_latency}")
-        if self.seed < 0:
-            raise SyncConfigError(f"seed must be >= 0, got {self.seed}")
+        require(SEED, "seed", self.seed, SyncConfigError)
 
 
 def reference_hard_config(dropout=0.0, seed=0):
@@ -155,8 +153,7 @@ def simulate(config, duration):
         EventLog covering emissions in [0, duration).  Identical config and
         duration always reproduce the same log.
     """
-    if not 0.0 < duration <= MAX_SECONDS:
-        raise SyncConfigError(f"duration must be positive and at most {MAX_SECONDS:g} s")
+    require(SECONDS, "duration", duration, SyncConfigError)
     rng = np.random.default_rng(config.seed)
     cols = []  # per stream: stream index, emission, delivery, payload, dropped
     events = 0

@@ -1,5 +1,6 @@
 """End-to-end command-line runs: exit codes, outputs, determinism."""
 
+import argparse
 import os
 import subprocess
 import sys
@@ -19,9 +20,12 @@ from dexretarget.fileio import (
     write_keypoint_trajectory,
 )
 from dexretarget.kinematics import forward_kinematics
-from dexretarget.retarget import KeypointFrame, retarget_stream
+from dexretarget.metrics import VoxelRangeError, opposability_volumes
+from dexretarget.retarget import (KeypointFrame, RetargetConfigError, calibrate,
+                                  retarget_stream)
+from dexretarget.syncsim import StreamConfig, StreamSpec, SyncConfigError, simulate
 
-from conftest import ARC_PAIR, DATA, README_STREAMS, TOY_3DOF
+from conftest import ARC_PAIR, DATA, README_STREAMS, TOY_3DOF, identity_frame
 
 PLANAR = str(DATA / "planar_2dof.yaml")
 ROBOT = str(DATA / "rapid_hand_20dof.yaml")
@@ -604,19 +608,89 @@ _RETARGET = ["retarget", "--model", ROBOT, "--calibration", "unread.yaml", "--in
     (["syncsim", "--config", "unread.yaml", "--seed", "-1"], "--seed"),
     (["syncsim", "--config", "unread.yaml", "--duration", "0"], "--duration"),
     (["syncsim", "--config", "unread.yaml", "--duration", "nan"], "--duration"),
+    (["syncsim", "--config", "unread.yaml", "--duration", "2e6"], "--duration"),
     (_RETARGET + ["--k", "nan"], "--k"),
     (_RETARGET + ["--c", "inf"], "--c"),
     (_RETARGET + ["--lambda1", "nan"], "--lambda1"),
     (_RETARGET + ["--lambda3", "-1"], "--lambda3"),
 ], ids=["rest_pose_text", "rest_pose_nan", "samples_0", "voxel_0", "voxel_negative",
         "voxel_inf", "voxel_past_packing_range", "metrics_seed", "syncsim_seed",
-        "syncsim_duration_0", "syncsim_duration_nan", "k_nan", "c_inf", "lambda1_nan",
-        "lambda3_negative"])
+        "syncsim_duration_0", "syncsim_duration_nan", "syncsim_duration_past_max", "k_nan",
+        "c_inf", "lambda1_nan", "lambda3_negative"])
 def test_bad_option_value_exits_2_naming_the_flag(tmp_path, capsys, argv, flag):
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == EXIT_ERROR
     assert flag in capsys.readouterr().err
     assert not out.exists()
+
+
+def _retarget(planar, **setting):
+    cal = calibrate(planar, planar.rest_pose, identity_frame(planar))
+    return retarget_stream(planar, cal, [], **setting)
+
+
+def _oppose(planar, **setting):
+    return opposability_volumes(planar, (0, 2), [(0, 2)], **{"samples": 16, **setting})
+
+
+_SPAN = StreamSpec("cam", 1e5)  # a million seconds are ten events
+# each numeric flag: the argument its library call names, how the flag parses
+# its text, and the call the value feeds
+_SETTINGS = {
+    ("retarget", "--lambda1"): ("lambdas", float, lambda m, v: _retarget(m, lambdas=(v, 1.0, 1.0))),
+    ("retarget", "--lambda2"): ("lambdas", float, lambda m, v: _retarget(m, lambdas=(1.0, v, 1.0))),
+    ("retarget", "--lambda3"): ("lambdas", float, lambda m, v: _retarget(m, lambdas=(1.0, 1.0, v))),
+    ("retarget", "--k"): ("sigmoid_k", float, lambda m, v: _retarget(m, sigmoid_k=v)),
+    ("retarget", "--c"): ("sigmoid_c", float, lambda m, v: _retarget(m, sigmoid_c=v)),
+    ("retarget", "--baseline"):
+        ("scaling_alpha", float, lambda m, v: _retarget(m, scaling_alpha=v)),
+    ("retarget", "--tolerance"): ("tolerance", float, lambda m, v: _retarget(m, tolerance=v)),
+    ("retarget", "--max-iterations"):
+        ("max_iterations", int, lambda m, v: _retarget(m, max_iterations=v)),
+    ("metrics", "--samples"): ("samples", int, lambda m, v: _oppose(m, samples=v)),
+    ("metrics", "--voxel-mm"): ("voxel_mm", float, lambda m, v: _oppose(m, voxel_mm=v)),
+    ("metrics", "--seed"): ("seed", int, lambda m, v: _oppose(m, seed=v)),
+    ("syncsim", "--duration"):
+        ("duration", float, lambda m, v: simulate(StreamConfig((_SPAN,)), v)),
+    ("syncsim", "--seed"): ("seed", int, lambda m, v: StreamConfig((_SPAN,), seed=v)),
+}
+_TEXTS = ("0", "-1", "1.5", "nan", "inf", "-inf", "1e-308", "1e6", "1000001")
+
+
+def _library_accepts(run, name):
+    """Whether ``run()`` gets past the library's check of its argument ``name``."""
+    try:
+        run()
+    except VoxelRangeError:  # past the check: the voxel is too small for the key packing
+        pass
+    except (ValueError, RetargetConfigError, SyncConfigError) as e:
+        assert str(e).startswith(f"{name} must be "), e
+        return False
+    return True
+
+
+@pytest.mark.parametrize("command, flag", list(_SETTINGS),
+                         ids=[f"{c}_{f.lstrip('-')}" for c, f in _SETTINGS])
+def test_flag_accepts_what_the_library_accepts(planar, command, flag):
+    name, parse, call = _SETTINGS[command, flag]
+    commands = next(a for a in cli._PARSER._actions if a.dest == "command").choices
+    flag_type = next(a.type for a in commands[command]._actions if flag in a.option_strings)
+    accepted = []
+    for text in _TEXTS:
+        try:
+            flag_type(text)
+            flag_accepts = True
+        except argparse.ArgumentTypeError:
+            flag_accepts = False
+        try:
+            value = parse(text)
+        except ValueError:  # no number of the flag's type: the library never sees it
+            library_accepts = False
+        else:
+            library_accepts = _library_accepts(lambda: call(planar, value), name)
+        assert flag_accepts == library_accepts, text
+        accepted += [text] * flag_accepts
+    assert 0 < len(accepted) < len(_TEXTS)
 
 
 @pytest.mark.parametrize("error", [ValueError, KeyError])

@@ -217,14 +217,16 @@ def test_calibration_roundtrip(tmp_path, calibration):
 @st.composite
 def calibrations(draw):
     """Any calibration the writer can be handed: 1-5 fingers of 1-4 segments,
-    coupling distinct fingers after the thumb."""
+    coupling distinct fingers after the thumb, each with bounds a finite span apart."""
     segments = draw(st.lists(st.integers(1, 4), min_size=1, max_size=5))
     fingers = len(segments)
     coupled = tuple(sorted(draw(st.sets(st.integers(1, fingers - 1))))) if fingers > 1 else ()
     r = np.ones((fingers, max(segments)))  # the ratios on w_star's segment slots
     for i, n in enumerate(segments):
         r[i, :n] = _arrays(draw, (n,), st.floats(1e-300, 1e300))
-    bounds = {i: sorted(draw(st.sets(_FINITE, min_size=2, max_size=2))) for i in coupled}
+    span = st.sets(_FINITE, min_size=2, max_size=2).map(sorted).filter(
+        lambda b: b[1] - b[0] < np.inf)  # CalibrationData refuses a span that overflows
+    bounds = {i: draw(span) for i in coupled}
     return CalibrationData(
         r=r,
         u=_arrays(draw, (fingers, 3)),

@@ -221,11 +221,12 @@ def test_opposability_validation(robot):
     ({"voxel_mm": -2.0}, "voxel_mm must be finite and > 0, got -2.0"),
     ({"voxel_mm": np.inf}, "voxel_mm must be finite and > 0, got inf"),
     ({"voxel_mm": np.nan}, "voxel_mm must be finite and > 0, got nan"),
+    ({"voxel_mm": 10 ** 400}, "voxel_mm must be finite and > 0, got 1000"),
     ({"seed": -1}, "seed must be an integer >= 0, got -1"),
     ({"seed": 1.5}, "seed must be an integer >= 0, got 1.5"),
     ({"seed": True}, "seed must be an integer >= 0, got True"),
 ], ids=["samples_fraction", "samples_bool", "voxel_negative", "voxel_inf", "voxel_nan",
-        "seed_negative", "seed_fraction", "seed_bool"])
+        "voxel_past_float_range", "seed_negative", "seed_fraction", "seed_bool"])
 def test_opposability_rejects_bad_arguments(robot, option, needle):
     with pytest.raises(ValueError, match=re.escape(needle)):
         opposability_volumes(robot, (0, 4), [(1, 4)], **option)

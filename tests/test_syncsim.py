@@ -1,5 +1,7 @@
 """Acquisition-timing simulator: clock math, assembly, and reports."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -277,15 +279,18 @@ def test_config_validation_errors():
         (lambda: StreamConfig((good,), soft_latency=(float("nan"), 0.1)), "soft_latency"),
         (lambda: StreamConfig((good,), soft_latency=(0.015, float("nan"))), "soft_latency"),
         (lambda: StreamConfig((StreamSpec("cam", 2 * MAX_SECONDS, 0.002),)),
-         "period must be positive and at most"),
+         re.escape("period must be in (0, 1e+06] s")),
         (lambda: StreamConfig((StreamSpec("cam", period, 1e308),)),
-         "latency_bound must be >= 0 and at most"),
+         re.escape("latency_bound must be in [0, 1e+06] s")),
+        (lambda: StreamConfig((good,), seed=1.5), "seed must be an integer >= 0, got 1.5"),
+        (lambda: StreamConfig((good,), seed=True), "seed must be an integer >= 0, got True"),
         (lambda: StreamConfig((good,), soft_latency=(0.015, 2 * MAX_SECONDS)), "soft_latency"),
     ] + [(lambda name=name: StreamConfig((StreamSpec(name, period, 0.002),)), "name must be one word")
          for name in ("", "cam 1", " cam", "cam\t", "t:x")]
     for build, needle in cases:
         with pytest.raises(SyncConfigError, match=needle):
             build()
+    assert StreamConfig((good,), seed=np.int64(3)).seed == 3  # numpy's integers are integers
 
 
 def test_runtime_validation_errors():
