@@ -13,8 +13,8 @@ import numpy as np
 import yaml
 
 from .retarget import CalibrationData, KeypointFrame
-from .schema import (INTEGER, INTEGERS, LOADER, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING, Kind,
-                     check, entries, list_of, numbers)
+from .schema import (FINITE, INTEGER, INTEGERS, LOADER, NUMBER, NUMBER_BY_INTEGER, NUMBERS, STRING,
+                     Kind, check, entries, list_of, numbers)
 from .syncsim import DEFAULT_DURATION, STATUS_NAMES, StreamConfig, StreamSpec
 
 F = "%.17g"
@@ -40,26 +40,49 @@ def _lines(line, *columns):
     return (line * len(cells)) % tuple(cells.ravel().tolist())
 
 
-def _floats(fields, path, ln):
-    try:
-        return [float(x) for x in fields]
-    except ValueError as e:
-        raise FileFormatError(f"{path}:{ln}: {e}") from None
+# A line format declares each field as (label, rule): a Kind its number must
+# be of, None for any number, or STRING for a text field, which leads the line.
+_FLAG = Kind("0 or 1", lambda v: (v == 0.0) | (v == 1.0))
 
 
-def _records(path, n_fields, expected):
-    """``(line number, fields)`` for each data line of ``path``.  Blank lines
-    and lines whose first non-blank character is ``#`` are skipped; any other
-    line must split into exactly ``n_fields`` fields, or the error names
-    ``path:line`` and the ``expected`` layout."""
+def _table(path, columns, expected):
+    """The data lines of ``path``, as an array of their numbers and a list of
+    their text fields.  Blank lines and lines whose first non-blank character
+    is ``#`` are skipped.  The first faulty line in file order is a
+    FileFormatError naming ``path:line``: a field count other than the
+    ``expected`` layout's, then a field that reads as no number, then a
+    field against its rule, left to right."""
+    rules = [rule for _, rule in columns]
+    lead = rules.count(STRING)
+    lines, numbers, text, fault = [], [], [], None
     with open(path, "r", encoding="utf-8") as fh:
         for ln, line in enumerate(fh, start=1):
             fields = line.split()
             if not fields or fields[0].startswith("#"):
                 continue
-            if len(fields) != n_fields:
-                raise FileFormatError(f"{path}:{ln}: expected {expected}, got {len(fields)}")
-            yield ln, fields
+            try:
+                if len(fields) != len(columns):
+                    raise ValueError(f"expected {expected}, got {len(fields)}")
+                numbers.append(list(map(float, fields[lead:])))
+            except ValueError as e:
+                fault = f"{path}:{ln}: {e}"
+                break
+            lines.append(ln)
+            text.append(fields[:lead])
+    # each rule runs over its whole column of the lines before any fault
+    a = np.array(numbers, dtype=float).reshape(len(numbers), len(columns) - lead)
+    ok = np.ones(a.shape, dtype=bool)
+    for k, rule in enumerate(rules[lead:]):
+        if rule is not None:
+            ok[:, k] = rule.test(a[:, k])
+    bad = np.argwhere(~ok)  # (line, field) of each broken rule, in file order
+    if bad.size:
+        r, k = bad[0]
+        label, rule = columns[lead + k]
+        fault = f"{path}:{lines[r]}: {label} {float(a[r, k])!r} is not {rule.what}"
+    if fault or not numbers:
+        raise FileFormatError(fault or f"{path}: no data records")
+    return a, text
 
 
 def _yaml(path):
@@ -119,22 +142,12 @@ def _layout(path):
 def read_keypoint_trajectory(path):
     counts = _layout(path)
     n_landmarks = 1 + sum(c - 1 for c in counts)
-    n_fields = 1 + 4 * n_landmarks
-    records = []
-    for ln, fields in _records(path, n_fields, f"{n_fields} fields"):
-        vals = _floats(fields, path, ln)
-        if not np.isfinite(vals[0]):
-            raise FileFormatError(f"{path}:{ln}: timestamp {vals[0]!r} is not finite")
-        bad = [v for v in vals[4::4] if v not in (0.0, 1.0)]
-        if bad:
-            raise FileFormatError(f"{path}:{ln}: validity flag {bad[0]!r} is not 0 or 1")
-        records.append(vals)
-    if not records:
-        raise FileFormatError(f"{path}: no data records")
+    columns = [("timestamp", FINITE)] + [("x", None), ("y", None), ("z", None),
+                                         ("validity flag", _FLAG)] * n_landmarks
+    records, _ = _table(path, columns, f"{len(columns)} fields")
     # every slot's landmark at once: the wrist fills each j = 0, padding is (0, 0, 0, valid)
     rows = np.zeros((len(counts), max(counts)), dtype=int)
     rows[_slots(counts)] = np.arange(n_landmarks)
-    records = np.array(records)
     landmarks = records[:, 1:].reshape(len(records), n_landmarks, 4)[:, rows]
     landmarks[:, np.arange(max(counts)) >= np.array(counts)[:, None]] = (0.0, 0.0, 0.0, 1.0)
     w, valid = np.ascontiguousarray(landmarks[..., :3]), landmarks[..., 3] != 0.0
@@ -205,34 +218,17 @@ def write_joint_trajectory(path, steps, dof):
 
 
 def read_joint_trajectory(path, dof):
-    records = []
-    for ln, fields in _records(path, dof + 5, f"{dof + 5} fields"):
-        vals = _floats(fields, path, ln)
-        if not np.isfinite(vals[0]):
-            raise FileFormatError(f"{path}:{ln}: timestamp {vals[0]!r} is not finite")
-        if not np.isfinite(vals[1:-1]).all():
-            raise FileFormatError(f"{path}:{ln}: joint angles and residuals must be finite")
-        if vals[-1] not in (0.0, 1.0):
-            raise FileFormatError(f"{path}:{ln}: converged flag {vals[-1]!r} is not 0 or 1")
-        records.append(vals)
-    if not records:
-        raise FileFormatError(f"{path}: no data records")
-    a = np.array(records)
+    columns = [("timestamp", FINITE)] + [("angle", FINITE)] * dof + [("residual", FINITE)] * 3 \
+        + [("converged flag", _FLAG)]
+    a, _ = _table(path, columns, f"{dof + 5} fields")
     return a[:, 0], a[:, 1:1 + dof], a[:, 1 + dof:4 + dof], a[:, -1] == 1.0
 
 
 def read_poses(path, dof):
     """Named joint poses, one ``name q0 .. q{n-1}`` line each."""
-    poses = []
-    for ln, fields in _records(path, dof + 1, f"name plus {dof} angles in {dof + 1} fields"):
-        q = _floats(fields[1:], path, ln)
-        bad = [x for x in q if not np.isfinite(x)]
-        if bad:
-            raise FileFormatError(f"{path}:{ln}: angle {bad[0]!r} is not finite")
-        poses.append((fields[0], np.array(q)))
-    if not poses:
-        raise FileFormatError(f"{path}: no poses found")
-    return poses
+    qs, names = _table(path, [("name", STRING)] + [("angle", FINITE)] * dof,
+                       f"name plus {dof} angles in {dof + 1} fields")
+    return [(name, q) for (name,), q in zip(names, qs)]
 
 
 # --- sync simulator --------------------------------------------------------

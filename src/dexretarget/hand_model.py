@@ -19,7 +19,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 import yaml
 
-from .schema import INTEGER, LOADER, NUMBERS, STRING, check, entries, numbers
+from .schema import COUNT, FINITE, INTEGER, LOADER, NUMBERS, STRING, Kind, check, entries, numbers
 
 AXIS_UNIT_TOL = 1e-9
 MAX_LENGTH_M = 10.0  # bound on every length coordinate: a hand, even on an arm, sits within it
@@ -38,17 +38,9 @@ def _freeze(a, dtype=float):
     return a
 
 
-def _vectors(raw, where, *keys, bound=np.inf):
-    """Entry ``raw``'s finite 3-vectors under ``keys``, each coordinate at most
-    ``bound`` in magnitude, zero for an absent optional one."""
-    vs = [np.array(raw.get(key, (0.0, 0.0, 0.0)), dtype=float) for key in keys]
-    for key, v in zip(keys, vs):
-        if not np.all(np.isfinite(v)):
-            raise ModelError(f"{where}.{key}: expected a finite 3-vector, got {raw[key]!r}")
-        if not np.all(np.abs(v) <= bound):
-            raise ModelError(f"{where}.{key}: coordinates must be at most {bound:g} m in "
-                             f"magnitude, got {raw[key]!r}")
-    return vs
+def _vectors(raw, *keys):
+    """Entry ``raw``'s 3-vectors under ``keys``, zero for an absent optional one."""
+    return [np.array(raw.get(key, (0.0, 0.0, 0.0)), dtype=float) for key in keys]
 
 
 def rpy_matrix(roll, pitch, yaw):
@@ -149,16 +141,21 @@ def _stack_chains(fingers, joints, keypoints, total_dof):
                       _freeze(link, int), _freeze(offset))
 
 
-_VEC3 = numbers(3)
-_JOINT = {"name": (STRING, True), "parent": (STRING, False), "axis": (_VEC3, True),
-          "origin_translation": (_VEC3, True), "origin_rotation": (_VEC3, False),
-          "limits": (numbers(2), True)}
+_FINITE3 = numbers(3, FINITE)
+_LENGTHS = numbers(3, Kind(f"at most {MAX_LENGTH_M:g} m in magnitude",
+                           lambda v: abs(v) <= MAX_LENGTH_M))
+# the span of the floats the joint keeps: integer limits whose float span overflows have none
+_LIMITS = Kind("2 numbers, lower < upper, a finite span apart", lambda v: numbers(2).test(v)
+               and 0.0 < float(v[1]) - float(v[0]) < math.inf)
+_JOINT = {"name": (STRING, True), "parent": (STRING, False), "axis": (_FINITE3, True),
+          "origin_translation": (_LENGTHS, True), "origin_rotation": (_FINITE3, False),
+          "limits": (_LIMITS, True)}
 _KEYPOINT = {"index": (INTEGER, True), "name": (STRING, False), "attached_to": (STRING, True),
-             "offset": (_VEC3, False)}
+             "offset": (_LENGTHS, False)}
 _FINGER = {"name": (STRING, True), "joints": (entries(_JOINT, "a list of joint entries"), True),
            "keypoints": (entries(_KEYPOINT, "a list of keypoint entries"), True)}
-_TAXELS = {"finger": (STRING, True), "rows": (INTEGER, True), "cols": (INTEGER, True),
-           "origin": (_VEC3, True), "row_step": (_VEC3, True), "col_step": (_VEC3, True)}
+_TAXELS = {"finger": (STRING, True), "rows": (COUNT, True), "cols": (COUNT, True),
+           "origin": (_LENGTHS, True), "row_step": (_LENGTHS, True), "col_step": (_LENGTHS, True)}
 _DOCUMENT = {"name": (STRING, False),
              "fingers": (entries(_FINGER, "a list of finger entries", label="name"), True),
              "taxel_layouts": (entries(_TAXELS, "a list of layout entries"), False),
@@ -179,17 +176,12 @@ def _build_joint(raw, earlier, where):
     if parent != prev:
         raise ModelError(f"{where}: joint {name!r} names parent {parent!r}, but joints are listed "
                          f"base to tip, so its parent is the previous joint {prev!r}")
-    axis, rpy = _vectors(raw, where, "axis", "origin_rotation")
-    trans, = _vectors(raw, where, "origin_translation", bound=MAX_LENGTH_M)
+    axis, rpy, trans = _vectors(raw, "axis", "origin_rotation", "origin_translation")
     with np.errstate(over="ignore"):  # a huge axis has norm inf, which the check rejects
         norm = np.linalg.norm(axis)
     if abs(norm - 1.0) > AXIS_UNIT_TOL:
         raise ModelError(f"{where}.axis: |axis| = {norm:.12g}, must be 1 within {AXIS_UNIT_TOL}")
-    lower, upper = map(float, raw["limits"])
-    if not 0.0 < upper - lower < math.inf:  # so both are finite too
-        raise ModelError(f"{where}.limits: lower must be < upper, a finite span apart, "
-                         f"got [{lower}, {upper}]")
-    return name, axis, trans, rpy_matrix(*rpy), (lower, upper)
+    return name, axis, trans, rpy_matrix(*rpy), tuple(map(float, raw["limits"]))
 
 
 def _build_keypoints(raw_list, joint_names, finger_name):
@@ -202,7 +194,7 @@ def _build_keypoints(raw_list, joint_names, finger_name):
         if raw["attached_to"] not in depth_of:
             raise ModelError(f"{where}: attached_to {raw['attached_to']!r} names no joint of the "
                              f"finger or 'base'")
-        offset, = _vectors(raw, where, "offset", bound=MAX_LENGTH_M)
+        offset, = _vectors(raw, "offset")
         kps.append((depth_of[raw["attached_to"]], offset))
     indices = [raw["index"] for raw in raw_list]
     if indices != list(range(len(kps))):
@@ -215,12 +207,9 @@ def _build_keypoints(raw_list, joint_names, finger_name):
 
 def _build_taxels(raw, where):
     rows, cols = raw["rows"], raw["cols"]
-    if rows <= 0 or cols <= 0:
-        raise ModelError(f"{where}: rows and cols must be positive, got {rows}x{cols}")
     if rows * cols > MAX_TAXELS:
         raise ModelError(f"{where}: rows and cols give {rows}x{cols} cells, at most {MAX_TAXELS}")
-    origin, row_step, col_step = _vectors(raw, where, "origin", "row_step", "col_step",
-                                          bound=MAX_LENGTH_M)
+    origin, row_step, col_step = _vectors(raw, "origin", "row_step", "col_step")
     r_idx, c_idx = np.meshgrid(np.arange(rows), np.arange(cols), indexing="ij")
     pos = origin + r_idx.reshape(-1, 1) * row_step + c_idx.reshape(-1, 1) * col_step
     return TaxelLayout(rows, cols, _freeze(pos))
@@ -242,9 +231,10 @@ def load_hand_model(document):
         ModelError: on YAML syntax errors (with line info); on an entry that
             is not a mapping, an unknown or missing key, or a value of the
             wrong kind (a boolean is never a number, a fraction never an
-            integer), naming the entry and the key; and on any failed check
-            of meaning (limits and their span, axis norms, finite vectors and
-            length bounds, joint names and order, keypoint indexing and
+            integer) or past its bound (a finite vector, a length within
+            MAX_LENGTH_M, limits a finite span apart, a grid side >= 1),
+            naming the entry and the key; and on any failed check of meaning
+            (axis norms, joint names and order, keypoint indexing and
             attachment, taxel grid sizes, rest pose).
     """
     try:

@@ -75,22 +75,24 @@ def _workspace_voxels(model, frame, samples, voxel, seed):
 
     Sampling is split into fixed-size chunks, each drawn from a substream
     keyed by (seed, finger, chunk); unions are order-independent, so the
-    result does not depend on how chunks are scheduled.
+    result does not depend on how chunks are scheduled.  Each chunk's keys
+    join the voxels kept so far at once, so memory grows with the voxels
+    reached, not with ``samples``.
     """
     i, _ = frame
     sl = model.finger_slice(i)
     lo = model.lower_limits[sl]
     hi = model.upper_limits[sl]
-    keys = []
+    keys = np.empty(0, dtype=np.int64)
     for chunk, start in enumerate(range(0, samples, SAMPLE_CHUNK)):
         rng = np.random.default_rng([seed, i, chunk])
         q_batch = rng.uniform(lo, hi, size=(min(SAMPLE_CHUNK, samples - start), lo.size))
         pts = batch_keypoint_positions(model, frame, q_batch)
-        keys.append(_pack_voxels(pts, voxel))
-    # one sort and a neighbour comparison: numpy 2.4's np.unique hashes the
-    # keys, about ten times slower on a 10,000-sample workspace
-    keys = np.sort(np.concatenate(keys))
-    return keys[np.append(True, keys[1:] != keys[:-1])]
+        # one sort and a neighbour comparison: numpy 2.4's np.unique hashes the
+        # keys, about ten times slower on a 10,000-sample workspace
+        keys = np.sort(np.concatenate((keys, _pack_voxels(pts, voxel))))
+        keys = keys[np.append(True, keys[1:] != keys[:-1])]
+    return keys
 
 
 def opposability_volume(model, thumb_frame, finger_frame, samples=DEFAULT_SAMPLES,

@@ -5,7 +5,9 @@ to ``(kind, required)``, and ``check`` walks the parsed document against
 it: each entry is a mapping, names only keys of its table, gives every
 required key, and gives each key a value of its kind.  A boolean is never a
 number and a fraction never an integer.  An optional key left empty (null)
-takes the reader's default.  Checks about meaning stay with each reader.
+takes the reader's default.  A bound on one value is part of its key's
+kind, as for a model's lengths, limits and grid sides; relations between
+keys or entries stay with the reader.
 """
 
 from __future__ import annotations
@@ -33,8 +35,9 @@ STRING = Kind("a string", lambda v: isinstance(v, str))
 # argument by ``require`` and the command line parses the flag by the same kind
 SEED = Kind("an integer >= 0", lambda v: INTEGER.test(v) and v >= 0)
 COUNT = Kind("an integer >= 1", lambda v: INTEGER.test(v) and v >= 1)
-# finite is within the float range, which an integer too large to convert is not
-FINITE = Kind("finite", lambda v: -sys.float_info.max <= v <= sys.float_info.max)
+# finite is within the float range, which an integer too large to convert is not;
+# the test takes a numpy array too, elementwise
+FINITE = Kind("finite", lambda v: (-sys.float_info.max <= v) & (v <= sys.float_info.max))
 WEIGHT = Kind("finite and >= 0", lambda v: 0.0 <= v <= sys.float_info.max)
 POSITIVE = Kind("finite and > 0", lambda v: 0.0 < v <= sys.float_info.max)
 
@@ -50,9 +53,10 @@ def list_of(kind, what):
     return Kind(what, lambda v: isinstance(v, list) and all(map(kind.test, v)))
 
 
-def numbers(n):
-    """A list of exactly ``n`` numbers."""
-    return Kind(f"{n} numbers", lambda v: NUMBERS.test(v) and len(v) == n)
+def numbers(n, rule=None):
+    """A list of exactly ``n`` numbers, each of ``rule`` when one is given."""
+    return Kind(f"{n} numbers" + (f", each {rule.what}" if rule else ""), lambda v: NUMBERS.test(v)
+                and len(v) == n and (rule is None or all(map(rule.test, v))))
 
 
 def entries(table, what, label=None):

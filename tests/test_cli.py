@@ -452,11 +452,14 @@ def test_metrics_rejects_non_finite_pose(tmp_path, capsys):
     ("rows: 12", "rows: 100000000000", "opposability",
      "taxel_layouts[0]: rows and cols give 100000000000x8 cells, at most 65536"),
     ("limits: [-0.8, 0.5]", "limits: [-1.0e+308, 1.0e+308]", "opposability",
-     "fingers[thumb].joints[0].limits: lower must be < upper, a finite span apart"),
+     "fingers[thumb].joints[0].limits: expected 2 numbers, lower < upper, a finite span apart, "
+     "got [-1e+308, 1e+308]"),
     ("origin_translation: [0.005,", "origin_translation: [1.0e+308,", "manipulability",
-     "fingers[thumb].joints[0].origin_translation: coordinates must be at most 10 m"),
+     "fingers[thumb].joints[0].origin_translation: expected 3 numbers, each at most 10 m in "
+     "magnitude, got [1e+308,"),
     ("origin_translation: [0.005,", "origin_translation: [1.0e+308,", "opposability",
-     "fingers[thumb].joints[0].origin_translation: coordinates must be at most 10 m"),
+     "fingers[thumb].joints[0].origin_translation: expected 3 numbers, each at most 10 m in "
+     "magnitude, got [1e+308,"),
 ], ids=["taxel_rows", "limits_span", "translation_manipulability", "translation_opposability"])
 def test_model_number_past_its_bound_exits_2(tmp_path, capsys, old, new, metric, needle):
     # within the float range, yet a grid too large to allocate, a joint range

@@ -378,7 +378,7 @@ def test_joint_trajectory_read_errors(tmp_path):
     for value in ("nan", "-inf"):
         spoiled = tmp_path / "spoiled.traj"
         spoiled.write_text(f"# t q[2] align couple smooth converged\n0 1 {value} 3 4 5 1\n")
-        with pytest.raises(FileFormatError, match=r"spoiled.traj:2: .* must be finite"):
+        with pytest.raises(FileFormatError, match=rf"spoiled.traj:2: angle {value} is not finite"):
             read_joint_trajectory(spoiled, 2)
     flagged = tmp_path / "flagged.traj"
     flagged.write_text("# t q[2] align couple smooth converged\n0 1 2 3 4 5 0.0\n")
@@ -412,7 +412,7 @@ def test_poses_reader(tmp_path):
         read_poses(non_finite, 3)
     blank = tmp_path / "blank.txt"
     blank.write_text("# nothing\n")
-    with pytest.raises(FileFormatError, match="no poses"):
+    with pytest.raises(FileFormatError, match="blank.txt: no data records"):
         read_poses(blank, 3)
 
 
@@ -438,6 +438,31 @@ def test_line_readers_share_record_rules(tmp_path, fmt):
     with pytest.raises(FileFormatError,
                        match=rf"records.txt:{line}: expected .*, got {n_fields + 1}$"):
         read(path)
+
+
+@pytest.mark.parametrize("fmt", sorted(_LINE_FORMATS))
+def test_line_readers_report_the_first_fault_in_file_order(tmp_path, fmt):
+    # a line's faults in the order field count, number, rule; and the file's
+    # first faulty line, though its fault is a rule's and a later one's a word
+    read, n_fields, header, first, _ = _LINE_FORMATS[fmt]
+    finite = _FIELD_KINDS[fmt].index("finite")
+    fields = first.split()
+
+    def spoilt(changes):
+        return " ".join(changes.get(k, x) for k, x in enumerate(fields))
+
+    nan, word = spoilt({finite: "nan"}), spoilt({n_fields - 1: "abc"})
+    both = spoilt({finite: "nan", n_fields - 1: "abc"})
+    line, not_a_number = header.count("\n") + 1, "could not convert string to float: 'abc'"
+    for records, at, needle in [
+            ([nan, word], line, r"\w+ nan is not finite"),
+            ([word, nan], line, not_a_number),
+            ([first, both], line + 1, not_a_number),
+            ([first, both.rsplit(" ", 1)[0], nan], line + 1, rf"expected .*, got {n_fields - 1}$")]:
+        path = tmp_path / "records.txt"
+        path.write_text(header + "".join(r + "\n" for r in records))
+        with pytest.raises(FileFormatError, match=rf"records.txt:{at}: {needle}"):
+            read(path)
 
 
 # What each field of a _LINE_FORMATS record holds: "finite" must read as a

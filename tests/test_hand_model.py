@@ -205,14 +205,16 @@ def test_entry_list_that_is_not_a_list_rejected(doc, needle):
 
 @pytest.mark.parametrize("old, new, needle", [
     ("axis: [0.0, 0.0, 1.0]", "axis: [false, false, true]",
-     "fingers[arm].joints[0].axis: expected 3 numbers, got [False, False, True]"),
+     "fingers[arm].joints[0].axis: expected 3 numbers, each finite, got [False, False, True]"),
     ("limits: [-1.0, 1.0]", "limits: [false, true]",
-     "fingers[arm].joints[0].limits: expected 2 numbers, got [False, True]"),
+     "fingers[arm].joints[0].limits: expected 2 numbers, lower < upper, a finite span apart, "
+     "got [False, True]"),
     ("limits: [-1.0, 1.0]", "limits: [-1.0, 1.0, 7.0]",
-     "fingers[arm].joints[0].limits: expected 2 numbers, got [-1.0, 1.0, 7.0]"),
+     "fingers[arm].joints[0].limits: expected 2 numbers, lower < upper, a finite span apart, "
+     "got [-1.0, 1.0, 7.0]"),
     ("index: 1,", "index: true,", "fingers[arm].keypoints[1].index: expected an integer, got True"),
     ("index: 1,", "index: 1.7,", "fingers[arm].keypoints[1].index: expected an integer, got 1.7"),
-    ("rows: 2", "rows: 2.9", "taxel_layouts[0].rows: expected an integer, got 2.9"),
+    ("rows: 2", "rows: 2.9", "taxel_layouts[0].rows: expected an integer >= 1, got 2.9"),
     ("name: mini", "name: mini\nrest_pose: [true, false]",
      "rest_pose: expected a list of numbers, got [True, False]"),
 ], ids=["axis_bools", "limits_bools", "limits_three", "index_bool", "index_fraction",
@@ -233,17 +235,22 @@ def test_value_of_the_wrong_kind_rejected(tmp_path, capsys, old, new, needle):
      "fingers[arm].joints[0].axis: |axis| = inf, must be 1"),
     ("rows: 2, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [0.001",
      "rows: 3, cols: 3, origin: [0.0, 0.0, 0.0], row_step: [1.0e+308",
-     "taxel_layouts[0].row_step: coordinates must be at most 10 m in magnitude"),
+     "taxel_layouts[0].row_step: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [1e+308, 0.0, 0.0]"),
     ("col_step: [0.0, 0.001, 0.0]", "col_step: [0.0, -1.0e+308, 0.0]",
-     "taxel_layouts[0].col_step: coordinates must be at most 10 m in magnitude"),
+     "taxel_layouts[0].col_step: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [0.0, -1e+308, 0.0]"),
     ("origin_translation: [1.0, 0.0, 0.0]", "origin_translation: [10.000000000000002, 0.0, 0.0]",
-     "fingers[arm].joints[1].origin_translation: coordinates must be at most 10 m in magnitude"),
+     "fingers[arm].joints[1].origin_translation: expected 3 numbers, each at most 10 m in "
+     "magnitude, got [10.000000000000002, 0.0, 0.0]"),
     ("offset: [1.0, 0.0, 0.0]", "offset: [0.0, -11.0, 0.0]",
-     "fingers[arm].keypoints[1].offset: coordinates must be at most 10 m in magnitude"),
+     "fingers[arm].keypoints[1].offset: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [0.0, -11.0, 0.0]"),
     ("origin: [0.0, 0.0, 0.0]", "origin: [0.0, 0.0, 1.0e+300]",
-     "taxel_layouts[0].origin: coordinates must be at most 10 m in magnitude"),
+     "taxel_layouts[0].origin: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [0.0, 0.0, 1e+300]"),
     ("limits: [-1.0, 1.0]", "limits: [-1.0e+308, 1.0e+308]",
-     "fingers[arm].joints[0].limits: lower must be < upper, a finite span apart, "
+     "fingers[arm].joints[0].limits: expected 2 numbers, lower < upper, a finite span apart, "
      "got [-1e+308, 1e+308]"),
     ("rows: 2, cols: 3", "rows: 257, cols: 256",
      "taxel_layouts[0]: rows and cols give 257x256 cells, at most 65536"),
@@ -299,9 +306,10 @@ def test_taxel_layout_validation():
     m = load_hand_model(good)
     assert m.fingers[0].taxels.positions.shape == (6, 3)
     _expect_error(good.replace("finger: arm", "finger: leg"), "unknown finger")
-    _expect_error(good.replace("rows: 2", "rows: 0"), "positive")
+    _expect_error(good.replace("rows: 2", "rows: 0"),
+                  "taxel_layouts[0].rows: expected an integer >= 1, got 0")
     _expect_error(good.replace("rows: 2", "rows: two"),
-                  "taxel_layouts[0].rows: expected an integer, got 'two'")
+                  "taxel_layouts[0].rows: expected an integer >= 1, got 'two'")
     dup = good + good[good.index("  - {finger: arm"):]
     _expect_error(dup, "already has a taxel layout")
 
@@ -316,9 +324,11 @@ def test_not_yaml_rejected():
     (MINIMAL[:MINIMAL.index("    joints:")] + "    joints: []\n"
      + MINIMAL[MINIMAL.index("    keypoints:"):], "fingers[arm].joints: needs at least one joint"),
     (MINIMAL.replace("offset: [1.0, 0.0, 0.0]", "offset: [.nan, 0.0, 0.0]"),
-     "fingers[arm].keypoints[1].offset: expected a finite 3-vector, got [nan, 0.0, 0.0]"),
+     "fingers[arm].keypoints[1].offset: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [nan, 0.0, 0.0]"),
     (WITH_TAXELS.replace("row_step: [0.001", "row_step: [.inf"),
-     "taxel_layouts[0].row_step: expected a finite 3-vector, got [inf, 0.0, 0.0]"),
+     "taxel_layouts[0].row_step: expected 3 numbers, each at most 10 m in magnitude, "
+     "got [inf, 0.0, 0.0]"),
 ], ids=["no_fingers", "no_joints", "nan_offset", "inf_row_step"])
 def test_document_without_a_hand_rejected(doc, needle):
     _expect_error(doc, needle)

@@ -1,6 +1,7 @@
 """Dexterity metrics against hand-computed geometric oracles."""
 
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -263,6 +264,22 @@ def test_workspace_voxels_are_the_sorted_unique_packed_keys(samples, chain, voxe
     assert keys.dtype == np.int64
     assert np.all(keys[1:] > keys[:-1])
     assert keys.tobytes() == np.unique(np.concatenate(packed)).tobytes()
+
+
+def test_workspace_memory_is_bounded_by_its_voxels():
+    # 2 chunks against 16 of the same workspace (some 11,000 voxels): the keys
+    # kept between chunks are the voxels reached so far, not every sample's
+    planar = load_hand_model_file(DATA / "planar_2dof.yaml")
+    tip = (0, planar.fingers[0].tip_index)
+    peaks = []
+    for samples in (2 * SAMPLE_CHUNK, 1_000_000):
+        tracemalloc.start()
+        try:
+            opposability_volume(planar, tip, tip, samples=samples, voxel_mm=20.0)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.25 * peaks[0], peaks
 
 
 def test_workspace_past_the_float_range_is_past_the_voxel_range():

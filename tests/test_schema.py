@@ -2,6 +2,7 @@
 fails its reader naming that key."""
 
 import copy
+import math
 import re
 from functools import reduce
 from operator import getitem
@@ -19,9 +20,11 @@ from dexretarget.fileio import FileFormatError, read_calibration, read_stream_co
 from dexretarget.hand_model import ModelError, load_hand_model
 from dexretarget.schema import LOADER
 
-# values of every kind but null, which leaves an optional key at its default
+# values of every kind but null, which leaves an optional key at its default, and
+# values just past a bound: a length over 10 m, a non-finite number, a count
+# of 0 and limits with lower > upper
 _OTHERS = [True, False, "text", 7, -2, 2.5, [], [1.0], [1, 2], [True], [[1.0, 2.0, 3.0]],
-           {1: 2.0}, {"key": "value"}]
+           {1: 2.0}, {"key": "value"}, [11.0, 0.0, 0.0], [math.nan, 0.0, 0.0], 0, [1.0, -1.0]]
 
 
 def _locations(doc, table, at=()):

@@ -4,7 +4,10 @@
 For each workload of ``bench/workloads.py``'s registry it runs
 ``bench/run.py --seed 1 --seconds 34 --trace 0`` and then ``--trace 1`` as
 subprocesses, one after another, and keeps the JSON line each prints
-last: the end-to-end and the per-layer metrics.  It adds the line counts
+last: the end-to-end and the per-layer metrics.  From the untraced run it
+also keeps the line of raw wall-clock times and the speed reference's
+median, against which the raw per-layer times of that session can be
+read.  It adds the line counts
 of ``src/dexretarget/*.py``, the tier-1 suite's count and wall time, the
 machine, and the checkout's HEAD.  Run it from any directory:
 
@@ -59,10 +62,16 @@ def _run(argv, **kwargs):
 
 
 def bench(workload, trace):
-    """The JSON line ``bench/run.py`` prints last."""
+    """The JSON line ``bench/run.py`` prints last, and its whole stdout."""
     done = _run([sys.executable, "bench/run.py", "--workload", workload, "--seed", str(SEED),
                  "--seconds", str(SECONDS), "--trace", str(trace)], check=True)
-    return json.loads(done.stdout.strip().splitlines()[-1])
+    return json.loads(done.stdout.strip().splitlines()[-1]), done.stdout
+
+
+def raw_speed(stdout):
+    """The "raw wall-clock: ... speed reference median ..." line of an
+    untraced ``bench/run.py`` stdout, or None if it holds none."""
+    return next((line for line in stdout.splitlines() if line.startswith("raw wall-clock: ")), None)
 
 
 def tier1():
@@ -111,7 +120,16 @@ def main(argv=None):
     if code != 0:
         print(f"record_bench: tier-1 suite failed (exit {code}): {tests['summary']}", file=sys.stderr)
         return 1
-    workloads = {w: {"end_to_end": bench(w, 0), "per_layer": bench(w, 1)} for w in WORKLOADS}
+    workloads = {}
+    for w in WORKLOADS:
+        end_to_end, stdout = bench(w, 0)
+        raw = raw_speed(stdout)
+        if raw is None:
+            print(f"record_bench: {w}: the untraced run printed no raw wall-clock line",
+                  file=sys.stderr)
+            return 1
+        workloads[w] = {"end_to_end": end_to_end, "raw_wall_clock": raw,
+                        "per_layer": bench(w, 1)[0]}
     zero = unseen(workloads, table)
     if zero:
         for w, name in zero:
