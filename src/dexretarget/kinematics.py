@@ -19,8 +19,8 @@ _ZERO = np.zeros(3)
 _EYE.flags.writeable = _ZERO.flags.writeable = False
 # (a x b)[c] = a[c + 1] b[c + 2] - a[c + 2] b[c + 1], indices mod 3: the
 # terms and order of np.cross, so Jacobians keep their exact values
-_NEXT = [1, 2, 0]
-_AFTER = [2, 0, 1]
+_NEXT = np.array([1, 2, 0])  # index arrays: numpy converts a list on every use
+_AFTER = np.array([2, 0, 1])
 
 
 def _coerce_q(model, q):
@@ -39,31 +39,41 @@ def _apply(m, v):
 
 
 def _compose(r, m):
-    """Rotations ``r`` (..., 3, 3) times ``m``: one (..., 3, 3) matrix each,
-    or one (3, 3) matrix shared by all, applied as one flat product."""
-    if m.ndim == 2:
-        return (r.reshape(-1, 3) @ m).reshape(r.shape)
-    return r @ m
+    """Rotations ``r`` (..., 3, 3) times one (3, 3) matrix ``m`` shared by
+    all, applied as one flat product."""
+    return (r.reshape(-1, 3) @ m).reshape(r.shape)
 
 
-def _chain_state(model, finger, q, depth=None):
+def _walk_buffers(model):
+    """Fresh arrays for a whole-hand walk of ``model``: (D + 1, F, 3, 3) link
+    rotations and (D + 1, F, 3) translations, link 0 the palm already set, and
+    (D, F, 3, 3) joint frames."""
+    f, d = model.chains.q_index.shape
+    rots, trans = np.empty((d + 1, f, 3, 3)), np.empty((d + 1, f, 3))
+    rots[0], trans[0] = _EYE, _ZERO
+    return rots, trans, np.empty((d, f, 3, 3))
+
+
+def _chain_state(model, finger, q, depth=None, out=None):
     """Walk chains in one of two layouts: with ``finger`` None, the whole
-    hand at one (total_dof,) ``q``, in the (F, D) layout of ``model.chains``;
+    hand at one (total_dof,) ``q``, in the (F, D) layout of ``model.chains``,
+    written into ``out`` (a :func:`_walk_buffers` triple) or fresh buffers;
     else finger ``finger`` alone over a (B, dof) batch of its angles ``q``.
 
     Returns:
-        (rots, trans, frames): lists of the link rotations and translations
-        for links 0..depth (link 0 is the palm; depth defaults to the
-        joints in ``q``) and of the joint frames, the rotation in which
-        joint k's axis is expressed, for joints 0..depth-1.  Joint k's
-        origin is ``trans[k + 1]``.  Entries carry the finger dimension, or
-        the batch dimension once a joint angle has entered them.
+        (rots, trans, frames): the link rotations and translations for
+        links 0..depth (link 0 is the palm; depth defaults to the joints in
+        ``q``, and is all D in the whole-hand layout) and the joint frames,
+        the rotation in which joint k's axis is expressed, for joints
+        0..depth-1.  Joint k's origin is ``trans[k + 1]``.  Entries carry the
+        finger dimension, or the batch dimension once a joint angle has
+        entered them.  The whole hand's are the stacked buffers, a batch's
+        are lists.
     """
     c = model.chains
+    if finger is None:
+        return _hand_walk(c, np.append(q, 0.0)[c.q_index], out or _walk_buffers(model))
     r, t = _EYE, _ZERO
-    if finger is None:  # padding joints turn by a zero appended to q
-        finger, q = slice(None), np.append(q, 0.0)[c.q_index]
-        r, t = np.broadcast_to(_EYE, (len(q), 3, 3)), np.broadcast_to(_ZERO, (len(q), 3))
     sin, vers = np.sin(q), 1.0 - np.cos(q)
     rots, trans, frames = [r], [t], []
     for k in range(q.shape[-1] if depth is None else depth):
@@ -82,35 +92,66 @@ def _chain_state(model, finger, q, depth=None):
     return rots, trans, frames
 
 
-# keypoints placed on a whole-hand walk: (n, 3) positions, the (D, n, 3)
-# world axes and origins of the D joints of each one's finger, (n,) links
-# and (n, D) q columns of those joints (total_dof for padding)
-KeypointGather = namedtuple("KeypointGather", "points axes origins links columns")
+def _hand_walk(c, q, out):
+    """The whole-hand walk at (F, D) angles ``q`` (padding joints turn by 0),
+    each link written into its row of the ``out`` buffers by the one-finger
+    walk's steps, so both layouts agree bit for bit."""
+    rots, trans, frames = out
+    sin, vers = np.sin(q), 1.0 - np.cos(q)
+    for k in range(q.shape[1]):
+        np.add(trans[k], _apply(rots[k], c.translation[:, k]), out=trans[k + 1])
+        r = np.matmul(rots[k], c.rotation[:, k], out=frames[k])
+        step = np.multiply(sin[:, k, None, None], r @ c.skew[:, k], out=rots[k + 1])
+        step += r
+        step += vers[:, k, None, None] * (r @ c.skew_sq[:, k])
+    return out
+
+
+# a gather's fixed part for (K, 2) slots: each slot's finger, link, offset
+# and (K, D) q columns of its finger's joints (total_dof for padding), and
+# where each entry of the (D, K, 3) joint cross products lands in the flat
+# (K, 3, total_dof + 1) Jacobian block: a joint that does not precede its
+# slot's link lands in the last column, which the block drops
+SlotPlan = namedtuple("SlotPlan", "fingers links offsets columns scatter")
+
+
+def _plan_slots(model, slots):
+    """The :class:`SlotPlan` of ``slots``, a (K, 2) array of (finger, keypoint) pairs."""
+    c, n = model.chains, model.total_dof
+    fingers, index = np.asarray(slots, dtype=int).reshape(-1, 2).T
+    links, columns = c.link[fingers, index], c.q_index[fingers]
+    lands = np.where(np.arange(columns.shape[1]) < links[:, None], columns, n)
+    rows = (np.arange(len(links))[:, None] * 3 + np.arange(3)) * (n + 1)
+    return SlotPlan(fingers, links, c.offset[fingers, index], columns, rows + lands.T[..., None])
+
+
+# keypoints placed on a whole-hand walk: (K, 3) positions, the (D, K, 3)
+# world axes and origins of the D joints of each one's finger, and the
+# slots' plan
+KeypointGather = namedtuple("KeypointGather", "points axes origins plan")
 
 
 def _gather(model, state, slots):
     """Place the keypoints at ``slots``, a (K, 2) array of (finger,
-    keypoint) pairs, on the whole-hand walk ``state``."""
-    c = model.chains
-    fingers, index = np.asarray(slots, dtype=int).T
-    rots, trans, frames = map(np.stack, state)
-    links = c.link[fingers, index]
-    points = trans[links, fingers] + _apply(rots[links, fingers], c.offset[fingers, index])
-    axes = _apply(frames, c.axis.swapaxes(0, 1))[:, fingers]
-    return KeypointGather(points, axes, trans[1:, fingers], links, c.q_index[fingers])
+    keypoint) pairs or their :class:`SlotPlan`, on the whole-hand walk ``state``."""
+    plan = slots if isinstance(slots, SlotPlan) else _plan_slots(model, slots)
+    rots, trans, frames = state
+    fingers, links = plan.fingers, plan.links
+    points = trans[links, fingers] + _apply(rots[links, fingers], plan.offsets)
+    axes = _apply(frames, model.chains.axis.swapaxes(0, 1))[:, fingers]
+    return KeypointGather(points, axes, trans[1:, fingers], plan)
 
 
 def linear_jacobian_block(at, n_dof):
-    """(n, 3, n_dof) linear-velocity Jacobians of the n gathered points.
+    """(K, 3, n_dof) linear-velocity Jacobians of the K gathered points.
 
     Joint k of a point's finger fills its q column with ``axes[k] x
     (point - origin_k)`` while it precedes the point's link, else zero.
     """
     d = at.points - at.origins
     cross = at.axes[..., _NEXT] * d[..., _AFTER] - at.axes[..., _AFTER] * d[..., _NEXT]
-    cross[np.arange(len(cross))[:, None] >= at.links] = 0.0
-    block = np.zeros((len(at.links), 3, n_dof + 1))
-    block[np.arange(len(at.links)), :, at.columns.T] = cross
+    block = np.zeros((len(at.points), 3, n_dof + 1))
+    block.reshape(-1)[at.plan.scatter] = cross
     return block[..., :n_dof]
 
 
@@ -144,7 +185,7 @@ def jacobian(model, q, frame):
     at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), [frame])
     jac = np.zeros((6, model.total_dof))
     jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
-    jac[3:, at.columns[0, :link]] = at.axes[:link, 0].T
+    jac[3:, at.plan.columns[0, :link]] = at.axes[:link, 0].T
     return jac
 
 

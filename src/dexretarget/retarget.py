@@ -24,7 +24,8 @@ import numpy as np
 
 from . import kinematics
 from .hand_model import HandModel, _freeze
-from .kinematics import _chain_state, _gather, linear_jacobian_block
+from .kinematics import (_chain_state, _gather, _plan_slots, _walk_buffers,
+                         linear_jacobian_block)
 from .schema import COUNT, FINITE, POSITIVE, WEIGHT, Kind, require
 
 DEFAULT_SIGMOID_K = 10.0
@@ -268,7 +269,13 @@ class RetargetProblem:
     ``targets``; ``slots`` the (K, 2) keypoints each evaluation places (the
     pairs, then the thumb tip and each coupled tip when a finger is coupled);
     ``rows`` the term of each residual row (0 align, 1 couple, 2 smooth);
-    ``weights`` each row's sqrt(lambda)."""
+    ``weights`` each row's sqrt(lambda).
+
+    The problem also owns its evaluation plan, fixed once: the slots' gather
+    plan, the whole-hand walk buffers, and the last evaluated pose with its
+    keypoints and their Jacobian, read-only.  A frame's first evaluation, at
+    its warm start, is usually the pose the previous frame's solve evaluated
+    last, and reuses them.  So a problem serves one evaluation at a time."""
 
     model: HandModel
     pairs: tuple[tuple[int, int], ...]
@@ -281,6 +288,9 @@ class RetargetProblem:
     slots: np.ndarray = field(init=False, repr=False)
     rows: np.ndarray = field(init=False, repr=False)
     weights: np.ndarray = field(init=False, repr=False)
+    _plan: kinematics.SlotPlan = field(init=False, repr=False)
+    _walk: tuple = field(init=False, repr=False)
+    _last: tuple = field(init=False, repr=False, default=(None, None, None))
 
     def __post_init__(self):
         self.pairs = tuple((int(i), int(j)) for i, j in self.pairs)
@@ -302,6 +312,7 @@ class RetargetProblem:
         self.rows = np.repeat([0, 1, 2], (3 * len(self.pairs), 3 * len(coupled),
                                           self.model.total_dof))
         self.weights = np.sqrt(np.take(self.lambdas, self.rows))
+        self._plan, self._walk = _plan_slots(self.model, self.slots), _walk_buffers(self.model)
         self.at(self.targets, self.coupling, self.q_prev)
 
     def at(self, targets, coupling, q_prev):
@@ -347,18 +358,30 @@ def default_pairs(model):
 def _residuals(q, prob):
     """Unweighted stacked residual e and its Jacobian de/dq at q: the rows
     targets - FK over ``prob.pairs``, sqrt(omega_m) (D_m - g_m) per coupled
-    finger, then q - q_prev.  The objective weighs block b by lambda_b."""
-    model, n = prob.model, prob.model.total_dof
-    at = _gather(model, _chain_state(model, None, q), prob.slots)
-    p, dp = at.points, linear_jacobian_block(at, n)  # positions, dp/dq
+    finger, then q - q_prev.  The objective weighs block b by lambda_b.
+
+    The keypoints and their Jacobian come from the walk into ``prob``'s
+    buffers, through this module's ``_chain_state`` and
+    ``linear_jacobian_block``, or, when q is bit for bit the last pose
+    evaluated, from that evaluation.  e and J are fresh arrays on every call."""
+    n, key = prob.model.total_dof, q.tobytes()
+    if key != prob._last[0]:  # else q is, bit for bit, the last point evaluated
+        at = _gather(prob.model, _chain_state(prob.model, None, q, out=prob._walk), prob._plan)
+        p, dp = at.points, linear_jacobian_block(at, n)  # positions, dp/dq
+        p.flags.writeable = dp.flags.writeable = False
+        prob._last = key, p, dp
+    _, p, dp = prob._last
     m = len(prob.pairs)  # the thumb tip's row, if a finger is coupled
-    e, jac = [prob.targets - p[:m]], [-dp[:m]]
+    e, jac = np.empty(len(prob.rows)), np.zeros((len(prob.rows), n))
+    np.subtract(prob.targets, p[:m], out=e[:3 * m].reshape(m, 3))
+    np.negative(dp[:m], out=jac[:3 * m].reshape(m, 3, n))
     if len(p) > m:
         s = np.sqrt(prob.coupling.omega)[:, None]
-        e.append(s * (prob.coupling.delta - (p[m + 1:] - p[m])))
-        jac.append(-s[..., None] * (dp[m + 1:] - dp[m]))
-    return (np.concatenate([a.reshape(-1) for a in e] + [q - prob.q_prev]),
-            np.concatenate([a.reshape(-1, n) for a in jac] + [np.eye(n)]))
+        e[3 * m:-n] = (s * (prob.coupling.delta - (p[m + 1:] - p[m]))).reshape(-1)
+        jac[3 * m:-n] = (-s[..., None] * (dp[m + 1:] - dp[m])).reshape(-1, n)
+    np.subtract(q, prob.q_prev, out=e[-n:])
+    jac[-n:].flat[::n + 1] = 1.0
+    return e, jac
 
 
 def objective(q, prob):
@@ -411,12 +434,16 @@ def minimize(fun, weights, x0, lower, upper, tolerance, max_iterations):
         free = ~(((x <= lower) & (g > 0.0)) | ((x >= upper) & (g < 0.0)))
         if not np.any(g[free]):
             return LMResult(x, e, nit, True)
-        g, a = g[free], (jac.T @ jac)[np.ix_(free, free)]
+        held = not free.all()  # else the index copies below would copy everything
+        g, a = (g[free], (jac.T @ jac)[np.ix_(free, free)]) if held else (g, jac.T @ jac)
         d = np.maximum(np.diag(a), _DIAG_FLOOR)
         while True:
             s = np.linalg.solve(a + np.diag(mu * d), -g)
-            x_new = x.copy()
-            x_new[free] = np.clip(x[free] + s, lower[free], upper[free])
+            if held:
+                x_new = x.copy()
+                x_new[free] = np.clip(x[free] + s, lower[free], upper[free])
+            else:
+                x_new = np.clip(x + s, lower, upper)
             e_new, jac_new = fun(x_new)
             r_new = weights * e_new
             f_new = r_new @ r_new

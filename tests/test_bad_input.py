@@ -7,7 +7,7 @@ import math
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import DATA, README_STREAMS
@@ -52,20 +52,53 @@ def _non_finite(out):
                     pass
 
 
+def _mended(spoilt, pattern, value, metrics=False):
+    """An explicit example: input ``spoilt`` with the token that is the group of
+    ``pattern`` replaced by ``value``, run through ``metrics`` if a model."""
+    return example(data=None, mended=(spoilt, pattern, value, metrics))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data):
-    spoilt = data.draw(st.sampled_from(sorted(inputs)), label="input")
-    text, spans = inputs[spoilt]
-    start, end = data.draw(st.sampled_from(spans), label="token")
-    value = data.draw(st.sampled_from(_VALUES), label="value")
+@given(data=st.data(), mended=st.none())
+# the one-token spellings of mended defects, run every time: config times
+# past the float range, and event and frame counts that overflowed or ran away
+@_mended("config", r"latency_bound: (0\.002)", "1.0e+308")
+@_mended("config", r"camera, period: (0\.04)", "1.0e-308")
+@_mended("config", r"rate_hz: (25\.0)", "1.0e+308")
+@_mended("config", r"rate_hz: (25\.0)", "1.0e+6")
+@_mended("config", r"duration: (10\.0)", "1.0e+308")
+# model numbers that overflowed an axis norm, a taxel grid, a voxel index or a
+# Jacobian product, an unbounded taxel grid and joint span, and a subnormal
+# axis on which numpy's det divided by zero
+@_mended("model", r"axis: \[(0\.0), 0\.0, 1\.0\]", "1.0e+308")
+@_mended("model", r"row_step: \[(0\.0015)", "1.0e+308", metrics=True)
+@_mended("model", r"origin_translation: \[(0\.005)", "1.0e+308")
+@_mended("model", r"origin_translation: \[(0\.005)", "1.0e+308", metrics=True)
+@_mended("model", r"rows: (12)", "100000000000", metrics=True)
+@_mended("model", r"limits: \[(-0\.8)", "-1.0e+308", metrics=True)
+@_mended("model", r"index_pip\n\s+axis: \[(0\.0)", "1.0e-308", metrics=True)
+# a calibration coupling one finger twice, or the thumb to itself
+@_mended("calibration", r"coupling_fingers: \[1, 2, 3, (4)\]", "3")
+@_mended("calibration", r"coupling_fingers: \[(1)", "0")
+def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data, mended):
+    if mended is None:
+        spoilt = data.draw(st.sampled_from(sorted(inputs)), label="input")
+        text, spans = inputs[spoilt]
+        start, end = data.draw(st.sampled_from(spans), label="token")
+        value = data.draw(st.sampled_from(_VALUES), label="value")
+        metrics = spoilt == "model" and data.draw(st.booleans(), label="metrics")
+    else:
+        spoilt, pattern, value, metrics = mended
+        text, spans = inputs[spoilt]
+        start, end = re.search(pattern, text).span(1)
+        assert (start, end) in spans  # a token the property itself may draw
     run = tmp_path_factory.mktemp("spoilt")
     paths = {name: run / name for name in inputs}
     for name, path in paths.items():
         path.write_text(text[:start] + value + text[end:] if name == spoilt else inputs[name][0])
     if spoilt == "config":
         argv = ["syncsim", "--config", paths["config"]]
-    elif spoilt == "model" and data.draw(st.booleans(), label="metrics"):
+    elif metrics:
         (run / "poses.txt").write_text("rest" + " 0" * 20 + "\n")  # the rest pose
         argv = ["metrics", "--model", paths["model"], "--poses", run / "poses.txt",
                 "--metric", "all", "--samples", "64"]

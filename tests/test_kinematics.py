@@ -11,7 +11,8 @@ from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather,
                                     batch_keypoint_positions, forward_kinematics,
                                     jacobian, joint_to_motor, linear_jacobian_block,
                                     motor_to_joint, taxel_point_cloud)
-from dexretarget.retarget import CouplingState, RetargetProblem, objective, objective_gradient
+from dexretarget.retarget import (CouplingState, RetargetProblem, _residuals, default_pairs,
+                                  objective, objective_gradient)
 
 from conftest import RIGID_PAIR, TOY_3DOF, random_joint, serial_chain
 
@@ -321,6 +322,61 @@ def test_ragged_hand_matches_its_fingers_and_differences(case, seed):
     fd = np.array([objective(q + dq, prob)[0] - objective(q - dq, prob)[0]
                    for dq in steps]) / (2 * h)
     assert np.max(np.abs(objective_gradient(q, prob) - fd)) < 1e-7
+
+
+# --- a problem's evaluation plan ------------------------------------------------
+
+def _unplanned_residuals(prob, q):
+    """The residual e and its Jacobian at q from a fresh walk and a gather of
+    the raw slots, assembled row for row as the problem's residual."""
+    model, n, m = prob.model, prob.model.total_dof, len(prob.pairs)
+    at = _gather(model, _chain_state(model, None, q), prob.slots)
+    p, dp = at.points, linear_jacobian_block(at, n)
+    e, jac = [prob.targets - p[:m]], [-dp[:m]]
+    if len(p) > m:
+        s = np.sqrt(prob.coupling.omega)[:, None]
+        e.append(s * (prob.coupling.delta - (p[m + 1:] - p[m])))
+        jac.append(-s[..., None] * (dp[m + 1:] - dp[m]))
+    return (np.concatenate([a.reshape(-1) for a in e] + [q - prob.q_prev]),
+            np.concatenate([a.reshape(-1, n) for a in jac] + [np.eye(n)]))
+
+
+def _assert_planned_evaluations_are_unplanned(model, pairs, coupled, rng):
+    """Two evaluations of one problem at different poses, then a new frame
+    warm-started at the second pose: each gives the unplanned e and J bit for
+    bit, and a later evaluation leaves an earlier one's arrays as they were."""
+    coupling = None
+    if coupled:  # every finger after the thumb
+        k = len(model.fingers) - 1
+        coupling = CouplingState(tuple(range(1, k + 1)), rng.uniform(-0.1, 0.1, (k, 3)),
+                                 np.zeros(k), rng.uniform(0.01, 0.99, k))
+    poses = [rng.uniform(model.lower_limits, model.upper_limits) for _ in range(3)]
+    prob = RetargetProblem(model, pairs, rng.uniform(-0.2, 0.2, (len(pairs), 3)), coupling,
+                           poses[0], lambdas=(1.0, 0.5, 0.1))
+    first = _residuals(poses[1], prob)
+    kept = [a.copy() for a in first]
+    second = _residuals(poses[2], prob)
+    for got, q in ((first, poses[1]), (kept, poses[1]), (second, poses[2])):
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in _unplanned_residuals(prob, q)]
+    prob.at(rng.uniform(-0.2, 0.2, (len(pairs), 3)), coupling, poses[2])
+    again = _residuals(poses[2], prob)  # the last pose evaluated: no walk
+    assert [a.tobytes() for a in again] == [a.tobytes() for a in _unplanned_residuals(prob, poses[2])]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(serial_chain(), ragged_hand()), st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_random_hand_planned_evaluations_are_unplanned(case, seed, coupled):
+    model = case[0]
+    coupled = coupled and len(model.fingers) > 1  # a one-finger chain couples nothing
+    _assert_planned_evaluations_are_unplanned(model, _pairs(model), coupled,
+                                              np.random.default_rng(seed))
+
+
+@settings(max_examples=20, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1), st.booleans())
+def test_bundled_hand_planned_evaluations_are_unplanned(robot, seed, coupled):
+    _assert_planned_evaluations_are_unplanned(robot, default_pairs(robot), coupled,
+                                              np.random.default_rng(seed))
 
 
 # --- differential motor mapping ----------------------------------------------

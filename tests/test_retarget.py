@@ -16,7 +16,7 @@ from dexretarget.retarget import (CalibrationData, CalibrationError, CouplingSta
                                   coupling_weights, default_pairs, objective,
                                   objective_gradient, retarget_stream, solve_retarget)
 
-from conftest import identity_frame, ragged_frame, random_frame
+from conftest import GESTURES, identity_frame, ragged_frame, random_frame
 
 
 # --- calibration --------------------------------------------------------------
@@ -932,6 +932,64 @@ def test_stream_builds_one_problem_before_the_first_frame(robot, calibration, ge
     steps = retarget_stream(robot, calibration, pull(), **settings)
     assert len(built) == 1 and seen == [1] * 6
     assert [s.solver_failed or s.rejected for s in steps] == [False] * 6
+
+
+_CRITERION_6 = dict(lambdas=(1.0, 0.0, 0.0), tolerance=1e-10, max_iterations=200)
+
+
+@pytest.mark.parametrize("settings", [{}, _CRITERION_6], ids=["defaults", "criterion_6"])
+@pytest.mark.parametrize("gesture", GESTURES)
+def test_stream_steps_solve_as_fresh_problems(robot, calibration, gesture_frames, monkeypatch,
+                                              gesture, settings):
+    # the stream's one problem, with its walk buffers and its reuse of the
+    # last pose evaluated, solves each frame bit for bit as a problem built
+    # for that frame's targets, coupling and warm start alone
+    solved, solve = [], retarget.solve_retarget
+
+    def recorded(prob):
+        solved.append((prob.targets.copy(), prob.coupling, prob.q_prev.copy()))
+        return solve(prob)
+
+    monkeypatch.setattr(retarget, "solve_retarget", recorded)
+    steps = retarget_stream(robot, calibration, gesture_frames[gesture], **settings)
+    assert len(solved) == len(steps) and not any(s.rejected or s.solver_failed for s in steps)
+    q_prev = np.clip(calibration.q0, robot.lower_limits, robot.upper_limits)
+    for step, (targets, coupling, warm) in zip(steps, solved):
+        assert warm.tobytes() == q_prev.tobytes()
+        want = solve_retarget(RetargetProblem(robot, default_pairs(robot), targets, coupling,
+                                              warm, **settings))
+        assert step.q.tobytes() == want.q.tobytes()
+        assert step.residuals.tobytes() == want.residuals.tobytes()
+        assert step.converged == want.converged
+        q_prev = step.q
+    # criterion 6's frames end with joints on their limits, where the solver holds them
+    on_limit = [np.any((s.q == robot.lower_limits) | (s.q == robot.upper_limits)) for s in steps]
+    assert any(on_limit) == (settings == _CRITERION_6)
+
+
+def test_stream_walks_at_each_evaluation_but_a_warm_start(robot, calibration, gesture_frames,
+                                                         monkeypatch):
+    # a frame's first evaluation, at its warm start, is the pose the previous
+    # frame evaluated last and reuses it; the counts reach the walk and the
+    # Jacobian block through the module's names, which a bound import would bypass
+    counts = dict.fromkeys(["evaluations", "_chain_state", "linear_jacobian_block"], 0)
+    minimize = retarget.minimize
+
+    def counted(name, call):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return call(*args, **kwargs)
+        return wrapper
+
+    for name in ("_chain_state", "linear_jacobian_block"):
+        monkeypatch.setattr(retarget, name, counted(name, getattr(retarget, name)))
+    monkeypatch.setattr(retarget, "minimize",
+                        lambda fun, *args: minimize(counted("evaluations", fun), *args))
+    frames = gesture_frames["fist"]
+    steps = retarget_stream(robot, calibration, frames)
+    assert not any(s.rejected or s.solver_failed for s in steps)
+    walks = counts["evaluations"] - (len(frames) - 1)
+    assert counts["_chain_state"] == counts["linear_jacobian_block"] == walks > 0
 
 
 def test_stream_layout_mismatch_raises(robot, calibration):
