@@ -120,6 +120,13 @@ class HandModel:
         return tuple(f.keypoint_count for f in self.fingers)
 
 
+def _limit_faults(name, q, lo, hi):
+    """A message per angle of the joint vector ``q``, called ``name``, not within [lo, hi]."""
+    for k in np.flatnonzero(~((lo <= q) & (q <= hi))):  # a NaN never is
+        yield (f"{name}: values must lie within joint limits; joint {k} is {q[k]:g}, "
+               f"outside [{lo[k]:g}, {hi[k]:g}]")
+
+
 def _stack_rows(rows, length, pad):
     """Each finger's list of rows, padded with ``pad`` to ``length``, as one
     (F, length, ...) array per field of a row."""
@@ -278,8 +285,8 @@ def load_hand_model(document):
     if rest_pose.shape != (total_dof,):
         raise ModelError(f"rest_pose: expected {total_dof} values, got shape {rest_pose.shape}")
     lo, hi = np.array([limits for chain in joints for *_, limits in chain]).T
-    if not np.all((rest_pose >= lo) & (rest_pose <= hi)):
-        raise ModelError("rest_pose: values must lie within joint limits")
+    for fault in _limit_faults("rest_pose", rest_pose, lo, hi):
+        raise ModelError(fault)
     return HandModel(raw.get("name", "unnamed"), tuple(fingers), total_dof, _freeze(rest_pose),
                      _freeze(lo), _freeze(hi), _stack_chains(fingers, joints, keypoints, total_dof))
 

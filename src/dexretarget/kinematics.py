@@ -38,9 +38,10 @@ def _apply(m, v):
     return (m @ v[..., None])[..., 0]
 
 
-def _compose(r, m):
+def _compose(r, m, out=None):
     """Rotations ``r`` (..., 3, 3) times one (3, 3) matrix ``m`` shared by
-    all, applied as one flat product."""
+    all, applied as one flat product into a fresh array; ``out`` is always
+    None: a batch walk calls this where the whole hand's calls np.matmul."""
     return (r.reshape(-1, 3) @ m).reshape(r.shape)
 
 
@@ -55,10 +56,13 @@ def _walk_buffers(model):
 
 
 def _chain_state(model, finger, q, depth=None, out=None):
-    """Walk chains in one of two layouts: with ``finger`` None, the whole
-    hand at one (total_dof,) ``q``, in the (F, D) layout of ``model.chains``,
-    written into ``out`` (a :func:`_walk_buffers` triple) or fresh buffers;
-    else finger ``finger`` alone over a (B, dof) batch of its angles ``q``.
+    """Walk chains from the palm in one loop, in one of two layouts: with
+    ``finger`` None, the whole hand at one (total_dof,) ``q``, in the (F, D)
+    layout of ``model.chains``, each link written into its rows of ``out``
+    (a :func:`_walk_buffers` triple that the caller owns and may reuse) or
+    of fresh buffers; else finger ``finger`` alone over a (B, dof) batch of
+    its angles ``q``, each link a fresh array that the caller drops before
+    its next slice, so that the allocator hands that slice the same memory.
 
     Returns:
         (rots, trans, frames): the link rotations and translations for
@@ -70,41 +74,27 @@ def _chain_state(model, finger, q, depth=None, out=None):
         entered them.  The whole hand's are the stacked buffers, a batch's
         are lists.
     """
-    c = model.chains
+    c, compose = model.chains, _compose if finger is not None else np.matmul
     if finger is None:
-        return _hand_walk(c, np.append(q, 0.0)[c.q_index], out or _walk_buffers(model))
+        finger, q, out = slice(None), np.append(q, 0.0)[c.q_index], out or _walk_buffers(model)
     r, t = _EYE, _ZERO
     sin, vers = np.sin(q), 1.0 - np.cos(q)
     rots, trans, frames = [r], [t], []
     for k in range(q.shape[-1] if depth is None else depth):
-        t = t + _apply(r, c.translation[finger, k])
-        r = _compose(r, c.rotation[finger, k])
+        t = np.add(t, _apply(r, c.translation[finger, k]), out=out and out[1][k + 1])
+        r = compose(r, c.rotation[finger, k], out=out and out[2][k])
         frames.append(r)
         # r (I + sin K + (1 - cos) K K) as two products, flat in a one-finger
-        # batch, summed in place (sin rK + r has the bits of r + sin rK);
-        # every path takes the same steps, so they agree bit for bit
-        step = sin[..., k, None, None] * _compose(r, c.skew[finger, k])
+        # batch and one per finger in the whole hand, summed in place (sin rK
+        # + r has the bits of r + sin rK): both layouts agree bit for bit
+        step = np.multiply(sin[..., k, None, None], compose(r, c.skew[finger, k]),
+                           out=out and out[0][k + 1])
         step += r
-        step += vers[..., k, None, None] * _compose(r, c.skew_sq[finger, k])
+        step += vers[..., k, None, None] * compose(r, c.skew_sq[finger, k])
         r = step
         rots.append(r)
         trans.append(t)
-    return rots, trans, frames
-
-
-def _hand_walk(c, q, out):
-    """The whole-hand walk at (F, D) angles ``q`` (padding joints turn by 0),
-    each link written into its row of the ``out`` buffers by the one-finger
-    walk's steps, so both layouts agree bit for bit."""
-    rots, trans, frames = out
-    sin, vers = np.sin(q), 1.0 - np.cos(q)
-    for k in range(q.shape[1]):
-        np.add(trans[k], _apply(rots[k], c.translation[:, k]), out=trans[k + 1])
-        r = np.matmul(rots[k], c.rotation[:, k], out=frames[k])
-        step = np.multiply(sin[:, k, None, None], r @ c.skew[:, k], out=rots[k + 1])
-        step += r
-        step += vers[:, k, None, None] * (r @ c.skew_sq[:, k])
-    return out
+    return out or (rots, trans, frames)
 
 
 # a gather's fixed part for (K, 2) slots: each slot's finger, link, offset

@@ -23,7 +23,7 @@ from types import MappingProxyType
 import numpy as np
 
 from . import kinematics
-from .hand_model import HandModel, _freeze
+from .hand_model import HandModel, _freeze, _limit_faults
 from .kinematics import (_chain_state, _gather, _plan_slots, _walk_buffers,
                          linear_jacobian_block)
 from .schema import COUNT, FINITE, POSITIVE, WEIGHT, Kind, require
@@ -196,6 +196,8 @@ def _check_calibration(model, w_star, q0):
                                f"model layout {model.keypoint_counts()}")
     if q0.shape != (model.total_dof,):
         raise CalibrationError(f"q0 has shape {q0.shape}, expected ({model.total_dof},)")
+    for fault in _limit_faults("q0", q0, model.lower_limits, model.upper_limits):
+        raise CalibrationError(fault)
 
 
 def adjust_keypoints(frame, cal):
@@ -522,7 +524,7 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     lambdas = tuple(lambdas)
     if not (len(lambdas) == 3 and lambdas[1] > 0.0):  # bad lambdas fail in the problem
         coupling = None
-    q_prev, residuals = np.clip(cal.q0, model.lower_limits, model.upper_limits), np.zeros(3)
+    q_prev, residuals = cal.q0, np.zeros(3)
     prob = RetargetProblem(model, pairs, np.zeros((len(pairs), 3)), coupling, q_prev,
                            lambdas=lambdas, tolerance=tolerance, max_iterations=max_iterations)
     fingers, index = prob.slots[:len(prob.pairs)].T

@@ -1,12 +1,15 @@
 """Spoilt inputs through the command line: one numeric or YAML token of the
 model, the calibration, a 14-line capture or the stream config is replaced
 by a bad value, and the run must end in exit 0, 1 or 2 without an escaping
-exception, and write no non-finite number at exit 0."""
+exception, and write no non-finite number at exit 0.  The property draws an
+input, then one of its keys, then one of that key's tokens, so that a key
+with ten tokens is spoilt as often as one with a hundred."""
 
 import math
 import re
 
 import pytest
+import yaml
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -25,17 +28,48 @@ _YAML_TOKEN = re.compile(r"[^\s\[\]{},:#]+")
 _NAMES = {"events.txt": 1, "metrics.txt": 1}
 
 
+def _keys(name, text):
+    """Each token's (start, end) span, grouped by key: a capture's by column,
+    its header lines one key; a YAML document's by the mapping keys above the
+    token, list positions and integer keys left out, and the tokens outside
+    every key and value (list dashes, comments) one key."""
+    keys = {}
+    if name == "capture":
+        for line in re.finditer(r"[^\n]+", text):
+            for column, m in enumerate(re.finditer(r"\S+", line.group())):
+                key = "header" if line.group().startswith("#") else column
+                keys.setdefault(key, []).append((line.start() + m.start(), line.start() + m.end()))
+        return keys
+    owner = [""] * len(text)  # each character's key
+
+    def walk(node, path):
+        if isinstance(node, yaml.MappingNode):
+            for key, value in node.value:
+                inner = path if key.tag.endswith(":int") else f"{path}.{key.value}".lstrip(".")
+                walk(key, inner)
+                walk(value, inner)
+        elif isinstance(node, yaml.SequenceNode):
+            for value in node.value:
+                walk(value, path)
+        else:
+            start, end = node.start_mark.index, node.end_mark.index
+            owner[start:end] = [path] * (end - start)
+
+    walk(yaml.compose(text, Loader=yaml.SafeLoader), "")
+    for m in _YAML_TOKEN.finditer(text):
+        keys.setdefault(owner[m.start()], []).append(m.span())
+    return keys
+
+
 @pytest.fixture(scope="module")
 def inputs(tmp_path_factory, calibration):
-    """Each input's text and the (start, end) spans of its tokens."""
+    """Each input's text and its tokens' spans by key."""
     path = tmp_path_factory.mktemp("calibration") / "calibration.yaml"
     write_calibration(path, calibration)
     capture = "".join((DATA / "gestures" / "pinch.traj").read_text().splitlines(True)[:14])
     texts = {"model": (DATA / "rapid_hand_20dof.yaml").read_text(), "calibration": path.read_text(),
              "capture": capture, "config": README_STREAMS}
-    return {name: (text, [m.span() for m in (re.finditer(r"\S+", text) if name == "capture"
-                                             else _YAML_TOKEN.finditer(text))])
-            for name, text in texts.items()}
+    return {name: (text, _keys(name, text)) for name, text in texts.items()}
 
 
 def _non_finite(out):
@@ -83,15 +117,16 @@ def _mended(spoilt, pattern, value, metrics=False):
 def test_spoilt_token_ends_in_an_exit_code(tmp_path_factory, inputs, data, mended):
     if mended is None:
         spoilt = data.draw(st.sampled_from(sorted(inputs)), label="input")
-        text, spans = inputs[spoilt]
-        start, end = data.draw(st.sampled_from(spans), label="token")
+        text, keys = inputs[spoilt]
+        key = data.draw(st.sampled_from(sorted(keys, key=str)), label="key")
+        start, end = data.draw(st.sampled_from(keys[key]), label="token")
         value = data.draw(st.sampled_from(_VALUES), label="value")
         metrics = spoilt == "model" and data.draw(st.booleans(), label="metrics")
     else:
         spoilt, pattern, value, metrics = mended
-        text, spans = inputs[spoilt]
+        text, keys = inputs[spoilt]
         start, end = re.search(pattern, text).span(1)
-        assert (start, end) in spans  # a token the property itself may draw
+        assert any((start, end) in spans for spans in keys.values())  # one the property may draw
     run = tmp_path_factory.mktemp("spoilt")
     paths = {name: run / name for name in inputs}
     for name, path in paths.items():

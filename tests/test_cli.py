@@ -249,6 +249,8 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
      "got [3, 4, 4, 4, 4]"),
     (lambda d: {"q0": d["q0"][:-1]}, "q0 has shape (19,), expected (20,)"),
     (lambda d: {"q0": d["q0"][:3] + [float("nan")] + d["q0"][4:]}, "q0 has a non-finite"),
+    (lambda d: {"q0": [9.0] + d["q0"][1:]},
+     "q0: values must lie within joint limits; joint 0 is 9, outside [-0.8, 0.5]"),
     (lambda d: {"anchor_offsets": [row[:2] for row in d["anchor_offsets"]]},
      "anchor offsets has shape (5, 2)"),
     (lambda d: {"coupling_fingers": d["coupling_fingers"] + [7]}, "coupled finger 7 is not"),
@@ -264,8 +266,8 @@ def test_retarget_rejects_bad_timestamp_or_flag(tmp_path, calibration, capsys,
     (lambda d: {"d_min": {**d["d_min"], 1: -1.0e308}, "d_max": {**d["d_max"], 1: 1.0e308}},
      "coupled finger 1: needs d_max > d_min, a finite span apart, got [-1e+308, 1e+308]"),
 ], ids=["negative_ratio", "missing_finger", "short_finger", "q0_length", "q0_nan",
-        "u_shape", "unknown_coupled_finger", "repeated_coupled_finger", "coupled_thumb",
-        "empty_distance_range", "infinite_d_max",
+        "q0_off_limits", "u_shape", "unknown_coupled_finger", "repeated_coupled_finger",
+        "coupled_thumb", "empty_distance_range", "infinite_d_max",
         "infinite_d_min", "overflowing_distance_span"])
 def test_retarget_rejects_calibration_not_fitting_model(tmp_path, calibration, capsys,
                                                         change, needle):
@@ -591,6 +593,15 @@ def test_manifest_records_every_flag(tmp_path, planar, planar_cal):
         flags = {a.dest for a in commands[name]._actions} - {"help", "out"}
         assert not set(manifest["inputs"]) & set(manifest["options"])
         assert set(manifest["inputs"]) | set(manifest["options"]) == flags, name
+
+
+def test_calibrate_rest_pose_off_the_limits_exits_2(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["calibrate", "--model", ROBOT, "--keypoints", str(DATA / "human_calibration.traj"),
+                 "--rest-pose", ",".join(["9"] + ["0"] * 19), "--out", str(out)]) == EXIT_ERROR
+    assert ("q0: values must lie within joint limits; joint 0 is 9, outside [-0.8, 0.5]"
+            in capsys.readouterr().err)
+    assert not out.exists()
 
 
 _OPPOSE = ["metrics", "--model", ROBOT, "--metric", "opposability", "--samples", "2000"]

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexretarget.hand_model import load_hand_model
-from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather,
+from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather, _walk_buffers,
                                     batch_keypoint_positions, forward_kinematics,
                                     jacobian, joint_to_motor, linear_jacobian_block,
                                     motor_to_joint, taxel_point_cloud)
@@ -322,6 +322,36 @@ def test_ragged_hand_matches_its_fingers_and_differences(case, seed):
     fd = np.array([objective(q + dq, prob)[0] - objective(q - dq, prob)[0]
                    for dq in steps]) / (2 * h)
     assert np.max(np.abs(objective_gradient(q, prob) - fd)) < 1e-7
+
+
+def _assert_one_row_batches_are_hand_rows(model, q, other):
+    # each finger's one-row batch walk is its row of the whole-hand walk, bit
+    # for bit, in every link's rotation and translation and every joint
+    # frame: into fresh buffers, and into buffers that a walk at ``other`` filled
+    reused = _walk_buffers(model)
+    _chain_state(model, None, other, out=reused)
+    assert _chain_state(model, None, q, out=reused) is reused
+    for hand in (_chain_state(model, None, q), reused):
+        for i, f in enumerate(model.fingers):
+            batch = _chain_state(model, i, q[model.finger_slice(i)][None])
+            assert list(map(len, batch)) == [f.dof + 1, f.dof + 1, f.dof]
+            for stacked, links in zip(hand, batch):
+                for k, a in enumerate(links):
+                    assert np.reshape(a, stacked[k, i].shape).tobytes() == stacked[k, i].tobytes()
+
+
+@settings(max_examples=60, deadline=None)
+@given(ragged_hand(), st.integers(0, 2 ** 32 - 1))
+def test_ragged_hand_one_row_batches_are_its_walk_rows(case, seed):
+    hand, _, q = case
+    _assert_one_row_batches_are_hand_rows(hand, q, random_q(hand, np.random.default_rng(seed)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 2 ** 32 - 1))
+def test_bundled_hand_one_row_batches_are_its_walk_rows(robot, seed):
+    rng = np.random.default_rng(seed)
+    _assert_one_row_batches_are_hand_rows(robot, random_q(robot, rng), random_q(robot, rng))
 
 
 # --- a problem's evaluation plan ------------------------------------------------

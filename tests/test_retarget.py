@@ -101,6 +101,34 @@ def test_calibration_rejects_wrong_q0_shape(robot):
         calibrate(robot, robot.rest_pose[:-1], identity_frame(robot))
 
 
+@pytest.mark.parametrize("value", [9.0, -0.81, np.nan, np.inf], ids=["9", "below", "nan", "inf"])
+def test_calibration_rejects_q0_off_its_limits_before_any_walk(robot, value):
+    q0 = robot.rest_pose.copy()
+    q0[0] = value  # the thumb's first joint, limited to [-0.8, 0.5]
+    needle = f"q0: values must lie within joint limits; joint 0 is {value:g}, outside [-0.8, 0.5]"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # a walk at a NaN or inf angle warns
+        with pytest.raises(CalibrationError, match=re.escape(needle)):
+            calibrate(robot, q0, identity_frame(robot))
+
+
+def test_stream_rejects_calibration_q0_off_its_limits(robot):
+    cal = calibrate(robot, robot.rest_pose, identity_frame(robot))
+    for joint, value in ((0, 9.0), (19, robot.upper_limits[19] + 1e-9)):
+        q0 = robot.rest_pose.copy()
+        q0[joint] = value
+        off = CalibrationData(cal.r, cal.u, cal.w_star, q0, cal.d_min, cal.d_max,
+                              cal.coupling_fingers)
+        with pytest.raises(CalibrationError, match=f"q0: values must lie within joint limits; "
+                                                   f"joint {joint} is "):
+            retarget_stream(robot, off, [])  # checked before the first frame
+
+
+def test_calibration_accepts_q0_on_its_limits(robot):
+    for q0 in (robot.lower_limits, robot.upper_limits):
+        assert np.array_equal(calibrate(robot, q0, identity_frame(robot)).q0, q0)
+
+
 def test_calibration_rejects_zero_tip_to_thumb_span(robot):
     frame = identity_frame(robot)
     frame.w[2, -1] = frame.w[0, -1]  # middle fingertip on the thumb tip
