@@ -1,4 +1,4 @@
-"""Forward kinematics, Jacobians, motor couplings, and taxel point clouds.
+"""Forward kinematics, Jacobians, and taxel point clouds.
 
 All poses are expressed in the hand base frame, meters and radians.  A
 finger chain applies, per joint k: the fixed parent offset (translation,
@@ -31,8 +31,11 @@ def _coerce_q(model, q):
 
 
 def _apply(m, v):
-    """Matrices ``m`` (..., 3, 3) times vectors ``v``: one (..., 3) vector
-    each, or one (3,) vector shared by all, applied as one flat product."""
+    """Matrices ``m`` (..., 3, 3) times vectors ``v`` (..., 3), broadcast as
+    one vector per matrix or one matrix over many vectors, or one (3,) vector
+    shared by all matrices as one flat product.  The one product that turns
+    offsets or axes by a link's rotation: a keypoint, a taxel and a batch's
+    tip are each placed by it."""
     if v.ndim == 1:  # a stacked product would make one BLAS call per matrix
         return (m.reshape(-1, 3) @ v).reshape(m.shape[:-1])
     return (m @ v[..., None])[..., 0]
@@ -40,8 +43,9 @@ def _apply(m, v):
 
 def _compose(r, m, out=None):
     """Rotations ``r`` (..., 3, 3) times one (3, 3) matrix ``m`` shared by
-    all, applied as one flat product into a fresh array; ``out`` is always
-    None: a batch walk calls this where the whole hand's calls np.matmul."""
+    all, applied as one flat product into a fresh array.  ``out`` is always
+    None: the walk calls this where the whole hand's np.matmul writes into
+    its buffers, so one call serves both layouts with no per-joint branch."""
     return (r.reshape(-1, 3) @ m).reshape(r.shape)
 
 
@@ -121,10 +125,8 @@ def _plan_slots(model, slots):
 KeypointGather = namedtuple("KeypointGather", "points axes origins plan")
 
 
-def _gather(model, state, slots):
-    """Place the keypoints at ``slots``, a (K, 2) array of (finger,
-    keypoint) pairs or their :class:`SlotPlan`, on the whole-hand walk ``state``."""
-    plan = slots if isinstance(slots, SlotPlan) else _plan_slots(model, slots)
+def _gather(model, state, plan):
+    """Place the keypoints of the :class:`SlotPlan` ``plan`` on the whole-hand walk ``state``."""
     rots, trans, frames = state
     fingers, links = plan.fingers, plan.links
     points = trans[links, fingers] + _apply(rots[links, fingers], plan.offsets)
@@ -153,9 +155,9 @@ def forward_kinematics(model, q):
         keypoint j of finger i in the hand base frame.  The slots past a
         finger's keypoint count are padding and exactly zero.
     """
-    slots = np.indices(model.chains.link.shape).reshape(2, -1).T
+    plan = _plan_slots(model, np.indices(model.chains.link.shape).reshape(2, -1).T)
     state = _chain_state(model, None, _coerce_q(model, q))
-    return _gather(model, state, slots).points.reshape(model.chains.offset.shape)
+    return _gather(model, state, plan).points.reshape(model.chains.offset.shape)
 
 
 def jacobian(model, q, frame):
@@ -172,34 +174,11 @@ def jacobian(model, q, frame):
         joints not on the frame's chain are zero.
     """
     link, _ = model.keypoint(*frame)
-    at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), [frame])
+    at = _gather(model, _chain_state(model, None, _coerce_q(model, q)), _plan_slots(model, [frame]))
     jac = np.zeros((6, model.total_dof))
     jac[:3] = linear_jacobian_block(at, model.total_dof)[0]
     jac[3:, at.plan.columns[0, :link]] = at.axes[:link, 0].T
     return jac
-
-
-def motor_to_joint(theta1, theta2, sign=1.0):
-    """Map differential motor angles to (pitch, yaw) joint angles.
-
-    Equal motor motion flexes (pure pitch), opposite motion abducts (pure
-    yaw): pitch = (theta1 + theta2) / 2, yaw = sign * (theta1 - theta2) / 2.
-    Accepts scalars or arrays.
-    """
-    theta1 = np.asarray(theta1, dtype=float)
-    theta2 = np.asarray(theta2, dtype=float)
-    pitch = 0.5 * (theta1 + theta2)
-    yaw = sign * 0.5 * (theta1 - theta2)
-    return pitch, yaw
-
-
-def joint_to_motor(pitch, yaw, sign=1.0):
-    """Exact inverse of :func:`motor_to_joint`."""
-    pitch = np.asarray(pitch, dtype=float)
-    yaw = np.asarray(yaw, dtype=float)
-    theta1 = pitch + sign * yaw
-    theta2 = pitch - sign * yaw
-    return theta1, theta2
 
 
 @dataclass(frozen=True)
@@ -251,8 +230,8 @@ def taxel_point_cloud(model, q, readings, threshold=None):
         if grid.shape != (layout.rows, layout.cols):
             raise ValueError(f"finger {i} readings have shape {grid.shape}, "
                              f"layout is {(layout.rows, layout.cols)}")
-        # taxels ride the distal link
-        world = trans[f.dof][i] + layout.positions @ rots[f.dof][i].T
+        # taxels ride the distal link, placed as a keypoint at their offsets would be
+        world = trans[f.dof][i] + _apply(rots[f.dof][i], layout.positions)
         flat = grid.reshape(-1)
         keep = np.ones(flat.shape, dtype=bool) if threshold is None else flat > threshold
         r_idx, c_idx = np.divmod(np.arange(flat.size), layout.cols)

@@ -386,11 +386,16 @@ def _residuals(q, prob):
     return e, jac
 
 
-def objective(q, prob):
-    """Total weighted objective and its (align, couple, smooth) terms."""
-    e, _ = _residuals(np.asarray(q, dtype=float), prob)
+def _weigh(e, prob):
+    """The objective sum_b lambda_b |e_b|^2 of the residual e, and its
+    unweighted (align, couple, smooth) terms |e_b|^2."""
     terms = np.bincount(prob.rows, e * e, minlength=3)
     return float(np.dot(prob.lambdas, terms)), terms
+
+
+def objective(q, prob):
+    """Total weighted objective and its (align, couple, smooth) terms."""
+    return _weigh(_residuals(np.asarray(q, dtype=float), prob)[0], prob)
 
 
 def objective_gradient(q, prob):
@@ -473,9 +478,7 @@ def solve_retarget(prob):
     res = minimize(lambda x: _residuals(x, prob), prob.weights, prob.q_prev,
                    prob.model.lower_limits, prob.model.upper_limits,
                    prob.tolerance, prob.max_iterations)
-    terms = np.bincount(prob.rows, res.e * res.e, minlength=3)
-    return RetargetResult(res.x, float(np.dot(prob.lambdas, terms)), terms,
-                          res.nit, res.converged)
+    return RetargetResult(res.x, *_weigh(res.e, prob), res.nit, res.converged)
 
 
 @dataclass(frozen=True)
@@ -521,8 +524,8 @@ def retarget_stream(model, cal, frames, lambdas=DEFAULT_LAMBDAS,
     if scaling_alpha is not None:
         require(POSITIVE, "scaling_alpha", scaling_alpha, RetargetConfigError)
     pairs = default_pairs(model) if pairs is None else tuple(pairs)
-    lambdas = tuple(lambdas)
-    if not (len(lambdas) == 3 and lambdas[1] > 0.0):  # bad lambdas fail in the problem
+    require(_LAMBDAS, "lambdas", lambdas, RetargetConfigError)
+    if lambdas[1] == 0.0:  # a coupling weighted 0 is left out of the problem
         coupling = None
     q_prev, residuals = cal.q0, np.zeros(3)
     prob = RetargetProblem(model, pairs, np.zeros((len(pairs), 3)), coupling, q_prev,

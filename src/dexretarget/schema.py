@@ -44,7 +44,11 @@ POSITIVE = Kind("finite and > 0", lambda v: 0.0 < v <= sys.float_info.max)
 
 def require(kind, name, value, error):
     """Raise ``error`` unless ``value``, the setting ``name``, is of ``kind``."""
-    if not kind.test(value):
+    try:
+        holds = kind.test(value)
+    except (TypeError, ValueError):  # untestable, as None or an array where one number belongs
+        holds = False
+    if not holds:
         raise error(f"{name} must be {kind.what}, got {value!r}")
 
 

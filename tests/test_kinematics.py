@@ -1,4 +1,4 @@
-"""Forward kinematics, Jacobians, motor mapping, taxel clouds."""
+"""Forward kinematics, Jacobians, chain walks, evaluation plans, taxel clouds."""
 
 import numpy as np
 import pytest
@@ -7,14 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from dexretarget.hand_model import load_hand_model
-from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather, _walk_buffers,
-                                    batch_keypoint_positions, forward_kinematics,
-                                    jacobian, joint_to_motor, linear_jacobian_block,
-                                    motor_to_joint, taxel_point_cloud)
+from dexretarget.kinematics import (_BATCH_ROWS, _chain_state, _gather, _plan_slots,
+                                    _walk_buffers, batch_keypoint_positions,
+                                    forward_kinematics, jacobian, linear_jacobian_block,
+                                    taxel_point_cloud)
 from dexretarget.retarget import (CouplingState, RetargetProblem, _residuals, default_pairs,
                                   objective, objective_gradient)
 
-from conftest import RIGID_PAIR, TOY_3DOF, random_joint, serial_chain
+from conftest import DATA, RIGID_PAIR, TOY_3DOF, random_joint, serial_chain
 
 
 def random_q(model, rng):
@@ -61,7 +61,7 @@ def test_fk_is_the_slot_array(request, name):
     for i, count in enumerate(model.keypoint_counts()):
         assert np.all(fk[i, count:] == 0.0)  # padding slots
         for j in range(count):
-            alone = _gather(model, state, np.array([(i, j)])).points[0]
+            alone = _gather(model, state, _plan_slots(model, [(i, j)])).points[0]
             assert fk[i, j].tobytes() == alone.tobytes()
 
 
@@ -153,7 +153,8 @@ def test_jacobian_bit_equal_whole_hand_block(robot):
         q = random_q(robot, rng)
         state = _chain_state(robot, None, q)
         for frame in _pairs(robot):
-            block = linear_jacobian_block(_gather(robot, state, [frame]), robot.total_dof)
+            at = _gather(robot, state, _plan_slots(robot, [frame]))
+            block = linear_jacobian_block(at, robot.total_dof)
             assert jacobian(robot, q, frame)[:3].tobytes() == block[0].tobytes()
 
 
@@ -357,10 +358,10 @@ def test_bundled_hand_one_row_batches_are_its_walk_rows(robot, seed):
 # --- a problem's evaluation plan ------------------------------------------------
 
 def _unplanned_residuals(prob, q):
-    """The residual e and its Jacobian at q from a fresh walk and a gather of
-    the raw slots, assembled row for row as the problem's residual."""
+    """The residual e and its Jacobian at q from a fresh walk and a fresh plan
+    of the raw slots, assembled row for row as the problem's residual."""
     model, n, m = prob.model, prob.model.total_dof, len(prob.pairs)
-    at = _gather(model, _chain_state(model, None, q), prob.slots)
+    at = _gather(model, _chain_state(model, None, q), _plan_slots(model, prob.slots))
     p, dp = at.points, linear_jacobian_block(at, n)
     e, jac = [prob.targets - p[:m]], [-dp[:m]]
     if len(p) > m:
@@ -407,46 +408,6 @@ def test_random_hand_planned_evaluations_are_unplanned(case, seed, coupled):
 def test_bundled_hand_planned_evaluations_are_unplanned(robot, seed, coupled):
     _assert_planned_evaluations_are_unplanned(robot, default_pairs(robot), coupled,
                                               np.random.default_rng(seed))
-
-
-# --- differential motor mapping ----------------------------------------------
-
-def test_equal_motor_motion_is_pure_pitch():
-    pitch, yaw = motor_to_joint(0.4, 0.4)
-    assert pitch == pytest.approx(0.4, abs=0) and yaw == 0.0
-
-
-def test_opposite_motor_motion_is_pure_yaw():
-    pitch, yaw = motor_to_joint(0.3, -0.3)
-    assert pitch == 0.0 and yaw == pytest.approx(0.3, abs=0)
-
-
-def test_motor_joint_round_trip():
-    rng = np.random.default_rng(5)
-    t1, t2 = rng.uniform(-1.0, 1.0, (2, 100))
-    pitch, yaw = motor_to_joint(t1, t2)
-    b1, b2 = joint_to_motor(pitch, yaw)
-    np.testing.assert_allclose(b1, t1, atol=1e-12)
-    np.testing.assert_allclose(b2, t2, atol=1e-12)
-
-
-def test_differential_invariances_exact():
-    # dyadic angles make the +/- delta sums exact, so invariance is bitwise
-    rng = np.random.default_rng(6)
-    t1 = rng.integers(-1024, 1024, 50) / 1024.0
-    t2 = rng.integers(-1024, 1024, 50) / 1024.0
-    delta = 0.25
-    _, yaw0 = motor_to_joint(t1, t2)
-    _, yaw1 = motor_to_joint(t1 + delta, t2 + delta)
-    assert np.array_equal(yaw0, yaw1)
-    pitch0, _ = motor_to_joint(t1, t2)
-    pitch1, _ = motor_to_joint(t1 + delta, t2 - delta)
-    assert np.array_equal(pitch0, pitch1)
-
-
-def test_motor_sign_flips_yaw():
-    _, yaw = motor_to_joint(0.3, -0.3, sign=-1.0)
-    assert yaw == pytest.approx(-0.3, abs=0)
 
 
 # --- taxel point clouds --------------------------------------------------------
@@ -497,6 +458,27 @@ def test_cloud_is_rigid_isometry_of_layout(robot):
             dw = np.linalg.norm(world[a] - world[b])
             dl = np.linalg.norm(local[a] - local[b])
             assert abs(dw - dl) < 1e-9
+
+
+def test_taxels_are_placed_as_keypoints_at_their_offsets(robot):
+    # a probe hand: the bundled one plus, on each taxel finger, one keypoint
+    # per taxel on the distal joint at that taxel's offset, after its own
+    doc = yaml.safe_load((DATA / "rapid_hand_20dof.yaml").read_text(encoding="utf-8"))
+    taxel_slots, ones = [], {}
+    for i, (f, raw, count) in enumerate(zip(robot.fingers, doc["fingers"],
+                                            robot.keypoint_counts())):
+        if f.taxels is not None:
+            raw["keypoints"] += [{"index": count + k, "attached_to": raw["joints"][-1]["name"],
+                                  "offset": p.tolist()} for k, p in enumerate(f.taxels.positions)]
+            taxel_slots.append((i, slice(count, count + len(f.taxels.positions))))
+            ones[i] = np.ones((f.taxels.rows, f.taxels.cols))
+    probe = load_hand_model(yaml.safe_dump(doc))
+    rng = np.random.default_rng(12)
+    for _ in range(100):
+        q = random_q(robot, rng)
+        fk = forward_kinematics(probe, q)
+        keypoints = np.concatenate([fk[i, taxels] for i, taxels in taxel_slots])
+        assert np.array_equal(taxel_point_cloud(robot, q, ones).positions, keypoints)
 
 
 def test_cloud_validates_reading_keys(robot):

@@ -916,7 +916,11 @@ _BAD_SETTINGS = [
     ("scaling_alpha", np.inf, "scaling_alpha"), ("sigmoid_k", np.nan, "sigmoid_k"),
     ("sigmoid_k", np.inf, "sigmoid_k"), ("sigmoid_c", -np.inf, "sigmoid_c"),
     ("sigmoid_c", np.nan, "sigmoid_c"), ("tolerance", np.inf, "tolerance"),
-    ("max_iterations", True, "max_iterations")]
+    ("max_iterations", True, "max_iterations"),
+    # values a rule's comparison cannot test: not of the rule, not a TypeError or ValueError
+    ("tolerance", "a", "tolerance"), ("sigmoid_k", None, "sigmoid_k"), ("lambdas", 5, "lambdas"),
+    ("lambdas", (1.0, "x", 1.0), "lambdas"), ("lambdas", (1.0, None, 1.0), "lambdas"),
+    ("tolerance", np.array([1e-6, 1e-6]), "tolerance")]
 
 
 @pytest.mark.parametrize("stream", ["good", "all_rejected"])

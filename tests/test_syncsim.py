@@ -267,6 +267,7 @@ def test_config_validation_errors():
         (lambda: StreamConfig((good,), mode="loose"), "mode"),
         (lambda: StreamConfig((good,), soft_latency=(0.2, 0.1)), "soft_latency"),
         (lambda: StreamConfig((StreamSpec("cam", float("nan"), 0.002),)), "period"),
+        (lambda: StreamConfig((StreamSpec("cam", "x"),)), "period must be in .*, got 'x'"),
         (lambda: StreamConfig((good,), rate_hz=float("nan")), "rate_hz"),
         (lambda: StreamConfig((good,), seed=-1), "seed"),
         (lambda: StreamConfig((StreamSpec("cam", float("inf"), 0.002),)), "period"),
